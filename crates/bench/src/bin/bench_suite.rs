@@ -1,15 +1,17 @@
 //! `bench_suite` — the reproducible benchmarks behind `BENCH_PR2.json`
-//! (csr vs naive peeling engines), `BENCH_PR4.json` (sampling data
-//! paths), `BENCH_PR6.json` (bucket-queue peel engines), `BENCH_PR7.json`
-//! (incremental vs full scans under sustained ingest), `BENCH_PR8.json`
+//! (peeling engine vs the naive reference), `BENCH_PR4.json` (sampling
+//! data paths), `BENCH_PR7.json` (incremental vs full scans under
+//! sustained ingest), `BENCH_PR8.json`
 //! (the full-JD-scale sharded build + parallel ensemble),
 //! `BENCH_PR9.json` (single methods vs the calibrated hybrid scorer
 //! under camouflage), and `BENCH_PR10.json` (arena/sharded interners +
-//! the chunked weighted CSV loader).
+//! the chunked weighted CSV loader). The committed artifacts are history:
+//! each was written by the suite as it stood in its own change, and
+//! `BENCH_PR6.json` by a peel-engine phase that has since been removed.
 //!
-//! **Engine phase** times the two peeling engines (`csr`, the default hot
-//! path, vs `naive`, the reference implementation) on fixed-seed
-//! workloads:
+//! **Engine phase** times the two peeling engines (`bucket`, the default
+//! bucket-queue peel, vs `naive`, the reference implementation) on
+//! fixed-seed workloads:
 //!
 //! * `peel` — one densest-block extraction (`Truncation::FixedK(1)`),
 //! * `fdet` — a full FDET pass with the default auto-truncation,
@@ -30,16 +32,6 @@
 //!
 //! Both families record the bytes of per-sample state each path
 //! materializes.
-//!
-//! **Peel-engine phase** times the bucket-queue peel engines against the
-//! CSR hot path on the `peel` and `fdet` workloads, three engines
-//! interleaved back-to-back within every rep: `csr` (binary lazy heap),
-//! `bucket` (monotone bucket queue, bit-identical to csr), and
-//! `bucket-batch` (tie rounds removed whole, relaxed in parallel). Its
-//! gate checks the bucket engine bit-identical against csr on the full
-//! `KeepAll` curve, and the batched engine against the documented
-//! score-equality contract (leading-block scores within 1e-9 relative,
-//! same auto-truncation `k̂` with score-equal retained blocks).
 //!
 //! **Incremental phase** replays a ramping fraud campaign
 //! (`ensemfdet_datagen::ramp_timeline`: one base batch registering every
@@ -89,9 +81,9 @@
 //! **Parallel bulk-ingest phase** renders the full-scale phase's jd3
 //! graph as a `user,merchant,amount` CSV transaction log
 //! (`ensemfdet_datagen::translog`) and times, behind a byte-counting
-//! global allocator: the legacy twin-map `TransactionInterner` vs the
-//! contiguous arena vs the sharded arena (single-threaded and across the
-//! worker pool) on the log's pre-parsed key pairs, and the chunked
+//! global allocator: the contiguous arena vs the sharded arena
+//! (single-threaded and across the worker pool) on the log's pre-parsed
+//! key pairs, and the chunked
 //! weighted loader end to end at 1..N workers. Its gate first checks
 //! every worker count bit-identical to the serial scan — assigned ids,
 //! edge arrays, amount-summed weights as f64 bits, and the ensemble
@@ -110,8 +102,8 @@
 //! Timing protocol: `--warmup` unmeasured iterations, then `--reps`
 //! measured ones with the two engines interleaved back-to-back within
 //! every rep. The JSON artifact records the median and p95 wall time of
-//! each (workload, dataset, engine) cell; the per-cell CSR speedup is the
-//! median of the per-rep `naive / csr` ratios, which cancels slow
+//! each (workload, dataset, engine) cell; the per-cell speedup is the
+//! median of the per-rep `naive / bucket` ratios, which cancels slow
 //! background load drift on shared machines.
 //!
 //! ```text
@@ -121,14 +113,15 @@
 //!
 //! `--out FILE` (default `BENCH_PR2.json`) picks the engine artifact
 //! path, `--out-sampling FILE` (default `BENCH_PR4.json`) the sampling
-//! one, `--out-peel FILE` (default `BENCH_PR6.json`) the peel-engine
 //! one, `--out-incremental FILE` (default `BENCH_PR7.json`) the
 //! incremental-scan one, `--out-scale FILE` (default `BENCH_PR8.json`)
 //! the full-scale one, `--out-hybrid FILE` (default `BENCH_PR9.json`)
 //! the hybrid-scoring one, `--out-ingest FILE` (default
 //! `BENCH_PR10.json`) the parallel-ingest one; `--scale N` resizes the
 //! datasets as in every other experiment binary (the full-scale phase
-//! pins its own divisor).
+//! pins its own divisor). Under `--smoke` the default artifact paths lie
+//! in a fresh temporary directory instead of the working directory, so a
+//! smoke run never overwrites a committed artifact.
 //! Absolute numbers are machine-dependent; the speedup ratios are the
 //! portable signal.
 
@@ -148,8 +141,7 @@ use ensemfdet_datagen::{ramp_timeline, transaction_log_string, TransactionLogCon
 use ensemfdet_graph::loader::parse_csv_record;
 use ensemfdet_graph::{
     load_transactions, ArenaTransactionInterner, BipartiteGraph, ConcurrentTransactionInterner,
-    CsrView, LoadOptions, MerchantId, SampleMaps, SampleSpec, SpecResolver, TransactionInterner,
-    UserId,
+    CsrView, LoadOptions, MerchantId, SampleMaps, SampleSpec, SpecResolver, UserId,
 };
 use ensemfdet_sampling::{seed, Sampler, SamplerScratch, SamplingMethod};
 use ensemfdet_service::api::{parse_json_records, parse_ndjson_records};
@@ -243,9 +235,10 @@ struct Cell {
 struct Speedup {
     workload: &'static str,
     dataset: &'static str,
-    /// Median of the per-rep `naive / csr` wall-time ratios (the engines
-    /// run back-to-back within each rep) — above 1 means CSR is faster.
-    csr_over_naive: f64,
+    /// Median of the per-rep `naive / bucket` wall-time ratios (the
+    /// engines run back-to-back within each rep) — above 1 means the
+    /// bucket engine is faster.
+    bucket_over_naive: f64,
 }
 
 #[derive(Serialize)]
@@ -306,7 +299,7 @@ fn run_workload(w: WorkloadKind, g: &BipartiteGraph, engine: Engine) {
 }
 
 /// `warmup` unmeasured alternating runs, then `reps` measured wall times
-/// per engine, interleaved naive/csr within every rep.
+/// per engine, interleaved naive/bucket within every rep.
 ///
 /// Interleaving matters on shared machines: background load drifts on a
 /// seconds scale, so timing one engine's reps in a block and then the
@@ -320,19 +313,19 @@ fn time_workload_pair(
 ) -> (Vec<f64>, Vec<f64>) {
     for _ in 0..warmup {
         run_workload(w, g, Engine::Naive);
-        run_workload(w, g, Engine::Csr);
+        run_workload(w, g, Engine::Bucket);
     }
     let mut naive = Vec::with_capacity(reps);
-    let mut csr = Vec::with_capacity(reps);
+    let mut bucket = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
         run_workload(w, g, Engine::Naive);
         naive.push(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        run_workload(w, g, Engine::Csr);
-        csr.push(t.elapsed().as_secs_f64());
+        run_workload(w, g, Engine::Bucket);
+        bucket.push(t.elapsed().as_secs_f64());
     }
-    (naive, csr)
+    (naive, bucket)
 }
 
 fn median(sorted: &[f64]) -> f64 {
@@ -400,7 +393,6 @@ fn path_config(ratio: f64, path: SamplePath, method: SamplingMethodConfig) -> En
     EnsemFdetConfig {
         num_samples: ENSEMBLE_SAMPLES,
         sample_ratio: ratio,
-        engine: Engine::Csr,
         path,
         method,
         seed: ENSEMBLE_SEED,
@@ -550,116 +542,14 @@ fn time_sampling_pair(
     (materialize, mask, bytes)
 }
 
-// ---------------------------------------------------------------------------
-// Peel-engine phase (BENCH_PR6.json)
-// ---------------------------------------------------------------------------
-
-/// The engines timed in the peel-engine phase: the incumbent CSR hot path
-/// and its two bucket-queue challengers.
-const PEEL_ENGINES: [Engine; 3] = [Engine::Csr, Engine::Bucket, Engine::BucketBatch];
-
-#[derive(Serialize)]
-struct PeelSpeedup {
-    workload: &'static str,
-    dataset: &'static str,
-    /// Median per-rep `csr / bucket` wall-time ratio — above 1 means the
-    /// sequential bucket queue is faster.
-    bucket_over_csr: f64,
-    /// Median per-rep `csr / bucket-batch` ratio.
-    bucket_batch_over_csr: f64,
-}
-
-#[derive(Serialize)]
-struct PeelArtifact {
-    schema: &'static str,
-    smoke: bool,
-    scale: u32,
-    warmup: usize,
-    reps: usize,
-    /// `"bit-identical"` for `bucket`, `"score-equality"` for
-    /// `bucket-batch` — the two gates [`peel_engine_gate`] enforced.
-    equivalence: &'static str,
-    datasets: Vec<DatasetInfo>,
-    cells: Vec<Cell>,
-    speedups: Vec<PeelSpeedup>,
-}
-
-/// The bucket engine must be bit-identical to csr on the full `KeepAll`
-/// curve; the batched engine must satisfy the score-equality contract
-/// (leading-block score within 1e-9 relative; same auto-truncation `k̂`
-/// with score-equal retained blocks).
-fn peel_engine_gate(g: &BipartiteGraph) -> Result<(), String> {
-    let keep = |e| fdet_with_engine(g, &MetricKind::default(), Truncation::KeepAll { k_max: 50 }, e);
-    let (csr, bucket) = (keep(Engine::Csr), keep(Engine::Bucket));
-    if bucket.blocks != csr.blocks {
-        return Err("bucket FDET blocks differ from csr".into());
-    }
-    if bucket.scores != csr.scores {
-        return Err("bucket FDET scores differ from csr".into());
-    }
-
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(1.0);
-    let batch = keep(Engine::BucketBatch);
-    if batch.scores.is_empty() != csr.scores.is_empty() {
-        return Err("bucket-batch peeled a different number of leading blocks".into());
-    }
-    if let (Some(&a), Some(&b)) = (csr.scores.first(), batch.scores.first()) {
-        if !close(a, b) {
-            return Err(format!("bucket-batch leading block score {b} vs csr {a}"));
-        }
-    }
-    let auto = |e| fdet_with_engine(g, &MetricKind::default(), Truncation::default(), e);
-    let (csr_auto, batch_auto) = (auto(Engine::Csr), auto(Engine::BucketBatch));
-    if batch_auto.k_hat != csr_auto.k_hat {
-        return Err(format!(
-            "bucket-batch k_hat {} vs csr {}",
-            batch_auto.k_hat, csr_auto.k_hat
-        ));
-    }
-    for i in 0..csr_auto.k_hat {
-        if !close(csr_auto.scores[i], batch_auto.scores[i]) {
-            return Err(format!(
-                "bucket-batch retained score {i}: {} vs csr {}",
-                batch_auto.scores[i], csr_auto.scores[i]
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// `warmup` unmeasured alternating runs, then `reps` measured wall times
-/// per engine, the three engines interleaved back-to-back within every
-/// rep (same drift rationale as [`time_workload_pair`]).
-fn time_engine_trio(
-    w: WorkloadKind,
-    g: &BipartiteGraph,
-    warmup: usize,
-    reps: usize,
-) -> [Vec<f64>; 3] {
-    for _ in 0..warmup {
-        for e in PEEL_ENGINES {
-            run_workload(w, g, e);
-        }
-    }
-    let mut times = [Vec::new(), Vec::new(), Vec::new()];
-    for _ in 0..reps {
-        for (slot, e) in PEEL_ENGINES.into_iter().enumerate() {
-            let t = Instant::now();
-            run_workload(w, g, e);
-            times[slot].push(t.elapsed().as_secs_f64());
-        }
-    }
-    times
-}
-
 /// Both engines must agree exactly on every workload before we time them.
 fn equivalence_gate(g: &BipartiteGraph) -> Result<(), String> {
     let run = |e| fdet_with_engine(g, &MetricKind::default(), Truncation::KeepAll { k_max: 50 }, e);
-    let (csr, naive) = (run(Engine::Csr), run(Engine::Naive));
-    if csr.blocks != naive.blocks {
+    let (bucket, naive) = (run(Engine::Bucket), run(Engine::Naive));
+    if bucket.blocks != naive.blocks {
         return Err("FDET blocks differ between engines".into());
     }
-    if csr.scores != naive.scores {
+    if bucket.scores != naive.scores {
         return Err("FDET scores differ between engines".into());
     }
     let vote = |e| {
@@ -674,7 +564,7 @@ fn equivalence_gate(g: &BipartiteGraph) -> Result<(), String> {
         .votes
         .user_scores()
     };
-    if vote(Engine::Csr) != vote(Engine::Naive) {
+    if vote(Engine::Bucket) != vote(Engine::Naive) {
         return Err("ensemble votes differ between engines".into());
     }
     Ok(())
@@ -1680,48 +1570,35 @@ fn service_smoke() -> Result<(), String> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR2.json".to_string());
-    let out_sampling = args
-        .iter()
-        .position(|a| a == "--out-sampling")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR4.json".to_string());
-    let out_peel = args
-        .iter()
-        .position(|a| a == "--out-peel")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR6.json".to_string());
-    let out_incremental = args
-        .iter()
-        .position(|a| a == "--out-incremental")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR7.json".to_string());
-    let out_scale = args
-        .iter()
-        .position(|a| a == "--out-scale")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR8.json".to_string());
-    let out_hybrid = args
-        .iter()
-        .position(|a| a == "--out-hybrid")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR9.json".to_string());
-    let out_ingest = args
-        .iter()
-        .position(|a| a == "--out-ingest")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    // Artifact paths: `--out…` flags, else the committed file names —
+    // inside a fresh temporary directory under `--smoke`.
+    let out_dir = if smoke {
+        let dir =
+            std::env::temp_dir().join(format!("ensemfdet_bench_smoke_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create the smoke output directory");
+        dir
+    } else {
+        std::path::PathBuf::from(".")
+    };
+    let out = |flag: &str, default: &str| -> String {
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1).cloned())
+            .unwrap_or_else(|| out_dir.join(default).to_string_lossy().into_owned())
+    };
+    let out_path = out("--out", "BENCH_PR2.json");
+    let out_sampling = out("--out-sampling", "BENCH_PR4.json");
+    let out_incremental = out("--out-incremental", "BENCH_PR7.json");
+    let out_scale = out("--out-scale", "BENCH_PR8.json");
+    let out_hybrid = out("--out-hybrid", "BENCH_PR9.json");
+    let out_ingest = out("--out-ingest", "BENCH_PR10.json");
     // Smoke mode: tiny datasets, minimal repetitions — a CI-speed check
     // that the harness runs end-to-end and the engines stay equivalent.
     let scale = if smoke { 400 } else { resolve_scale(&args) };
     let (warmup, reps) = if smoke { (1, 2) } else { (2, 7) };
 
     println!(
-        "== bench_suite: csr vs naive peeling engines (scale 1/{scale}{}) ==\n",
+        "== bench_suite: bucket vs naive peeling engines (scale 1/{scale}{}) ==\n",
         if smoke { ", smoke" } else { "" }
     );
 
@@ -1749,16 +1626,6 @@ fn main() {
         if let Err(e) = equivalence_gate(&ds.graph) {
             println!("FAILED");
             eprintln!("engine equivalence gate failed on {}: {e}", dataset_tag(*which));
-            std::process::exit(1);
-        }
-        println!("ok");
-        print!("equivalence gate (bucket engines) ... ");
-        if let Err(e) = peel_engine_gate(&ds.graph) {
-            println!("FAILED");
-            eprintln!(
-                "peel-engine equivalence gate failed on {}: {e}",
-                dataset_tag(*which)
-            );
             std::process::exit(1);
         }
         println!("ok");
@@ -1791,19 +1658,19 @@ fn main() {
     let mut speedups = Vec::new();
     for w in WORKLOADS {
         for (which, ds) in &suite {
-            let (naive, csr) = time_workload_pair(w.kind, &ds.graph, warmup, reps);
+            let (naive, bucket) = time_workload_pair(w.kind, &ds.graph, warmup, reps);
             // Speedup = median of the per-pair ratios, so slow background
             // drift (which hits both halves of a pair equally) cancels.
             let mut ratios: Vec<f64> = naive
                 .iter()
-                .zip(&csr)
-                .map(|(n, c)| n / c.max(1e-12))
+                .zip(&bucket)
+                .map(|(n, b)| n / b.max(1e-12))
                 .collect();
             ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
             let ratio = median(&ratios);
             let mut medians = [0.0f64; 2];
             for (slot, (engine, times)) in
-                [(Engine::Naive, naive), (Engine::Csr, csr)].into_iter().enumerate()
+                [("naive", naive), ("bucket", bucket)].into_iter().enumerate()
             {
                 let mut times = times;
                 times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
@@ -1811,7 +1678,7 @@ fn main() {
                 cells.push(Cell {
                     workload: w.name,
                     dataset: dataset_tag(*which),
-                    engine: engine.name(),
+                    engine,
                     reps,
                     median_s: median(&times),
                     p95_s: percentile(&times, 0.95),
@@ -1819,7 +1686,7 @@ fn main() {
                 });
             }
             println!(
-                "{:<16} {:<4} naive {:>9.3} ms  csr {:>9.3} ms  speedup {:.2}x",
+                "{:<16} {:<4} naive {:>9.3} ms  bucket {:>9.3} ms  speedup {:.2}x",
                 w.name,
                 dataset_tag(*which),
                 medians[0] * 1e3,
@@ -1829,7 +1696,7 @@ fn main() {
             speedups.push(Speedup {
                 workload: w.name,
                 dataset: dataset_tag(*which),
-                csr_over_naive: ratio,
+                bucket_over_naive: ratio,
             });
         }
     }
@@ -1920,7 +1787,7 @@ fn main() {
         reps,
         ensemble_samples: ENSEMBLE_SAMPLES,
         equivalence: "ok",
-        datasets: infos.clone(),
+        datasets: infos,
         cells: path_cells,
         speedups: path_speedups,
     };
@@ -1928,76 +1795,6 @@ fn main() {
         Ok(()) => println!("\n[saved {out_sampling}]"),
         Err(e) => {
             eprintln!("cannot write {out_sampling}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // -- Peel-engine phase --------------------------------------------------
-    println!("\n== bench_suite: csr vs bucket vs bucket-batch peel engines ==\n");
-    let mut peel_cells = Vec::new();
-    let mut peel_speedups = Vec::new();
-    for w in [WORKLOADS[0], WORKLOADS[1]] {
-        for (which, ds) in &suite {
-            let trio = time_engine_trio(w.kind, &ds.graph, warmup, reps);
-            // Per-rep csr/challenger ratios — slot 0 is csr.
-            let ratio_vs_csr = |slot: usize| -> f64 {
-                let mut ratios: Vec<f64> = trio[0]
-                    .iter()
-                    .zip(&trio[slot])
-                    .map(|(c, x)| c / x.max(1e-12))
-                    .collect();
-                ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-                median(&ratios)
-            };
-            let (bucket_ratio, batch_ratio) = (ratio_vs_csr(1), ratio_vs_csr(2));
-            let mut medians = [0.0f64; 3];
-            for (slot, engine) in PEEL_ENGINES.into_iter().enumerate() {
-                let mut times = trio[slot].clone();
-                times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                medians[slot] = median(&times);
-                peel_cells.push(Cell {
-                    workload: w.name,
-                    dataset: dataset_tag(*which),
-                    engine: engine.name(),
-                    reps,
-                    median_s: median(&times),
-                    p95_s: percentile(&times, 0.95),
-                    min_s: times[0],
-                });
-            }
-            println!(
-                "{:<6} {:<4} csr {:>9.3} ms  bucket {:>9.3} ms ({:.2}x)  bucket-batch {:>9.3} ms ({:.2}x)",
-                w.name,
-                dataset_tag(*which),
-                medians[0] * 1e3,
-                medians[1] * 1e3,
-                bucket_ratio,
-                medians[2] * 1e3,
-                batch_ratio,
-            );
-            peel_speedups.push(PeelSpeedup {
-                workload: w.name,
-                dataset: dataset_tag(*which),
-                bucket_over_csr: bucket_ratio,
-                bucket_batch_over_csr: batch_ratio,
-            });
-        }
-    }
-    let peel_artifact = PeelArtifact {
-        schema: "ensemfdet-peel-engine/v1",
-        smoke,
-        scale,
-        warmup,
-        reps,
-        equivalence: "bucket: bit-identical; bucket-batch: score-equality",
-        datasets: infos,
-        cells: peel_cells,
-        speedups: peel_speedups,
-    };
-    match ensemfdet_eval::write_json(&peel_artifact, &out_peel) {
-        Ok(()) => println!("\n[saved {out_peel}]"),
-        Err(e) => {
-            eprintln!("cannot write {out_peel}: {e}");
             std::process::exit(1);
         }
     }
@@ -2468,20 +2265,11 @@ fn main() {
     let mut ingest_cells = Vec::new();
     let mut ingest_speedups = Vec::new();
 
-    // Interner comparison on pre-parsed key pairs: the legacy twin-map
-    // interner vs the contiguous arena vs the sharded arena, the latter
-    // both single-threaded (its routing overhead) and across the worker
-    // pool (the contention-free concurrent path).
+    // Interner comparison on pre-parsed key pairs: the contiguous arena
+    // vs the sharded arena, both single-threaded (its routing overhead)
+    // and across the worker pool (the contention-free concurrent path).
     let pairs = parse_log_pairs(&log_bytes).expect("gated");
     {
-        let mut legacy = || {
-            let mut i = TransactionInterner::new();
-            for (u, m) in &pairs {
-                i.user(u);
-                i.merchant(m);
-            }
-            std::hint::black_box(i.num_users());
-        };
         let mut arena = || {
             let mut i = ArenaTransactionInterner::new();
             for (u, m) in &pairs {
@@ -2516,10 +2304,9 @@ fn main() {
         let (times, alloc) = time_ingest_variants(
             warmup,
             reps,
-            &mut [&mut legacy, &mut arena, &mut sharded_one, &mut sharded_pool],
+            &mut [&mut arena, &mut sharded_one, &mut sharded_pool],
         );
         let names = vec![
-            "legacy".to_string(),
             "arena".to_string(),
             "sharded_w1".to_string(),
             format!("sharded_w{workers}"),

@@ -41,9 +41,18 @@ pub fn curve_rows(curve: &ensemfdet_eval::PrCurve) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
 
+    /// A fresh directory for one test's files, named after the test and
+    /// the process id, so parallel tests never share a fixture file.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ensemfdet_bench_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn save_writes_json() {
-        let dir = std::env::temp_dir().join("ensemfdet_bench_output_test");
+        let dir = test_dir("save_writes_json");
         std::env::set_var("ENSEMFDET_RESULTS", &dir);
         save("smoke", &serde_json::json!({"x": 1}));
         let content = std::fs::read_to_string(dir.join("smoke.json")).unwrap();

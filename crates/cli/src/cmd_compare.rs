@@ -151,9 +151,8 @@ mod tests {
         Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn dataset_files() -> (String, String) {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_compare");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn dataset_files(test: &str) -> (String, String) {
+        let dir = crate::test_dir(test);
         let gpath = dir.join("g.edges");
         let lpath = dir.join("g.labels");
         let mut b = GraphBuilder::new();
@@ -175,7 +174,7 @@ mod tests {
 
     #[test]
     fn compares_all_methods() {
-        let (g, l) = dataset_files();
+        let (g, l) = dataset_files("compare_compares_all_methods");
         let out = run(&args(&[
             "--graph", &g, "--labels", &l, "--samples", "8", "--ratio", "0.5", "--k", "3",
         ]))
@@ -188,8 +187,8 @@ mod tests {
 
     #[test]
     fn json_output() {
-        let (g, l) = dataset_files();
-        let dir = std::env::temp_dir().join("ensemfdet_cli_compare");
+        let (g, l) = dataset_files("compare_json_output");
+        let dir = crate::test_dir("compare_json_output");
         let json = dir.join("summary.json");
         run(&args(&[
             "--graph",

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use ensemfdet::{
     hybrid_scan_scores, DetectContext, EnsemFdet, EnsemFdetConfig, EnsembleOutcome,
-    HybridScanScores, SamplePath, SamplingMethodConfig,
+    HybridScanScores, SamplingMethodConfig,
 };
 use ensemfdet_baselines::{DegreeBaseline, FBox, FBoxConfig, Fraudar, FraudarConfig, Hits, KCoreBaseline, Spoken, SpokenConfig};
 use ensemfdet_graph::{io, BipartiteGraph};
@@ -23,9 +23,6 @@ OPTIONS:
     --ratio S             sample ratio S [default: 0.1]
     --threshold T         vote threshold [default: N/2]
     --sampling M          res | ons-user | ons-merchant | tns [default: res]
-    --engine E            csr | bucket | bucket-batch | naive peeling engine
-                          [default: csr]
-    --sample-path P       mask | materialize sampling data path [default: mask]
     --seed N              RNG seed [default: 42]
     --workers W           worker threads for the sample pool; results are
                           identical for every W [default: 0 = auto]
@@ -85,9 +82,9 @@ pub(crate) fn sampling_method(args: &Args) -> Result<SamplingMethodConfig, Strin
 /// Ensemble timing: total wall-clock, per-sample mean/max, the speedup
 /// the worker pool actually realized (sum of sample times / wall-clock), the
 /// worker count with each worker's busy time, the per-stage CPU-time
-/// split (sampling / detection / aggregation), and the sampling data path
-/// with the bytes it materialized.
-pub(crate) fn timing_summary(path: SamplePath, outcome: &EnsembleOutcome) -> String {
+/// split (sampling / detection / aggregation), and the bytes of sample
+/// state the ensemble materialized.
+pub(crate) fn timing_summary(outcome: &EnsembleOutcome) -> String {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let n = outcome.samples.len().max(1);
     let total = outcome.total_sample_time();
@@ -103,7 +100,7 @@ pub(crate) fn timing_summary(path: SamplePath, outcome: &EnsembleOutcome) -> Str
         "timing: {:.1} ms wall-clock over {} samples; per-sample mean {:.1} ms, max {:.1} ms; realized speedup {:.1}x\n\
          workers: {} (busy mean {:.1} ms, max {:.1} ms)\n\
          stages: sampling {:.1} ms, detection {:.1} ms, aggregation {:.1} ms (CPU time summed over samples)\n\
-         sample path: {path}, {} bytes materialized ({:.0} per sample)",
+         samples: {} bytes materialized ({:.0} per sample)",
         ms(outcome.elapsed),
         n,
         ms(total) / n as f64,
@@ -125,16 +122,6 @@ pub(crate) fn ensemfdet_config(args: &Args) -> Result<EnsemFdetConfig, String> {
         num_samples: args.get_or("samples", 80)?,
         sample_ratio: args.get_or("ratio", 0.1)?,
         method: sampling_method(args)?,
-        engine: args
-            .get("engine")
-            .map(|e| e.parse())
-            .transpose()?
-            .unwrap_or_default(),
-        path: args
-            .get("sample-path")
-            .map(|p| p.parse())
-            .transpose()?
-            .unwrap_or_default(),
         seed: args.get_or("seed", 42)?,
         scoring: args
             .get("scoring")
@@ -195,7 +182,7 @@ pub fn run(args: &Args) -> Result<String, String> {
             args.finish()?;
             let outcome = EnsemFdet::with_workers(cfg, workers).detect(&g);
             if timing {
-                timing_note = Some(timing_summary(cfg.path, &outcome));
+                timing_note = Some(timing_summary(&outcome));
             }
             if let Some(hybrid) = hybrid_pass(&g, &outcome, &cfg) {
                 // The hybrid set and fused scores replace the vote ones
@@ -289,9 +276,8 @@ mod tests {
         Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn graph_file() -> String {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_detect");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn graph_file(test: &str) -> String {
+        let dir = crate::test_dir(test);
         let path = dir.join("g.edges");
         let mut b = GraphBuilder::new();
         for u in 0..8u32 {
@@ -308,7 +294,7 @@ mod tests {
 
     #[test]
     fn ensemfdet_detects_block() {
-        let gf = graph_file();
+        let gf = graph_file("detect_ensemfdet_detects_block");
         let out = run(&args(&[
             "--graph", &gf, "--samples", "10", "--ratio", "0.5", "--threshold", "8",
         ]))
@@ -318,8 +304,8 @@ mod tests {
 
     #[test]
     fn scoring_flag_runs_hybrid_and_reports() {
-        let gf = graph_file();
-        let dir = std::env::temp_dir().join("ensemfdet_cli_detect");
+        let gf = graph_file("detect_scoring_flag_runs_hybrid_and_reports");
+        let dir = crate::test_dir("detect_scoring_flag_runs_hybrid_and_reports");
         let scores = dir.join("hybrid.tsv");
         let out = run(&args(&[
             "--graph",
@@ -347,7 +333,7 @@ mod tests {
 
     #[test]
     fn scoring_flag_determinism_and_validation() {
-        let gf = graph_file();
+        let gf = graph_file("detect_scoring_flag_determinism_and_validation");
         let base = &["--graph", gf.as_str(), "--samples", "8", "--ratio", "0.5"];
         let one = run(&args(&[base as &[_], &["--scoring", "hybrid"]].concat())).unwrap();
         let two = run(&args(&[base as &[_], &["--scoring", "hybrid"]].concat())).unwrap();
@@ -362,7 +348,7 @@ mod tests {
 
     #[test]
     fn timing_flag_reports_breakdown() {
-        let gf = graph_file();
+        let gf = graph_file("detect_timing_flag_reports_breakdown");
         let out = run(&args(&[
             "--graph", &gf, "--samples", "6", "--ratio", "0.5", "--timing",
         ]))
@@ -370,14 +356,13 @@ mod tests {
         assert!(out.contains("wall-clock over 6 samples"), "{out}");
         assert!(out.contains("per-sample mean"), "{out}");
         assert!(out.contains("stages: sampling"), "{out}");
-        assert!(out.contains("sample path: mask"), "{out}");
         assert!(out.contains("bytes materialized"), "{out}");
         assert!(out.contains("workers: "), "{out}");
     }
 
     #[test]
     fn workers_flag_is_result_invariant_and_reported() {
-        let gf = graph_file();
+        let gf = graph_file("detect_workers_flag_is_result_invariant_and_reported");
         let base = &["--graph", gf.as_str(), "--samples", "6", "--ratio", "0.5"];
         let one = run(&args(&[base as &[_], &["--workers", "1"]].concat())).unwrap();
         let four = run(&args(&[base as &[_], &["--workers", "4"]].concat())).unwrap();
@@ -391,41 +376,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_path_flag_selects_path_and_agrees() {
-        let gf = graph_file();
-        let base = &["--graph", gf.as_str(), "--samples", "6", "--ratio", "0.5"];
-        let mask =
-            run(&args(&[base as &[_], &["--sample-path", "mask"]].concat())).unwrap();
-        let mat =
-            run(&args(&[base as &[_], &["--sample-path", "materialize"]].concat())).unwrap();
-        assert_eq!(mask, mat, "paths must flag identical users");
-        let err =
-            run(&args(&[base as &[_], &["--sample-path", "mmap"]].concat())).unwrap_err();
-        assert!(err.contains("unknown sample path"), "{err}");
-        // --timing reports which path ran.
-        let timed = run(&args(
-            &[base as &[_], &["--sample-path", "materialize", "--timing"]].concat(),
-        ))
-        .unwrap();
-        assert!(timed.contains("sample path: materialize"), "{timed}");
-    }
-
-    #[test]
-    fn engine_flag_selects_engine_and_agrees() {
-        let gf = graph_file();
-        let base = &["--graph", gf.as_str(), "--samples", "6", "--ratio", "0.5"];
-        let csr = run(&args(&[base as &[_], &["--engine", "csr"]].concat())).unwrap();
-        for engine in ["naive", "bucket", "bucket-batch"] {
-            let other = run(&args(&[base as &[_], &["--engine", engine]].concat())).unwrap();
-            assert_eq!(csr, other, "{engine} must flag identical users");
-        }
-        let err = run(&args(&[base as &[_], &["--engine", "warp"]].concat())).unwrap_err();
-        assert!(err.contains("unknown engine"), "{err}");
-    }
-
-    #[test]
     fn every_method_runs() {
-        let gf = graph_file();
+        let gf = graph_file("detect_every_method_runs");
         let out = run(&args(&["--graph", &gf, "--method", "fraudar", "--k", "5"])).unwrap();
         assert!(out.contains("detected"), "fraudar: {out}");
         for m in ["spoken", "fbox", "hits", "kcore", "degree"] {
@@ -436,8 +388,8 @@ mod tests {
 
     #[test]
     fn out_and_scores_files_are_written() {
-        let gf = graph_file();
-        let dir = std::env::temp_dir().join("ensemfdet_cli_detect");
+        let gf = graph_file("detect_out_and_scores_files_are_written");
+        let dir = crate::test_dir("detect_out_and_scores_files_are_written");
         let flagged = dir.join("flagged.txt");
         let scores = dir.join("scores.tsv");
         run(&args(&[
@@ -461,21 +413,21 @@ mod tests {
 
     #[test]
     fn unknown_method_rejected() {
-        let gf = graph_file();
+        let gf = graph_file("detect_unknown_method_rejected");
         let err = run(&args(&["--graph", &gf, "--method", "magic"])).unwrap_err();
         assert!(err.contains("magic"));
     }
 
     #[test]
     fn unknown_option_rejected() {
-        let gf = graph_file();
+        let gf = graph_file("detect_unknown_option_rejected");
         let err = run(&args(&["--graph", &gf, "--threshhold", "3"])).unwrap_err();
         assert!(err.contains("threshhold"));
     }
 
     #[test]
     fn fraudar_scores_request_is_an_error() {
-        let gf = graph_file();
+        let gf = graph_file("detect_fraudar_scores_request_is_an_error");
         let err = run(&args(&[
             "--graph", &gf, "--method", "fraudar", "--scores", "/tmp/s.tsv",
         ]))

@@ -92,9 +92,8 @@ mod tests {
         Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn write_ids(name: &str, ids: &[u32]) -> String {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_eval");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn write_ids(test: &str, name: &str, ids: &[u32]) -> String {
+        let dir = crate::test_dir(test);
         let path = dir.join(name);
         io::save_labels(ids, &path).unwrap();
         path.to_str().unwrap().to_string()
@@ -102,8 +101,8 @@ mod tests {
 
     #[test]
     fn computes_metrics() {
-        let det = write_ids("det.txt", &[0, 1, 5]);
-        let lab = write_ids("lab.txt", &[0, 1, 2, 3]);
+        let det = write_ids("eval_computes_metrics", "det.txt", &[0, 1, 5]);
+        let lab = write_ids("eval_computes_metrics", "lab.txt", &[0, 1, 2, 3]);
         let out = run(&args(&[
             "--detected", &det, "--labels", &lab, "--population", "10",
         ]))
@@ -115,16 +114,24 @@ mod tests {
 
     #[test]
     fn population_inferred_without_graph() {
-        let det = write_ids("det2.txt", &[7]);
-        let lab = write_ids("lab2.txt", &[7, 9]);
+        let det = write_ids("eval_population_inferred_without_graph", "det2.txt", &[7]);
+        let lab = write_ids(
+            "eval_population_inferred_without_graph",
+            "lab2.txt",
+            &[7, 9],
+        );
         let out = run(&args(&["--detected", &det, "--labels", &lab])).unwrap();
         assert!(out.contains("population: 10"), "{out}");
     }
 
     #[test]
     fn out_of_population_detected_rejected() {
-        let det = write_ids("det3.txt", &[99]);
-        let lab = write_ids("lab3.txt", &[1]);
+        let det = write_ids(
+            "eval_out_of_population_detected_rejected",
+            "det3.txt",
+            &[99],
+        );
+        let lab = write_ids("eval_out_of_population_detected_rejected", "lab3.txt", &[1]);
         let err = run(&args(&[
             "--detected", &det, "--labels", &lab, "--population", "10",
         ]))

@@ -38,8 +38,7 @@ mod tests {
 
     #[test]
     fn renders_from_custom_dir() {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_figures");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("figures_renders_from_custom_dir");
         std::fs::write(
             dir.join("fig1_block_scores.json"),
             r#"[{"sample": 0, "scores": [0.5, 0.2], "k_hat": 1}]"#,
@@ -52,8 +51,7 @@ mod tests {
 
     #[test]
     fn empty_dir_reports_gracefully() {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_figures_empty");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("figures_empty_dir_reports_gracefully");
         let out = run(&args(&["--results", dir.to_str().unwrap()])).unwrap();
         assert!(out.contains("no renderable artifacts"));
         std::fs::remove_dir_all(&dir).ok();

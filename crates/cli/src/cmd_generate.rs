@@ -93,9 +93,8 @@ mod tests {
         Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_generate");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn tmp(test: &str, name: &str) -> String {
+        let dir = crate::test_dir(test);
         dir.join(name).to_str().unwrap().to_string()
     }
 
@@ -106,7 +105,7 @@ mod tests {
 
     #[test]
     fn preset_mode_writes_files() {
-        let stem = tmp("preset");
+        let stem = tmp("generate_preset_mode_writes_files", "preset");
         let out = run(&args(&["--out", &stem, "--preset", "jd1", "--scale", "400"])).unwrap();
         assert!(out.contains("blacklisted"));
         assert!(std::path::Path::new(&format!("{stem}.edges")).exists());
@@ -115,7 +114,7 @@ mod tests {
 
     #[test]
     fn custom_mode_respects_sizes() {
-        let stem = tmp("custom");
+        let stem = tmp("generate_custom_mode_respects_sizes", "custom");
         let out = run(&args(&[
             "--out", &stem, "--users", "500", "--merchants", "200", "--groups", "2",
             "--group-users", "20", "--group-merchants", "4", "--camouflage-uniform",
@@ -132,7 +131,7 @@ mod tests {
 
     #[test]
     fn typo_rejected() {
-        let stem = tmp("typo");
+        let stem = tmp("generate_typo_rejected", "typo");
         let err = run(&args(&["--out", &stem, "--persent", "jd1"])).unwrap_err();
         assert!(err.contains("--persent"));
     }

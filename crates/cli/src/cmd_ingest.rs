@@ -183,7 +183,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         ));
         if timing {
             report.push('\n');
-            report.push_str(&timing_summary(cfg.path, &outcome));
+            report.push_str(&timing_summary(&outcome));
         }
         if let Some(p) = &out_path {
             let text: String = keys.iter().map(|k| format!("{k}\n")).collect();
@@ -206,16 +206,15 @@ mod tests {
         Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn log_file(name: &str, content: &str) -> String {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_ingest");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn log_file(test: &str, name: &str, content: &str) -> String {
+        let dir = crate::test_dir(test);
         let path = dir.join(name);
         std::fs::write(&path, content).unwrap();
         path.to_str().unwrap().to_string()
     }
 
     /// A dense 8×8 ring on top of sparse background traffic.
-    fn ring_log() -> String {
+    fn ring_log(test: &str) -> String {
         let mut s = String::from("# synthetic ring\n");
         for b in 0..8 {
             for m in 0..8 {
@@ -225,12 +224,16 @@ mod tests {
         for p in 0..80 {
             s.push_str(&format!("pin-{p},store-{},3.50\n", p % 40));
         }
-        log_file("ring.csv", &s)
+        log_file(test, "ring.csv", &s)
     }
 
     #[test]
     fn dry_run_reports_graph_shape() {
-        let f = log_file("shape.csv", "a,x,2\na,x,3\nb,y\n");
+        let f = log_file(
+            "ingest_dry_run_reports_graph_shape",
+            "shape.csv",
+            "a,x,2\na,x,3\nb,y\n",
+        );
         let out = run(&args(&["--file", &f, "--timing"])).unwrap();
         assert!(out.contains("3 records"), "{out}");
         assert!(out.contains("2 users × 2 merchants, 2 weighted edges"), "{out}");
@@ -240,7 +243,11 @@ mod tests {
 
     #[test]
     fn tab_delimiter_is_supported() {
-        let f = log_file("tabs.tsv", "a\tx\t2\nb\ty\n");
+        let f = log_file(
+            "ingest_tab_delimiter_is_supported",
+            "tabs.tsv",
+            "a\tx\t2\nb\ty\n",
+        );
         let out = run(&args(&["--file", &f, "--delimiter", "tab"])).unwrap();
         assert!(out.contains("2 records"), "{out}");
         let err = run(&args(&["--file", &f, "--delimiter", "ab"])).unwrap_err();
@@ -249,14 +256,18 @@ mod tests {
 
     #[test]
     fn malformed_log_reports_its_line() {
-        let f = log_file("bad.csv", "a,x\nnot-a-record\n");
+        let f = log_file(
+            "ingest_malformed_log_reports_its_line",
+            "bad.csv",
+            "a,x\nnot-a-record\n",
+        );
         let err = run(&args(&["--file", &f])).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
     }
 
     #[test]
     fn detect_flags_the_ring_and_is_worker_invariant() {
-        let f = ring_log();
+        let f = ring_log("ingest_detect_flags_the_ring_and_is_worker_invariant");
         let base = &[
             "--file", f.as_str(), "--detect", "--samples", "12", "--ratio", "0.6",
             "--threshold", "10", "--seed", "7",
@@ -276,8 +287,8 @@ mod tests {
 
     #[test]
     fn detect_out_writes_account_keys() {
-        let f = ring_log();
-        let dir = std::env::temp_dir().join("ensemfdet_cli_ingest");
+        let f = ring_log("ingest_detect_out_writes_account_keys");
+        let dir = crate::test_dir("ingest_detect_out_writes_account_keys");
         let out_file = dir.join("flagged.txt");
         run(&args(&[
             "--file", &f, "--detect", "--samples", "12", "--ratio", "0.6",
@@ -291,7 +302,7 @@ mod tests {
 
     #[test]
     fn url_and_detect_are_exclusive() {
-        let f = ring_log();
+        let f = ring_log("ingest_url_and_detect_are_exclusive");
         let err = run(&args(&["--file", &f, "--detect", "--url", "http://x"])).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
     }
@@ -313,14 +324,18 @@ mod tests {
         let server = Server::bind("127.0.0.1:0", api).unwrap().start().unwrap();
         let url = format!("http://{}", server.addr());
 
-        let f = ring_log();
+        let f = ring_log("ingest_url_sink_posts_csv_to_a_live_service");
         let out = run(&args(&["--file", &f, "--url", &url, "--timing"])).unwrap();
         assert!(out.contains("service accepted"), "{out}");
         assert!(out.contains("\"ingested\":144"), "{out}");
         assert!(out.contains("round-trip"), "{out}");
 
         // A malformed log is rejected with its line number, not ingested.
-        let bad = log_file("bad_url.csv", "a,x\noops\n");
+        let bad = log_file(
+            "ingest_url_sink_posts_csv_to_a_live_service",
+            "bad_url.csv",
+            "a,x\noops\n",
+        );
         let err = run(&args(&["--file", &bad, "--url", &url])).unwrap_err();
         assert!(err.contains("rejected"), "{err}");
         assert!(err.contains("\"line\":2"), "{err}");

@@ -32,8 +32,6 @@ OPTIONS:
                           [default: ons-user — node-subset draws survive
                           edge growth; res redraws every sample whenever
                           the edge count changes]
-    --engine E            csr | bucket | bucket-batch | naive [default: csr]
-    --sample-path P       mask | materialize [default: mask]
     --threshold T         vote threshold [default: N/2]
     --seed N              RNG seed [default: 42]
     --workers W           worker threads for the sample pool; results are
@@ -81,16 +79,6 @@ pub fn run(args: &Args) -> Result<String, String> {
         num_samples: args.get_or("samples", 20)?,
         sample_ratio: args.get_or("ratio", 0.2)?,
         method: sampling,
-        engine: args
-            .get("engine")
-            .map(|e| e.parse())
-            .transpose()?
-            .unwrap_or_default(),
-        path: args
-            .get("sample-path")
-            .map(|p| p.parse())
-            .transpose()?
-            .unwrap_or_default(),
         seed: args.get_or("seed", 42)?,
         scoring: args
             .get("scoring")

@@ -56,8 +56,7 @@ mod tests {
 
     #[test]
     fn stats_of_small_graph() {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_stats");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("stats_stats_of_small_graph");
         let path = dir.join("g.edges");
         let g = BipartiteGraph::from_edges(3, 2, vec![(0, 0), (1, 1), (2, 0)]).unwrap();
         io::save_edge_list(&g, &path).unwrap();

@@ -17,7 +17,7 @@ OPTIONS:
                           [default: ensemfdet]
     --json FILE           also write the curve as JSON
   ensemfdet:
-    --samples N  --ratio S  --sampling M  --engine E  --sample-path P  --seed N
+    --samples N  --ratio S  --sampling M  --seed N
     --workers W           (as in `detect`)
     --timing              print the ensemble's wall-clock breakdown
     --scoring SPEC        sweep the fused hybrid score instead of the raw
@@ -60,7 +60,7 @@ pub fn run(args: &Args) -> Result<String, String> {
             args.finish()?;
             let outcome = EnsemFdet::with_workers(cfg, workers).detect(&g);
             if timing {
-                timing_note = Some(timing_summary(cfg.path, &outcome));
+                timing_note = Some(timing_summary(&outcome));
             }
             if let Some(hybrid) = hybrid_pass(&g, &outcome, &cfg) {
                 // Sweep the fused score itself — a far finer operating
@@ -173,9 +173,8 @@ mod tests {
         Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
-    fn dataset_files() -> (String, String) {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_sweep");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn dataset_files(test: &str) -> (String, String) {
+        let dir = crate::test_dir(test);
         let gpath = dir.join("g.edges");
         let lpath = dir.join("g.labels");
         let mut b = GraphBuilder::new();
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn ensemfdet_sweep_reports_best_f1() {
-        let (g, l) = dataset_files();
+        let (g, l) = dataset_files("sweep_ensemfdet_sweep_reports_best_f1");
         let out = run(&args(&[
             "--graph", &g, "--labels", &l, "--samples", "8", "--ratio", "0.5",
         ]))
@@ -208,7 +207,7 @@ mod tests {
 
     #[test]
     fn scoring_flag_sweeps_the_hybrid_score() {
-        let (g, l) = dataset_files();
+        let (g, l) = dataset_files("sweep_scoring_flag_sweeps_the_hybrid_score");
         let out = run(&args(&[
             "--graph", &g, "--labels", &l, "--samples", "8", "--ratio", "0.5",
             "--scoring", "hybrid",
@@ -229,7 +228,7 @@ mod tests {
 
     #[test]
     fn timing_flag_reports_breakdown() {
-        let (g, l) = dataset_files();
+        let (g, l) = dataset_files("sweep_timing_flag_reports_breakdown");
         let out = run(&args(&[
             "--graph", &g, "--labels", &l, "--samples", "8", "--ratio", "0.5", "--timing",
         ]))
@@ -239,7 +238,7 @@ mod tests {
 
     #[test]
     fn fraudar_sweep_shows_jumpiness() {
-        let (g, l) = dataset_files();
+        let (g, l) = dataset_files("sweep_fraudar_sweep_shows_jumpiness");
         let out = run(&args(&["--graph", &g, "--labels", &l, "--method", "fraudar", "--k", "4"]))
             .unwrap();
         assert!(out.contains("max TPR jump"));
@@ -247,8 +246,8 @@ mod tests {
 
     #[test]
     fn score_method_sweep_and_json() {
-        let (g, l) = dataset_files();
-        let dir = std::env::temp_dir().join("ensemfdet_cli_sweep");
+        let (g, l) = dataset_files("sweep_score_method_sweep_and_json");
+        let dir = crate::test_dir("sweep_score_method_sweep_and_json");
         let json = dir.join("curve.json");
         let out = run(&args(&[
             "--graph",
@@ -268,8 +267,8 @@ mod tests {
 
     #[test]
     fn label_out_of_range_rejected() {
-        let (g, _) = dataset_files();
-        let dir = std::env::temp_dir().join("ensemfdet_cli_sweep");
+        let (g, _) = dataset_files("sweep_label_out_of_range_rejected");
+        let dir = crate::test_dir("sweep_label_out_of_range_rejected");
         let bad = dir.join("bad.labels");
         io::save_labels(&[10_000], &bad).unwrap();
         let err = run(&args(&[

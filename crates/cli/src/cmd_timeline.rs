@@ -69,8 +69,7 @@ mod tests {
 
     #[test]
     fn writes_every_period() {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_timeline");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("timeline_writes_every_period");
         let stem = dir.join("tl").to_str().unwrap().to_string();
         let out = run(&args(&[
             "--out", &stem, "--scale", "400", "--periods", "3",

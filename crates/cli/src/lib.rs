@@ -76,6 +76,16 @@ pub fn run(argv: &[String]) -> Result<String, String> {
     }
 }
 
+/// A fresh directory for one test's files, named after the test and the
+/// process id, so tests running in parallel (or two concurrent test runs)
+/// never share a fixture file.
+#[cfg(test)]
+pub(crate) fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ensemfdet_cli_{test}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,8 +114,7 @@ mod tests {
 
     #[test]
     fn full_workflow_through_the_cli() {
-        let dir = std::env::temp_dir().join("ensemfdet_cli_workflow");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("cli_full_workflow_through_the_cli");
         let stem = dir.join("ds");
         let stem_s = stem.to_str().unwrap();
 

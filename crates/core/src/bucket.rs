@@ -18,8 +18,7 @@
 //!   resolution profile a power-law suspiciousness distribution wants, with
 //!   no per-peel `Δ` calibration step. (Coarser routing — e.g. one bucket
 //!   per exponent octave — was measured slower overall: it bloats the
-//!   per-bucket working sets and makes the batch engine's tie scan visit
-//!   far more non-ties.)
+//!   per-bucket working sets.)
 //! - The structure is split at a *frontier* bucket that only ever advances.
 //!   Buckets above the frontier are plain **unordered append logs** — a
 //!   push there is one `Vec` append, no comparison, no sift — and
@@ -45,7 +44,7 @@
 //! in exact `(key, id)` lexicographic order. The pop sequence is therefore
 //! identical to a single global heap's — not an approximation — which is
 //! what lets the bucket engine keep the bit-identical equivalence gate
-//! against the CSR engine. Monotonicity is what keeps the *frontier* heap
+//! against the naive reference peel. Monotonicity is what keeps the *frontier* heap
 //! small and the append logs dominant, i.e. it is a performance property,
 //! not a correctness assumption.
 //!
@@ -335,27 +334,6 @@ impl BucketQueue {
         // Absorb eagerly when the heap drains so the next peek stays O(1).
         self.refill_low();
         Some(out)
-    }
-
-    /// Visits every pending entry whose key falls in the same bucket as
-    /// `key` — stale entries included, unspecified order. The batched peel
-    /// uses this to collect exact-key ties without disturbing the queue.
-    pub fn for_each_in_bucket_of(&self, key: f64, mut f: impl FnMut(f64, u32)) {
-        let b = bucket_of(key);
-        if b <= self.frontier {
-            // Absorbed region: the bucket's entries live in the frontier
-            // heap, mixed with its neighbors' — filter by bucket index.
-            self.low.for_each_entry(|k, id| {
-                if bucket_of(k) == b {
-                    f(k, id);
-                }
-            });
-        } else if let Some(bucket) = self.buckets.get(b) {
-            for &e in bucket {
-                let (k, id) = unpack(e);
-                f(k, id);
-            }
-        }
     }
 
     /// Drops every entry that no longer carries its element's current key

@@ -1,131 +1,59 @@
-//! Peeling engines: the naive reference path and the CSR hot paths.
+//! The peel engines: the production bucket-queue peel and the naive
+//! reference it is gated against.
 //!
-//! All engines run the same algorithm — Charikar-style greedy peeling
-//! iterated into disjoint blocks ([`crate::fdet()`]) — under two explicit
-//! equivalence contracts enforced by `tests/tests/engine_equivalence.rs`
-//! and re-checked by the benchmark suite before it times anything:
+//! Both run the same algorithm — Charikar-style greedy peeling iterated
+//! into disjoint blocks ([`crate::fdet()`]) — and return bit-identical
+//! results, enforced by `tests/tests/engine_equivalence.rs` and re-checked
+//! by the benchmark suite before it times anything:
 //!
+//! - [`Engine::Bucket`] (the default) peels a flat [`CsrView`] of the
+//!   *surviving* subgraph, rebuilt after each detected block (two counting
+//!   sorts over alive edges, allocation-free after warm-up), with a
+//!   monotone bucket queue ([`crate::bucket::BucketQueue`]): entries route
+//!   to exponent-indexed buckets in O(1), so a full peel costs O(E)
+//!   instead of O(E log V) (Ban & Duan, arXiv:1810.06809). Every scratch
+//!   buffer lives in a reusable [`FdetEngine`], so the `N` runs of an
+//!   ensemble allocate once instead of once per peel.
 //! - [`Engine::Naive`] walks the parent [`BipartiteGraph`] through an
 //!   alive-edge mask with an indexed decrease-key heap
-//!   ([`crate::peel::peel_densest`]). Every FDET iteration scans the full
-//!   edge array and allocates fresh working vectors.
-//! - [`Engine::Csr`] rebuilds a flat [`CsrView`] of the *surviving*
-//!   subgraph after each detected block (two counting sorts over alive
-//!   edges, allocation-free after warm-up), peels it with a lazy-deletion
-//!   min-heap ([`crate::heap::LazyMinHeap`] — stale entries skipped on pop,
-//!   no position index, no re-heapify), and keeps every scratch buffer in a
-//!   reusable [`FdetEngine`], so the `N` runs of an ensemble allocate once
-//!   instead of once per peel.
-//! - [`Engine::Bucket`] drives the *same* sequential loop with a monotone
-//!   bucket queue ([`crate::bucket::BucketQueue`]) instead of the global
-//!   heap: entries route to exponent-indexed buckets in O(1), so a full
-//!   peel costs O(E) instead of O(E log V) (Ban & Duan, arXiv:1810.06809).
-//! - [`Engine::BucketBatch`] removes *all* same-side nodes tied at the
-//!   current minimum key per round (Dupin, arXiv:2504.09311) and relaxes
-//!   their combined adjacency with `std::thread::scope` workers when the
-//!   round is large enough to pay for them.
+//!   ([`crate::peel::fdet_naive`]). Every FDET iteration scans the full
+//!   edge array and allocates fresh working vectors. It is the oracle.
 //!
-//! **Bit-identical contract** (`Naive` ≡ `Csr` ≡ `Bucket`): keys only
-//! decrease during a peel, so an element's minimum queue entry always
-//! carries its current key, making lazy pops deliver the indexed heap's
-//! exact `(key, id)` order; the bucket index is monotone in the key and
-//! the bucket queue's frontier heap always holds the whole low range, so
-//! the bucket queue pops the very same sequence. The view preserves the parent graph's node
-//! ids and relative edge order, so every floating-point accumulation
-//! happens over the same values in the same sequence — same blocks, same
-//! scores, same edge lists, bit for bit.
-//!
-//! **Score-equality contract** (`BucketBatch` vs the rest): within one
-//! round all removed nodes sit on the *same side* of the bipartite graph,
-//! so they share no edges, their keys cannot change mid-round, and the
-//! prefix objective φ is monotone across any ordering of the round — the
-//! batched trajectory is exactly a sequential peel under a different
-//! tie-break schedule. It can legitimately diverge from the `(key, id)`
-//! order when an *opposite-side* key decays to the round's key mid-round
-//! (sequential would interleave it; the batch finishes its side first).
-//! Per single peel, the best-prefix *score* therefore matches the
-//! sequential engines within 1e-9 relative tolerance, but when near-equal
-//! prefixes have different memberships the peeled block — and hence the
-//! residual graph handed to the next FDET iteration — can differ. Across a
-//! full FDET run the gate is: leading retained blocks score-equal within
-//! 1e-9 (same `k_hat` under `Truncation::Auto`); trailing noise blocks
-//! past the truncating point may diverge after such a tie-split. Results
-//! are deterministic for a given graph — worker count never affects them,
-//! because neighbor updates are applied in a canonical (chunk, emission)
-//! order that is independent of scheduling.
+//! **Bit-identical contract**: keys only decrease during a peel, so an
+//! element's minimum queue entry always carries its current key, making
+//! lazy pops deliver the indexed heap's exact `(key, id)` order; the
+//! bucket index is monotone in the key and the bucket queue's frontier
+//! heap always holds the whole low range, so the bucket queue pops the
+//! very same sequence. The view preserves the parent graph's node ids and
+//! relative edge order, so every floating-point accumulation happens over
+//! the same values in the same sequence — same blocks, same scores, same
+//! edge lists, bit for bit.
 
 use crate::block::Block;
 use crate::bucket::BucketQueue;
-use crate::fdet::{FdetResult, Truncation};
-use crate::heap::LazyMinHeap;
+use crate::fdet::{iterate_blocks, FdetResult, Truncation};
 use crate::metric::DensityMetric;
-use crate::peel::peel_densest;
-use crate::truncate::truncation_point;
+use crate::peel::fdet_naive;
 use ensemfdet_graph::{
     BipartiteGraph, CsrView, EdgeId, MerchantId, SampleMaps, SampleSpec, SpecResolver, UserId,
 };
 use serde::{Deserialize, Serialize};
 
-/// Which peeling implementation FDET runs on.
-///
-/// `Csr`, `Bucket`, and `Naive` return bit-identical results; `BucketBatch`
-/// matches them up to tie-break order (see the module docs for both
-/// contracts). `Csr` is the default; `Naive` exists as the reference for
-/// equivalence tests and A/B benchmarking (`ensemfdet detect --engine
-/// naive`, `bench_suite`).
+/// Which peeling implementation FDET runs on. Both return bit-identical
+/// results (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
     /// Mask-based peeling over the parent graph with an indexed
-    /// decrease-key heap (the pre-optimization reference path).
+    /// decrease-key heap: the reference the equivalence gates compare
+    /// against.
     Naive,
-    /// Flat-CSR subgraph snapshots + lazy-deletion heap + reusable scratch.
+    /// Flat-CSR subgraph snapshots peeled with a monotone bucket queue and
+    /// reusable scratch: O(E) per peel.
     #[default]
-    Csr,
-    /// The CSR loop driven by a monotone bucket queue: O(E) per peel,
-    /// bit-identical to `Csr`.
     Bucket,
-    /// Bucket queue + whole-tie-round removal with scoped-thread neighbor
-    /// relaxation on large rounds; score-equal to `Csr` up to tie-breaks.
-    BucketBatch,
 }
 
-impl Engine {
-    /// Stable lowercase name (`csr` / `bucket` / `bucket-batch` / `naive`),
-    /// as accepted by [`Engine::from_str`](std::str::FromStr) and the CLI
-    /// `--engine` flag.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Naive => "naive",
-            Engine::Csr => "csr",
-            Engine::Bucket => "bucket",
-            Engine::BucketBatch => "bucket-batch",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "csr" => Ok(Engine::Csr),
-            "bucket" => Ok(Engine::Bucket),
-            "bucket-batch" => Ok(Engine::BucketBatch),
-            "naive" => Ok(Engine::Naive),
-            other => Err(format!(
-                "unknown engine `{other}` (csr|bucket|bucket-batch|naive)"
-            )),
-        }
-    }
-}
-
-/// Per-node working memory shared by every view engine.
+/// Per-node working memory of the bucket peel.
 ///
 /// Sized on first use and grown on demand. The per-node arrays are *not*
 /// wiped between peels: `stamp`/`epoch` mark which entries belong to the
@@ -243,18 +171,12 @@ impl NodeScratch {
     }
 }
 
-/// Reusable per-peel working memory for the view engines: the per-node
-/// arrays plus one queue per engine flavor and the batch-round buffers,
-/// all recycled across peels.
+/// Reusable per-peel working memory: the per-node arrays and the bucket
+/// queue, both recycled across peels.
 #[derive(Clone, Debug, Default)]
 struct PeelScratch {
     nodes: NodeScratch,
-    /// The lazy-deletion heap (`Engine::Csr`).
-    heap: LazyMinHeap,
-    /// The monotone bucket queue (`Engine::Bucket` / `Engine::BucketBatch`).
-    bucket: BucketQueue,
-    /// Round buffers for `Engine::BucketBatch`.
-    batch: BatchScratch,
+    queue: BucketQueue,
 }
 
 /// A reusable FDET runner: owns the [`CsrView`] and the peel scratch so
@@ -279,12 +201,10 @@ struct PeelScratch {
 /// let g = b.build();
 ///
 /// let mut engine = FdetEngine::new();
-/// let fast = engine.run(&g, &MetricKind::default(), Truncation::default(), Engine::Csr);
+/// let fast = engine.run(&g, &MetricKind::default(), Truncation::default(), Engine::Bucket);
 /// let slow = engine.run(&g, &MetricKind::default(), Truncation::default(), Engine::Naive);
-/// let lin = engine.run(&g, &MetricKind::default(), Truncation::default(), Engine::Bucket);
-/// assert_eq!(fast.blocks, slow.blocks); // engines are interchangeable
+/// assert_eq!(fast.blocks, slow.blocks); // the engines are interchangeable
 /// assert_eq!(fast.scores, slow.scores);
-/// assert_eq!(fast.blocks, lin.blocks); // bucket engine included
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FdetEngine {
@@ -342,120 +262,46 @@ impl FdetEngine {
     }
 
     /// Runs FDET on a sample described by `spec` against `parent`,
-    /// through this thread's cached engine. The zero-copy twin of
-    /// materializing the spec and calling [`run_cached`](Self::run_cached)
-    /// with the same view engine — results are bit-identical (see
-    /// `tests/tests/spec_equivalence.rs`) but no intermediate
-    /// [`ensemfdet_graph::SampledGraph`] is built.
-    ///
-    /// Returns the FDET result (in the sample's local id space — map back
-    /// through `maps`) and the sample's edge count.
+    /// through this thread's cached engine (see [`run_spec`](Self::run_spec)).
+    /// `Naive` has no spec path, so every `engine` runs the bucket peel;
+    /// the results are the same either way.
     pub fn run_spec_cached(
         parent: &BipartiteGraph,
         spec: &SampleSpec,
         metric: &dyn DensityMetric,
         truncation: Truncation,
-        engine: Engine,
+        _engine: Engine,
         maps: &mut SampleMaps,
     ) -> (FdetResult, usize) {
         CACHED_ENGINE.with(|e| {
             e.borrow_mut()
-                .run_spec(parent, spec, metric, truncation, engine, maps)
+                .run_spec(parent, spec, metric, truncation, maps)
         })
     }
 
-    /// Runs FDET directly on `(parent, spec)` with a view engine (`Csr`,
-    /// `Bucket`, or `BucketBatch`; `Naive` has no spec path and falls back
-    /// to `Csr`): the view is compacted straight from the spec
-    /// ([`CsrView::rebuild_from_spec`]), `maps` receives the local↔parent
-    /// id maps, and all per-sample state lives in reusable scratch.
+    /// Runs FDET directly on `(parent, spec)`: the view is compacted
+    /// straight from the spec ([`CsrView::rebuild_from_spec`]), `maps`
+    /// receives the local↔parent id maps, and all per-sample state lives in
+    /// reusable scratch. The zero-copy twin of materializing the spec and
+    /// calling [`run`](Self::run) — results are bit-identical (see
+    /// `tests/tests/spec_equivalence.rs`), with edge ids in the sample's
+    /// local space, which is precisely how the materialized path numbers
+    /// them.
     ///
-    /// Mirrors [`run`](Self::run)'s view loop exactly — first iteration
-    /// builds the view, later iterations [`CsrView::refilter`] it — with
-    /// edge ids in the sample's local space, which is precisely how the
-    /// materialized path numbers them.
+    /// Returns the FDET result (in the sample's local id space — map back
+    /// through `maps`) and the sample's edge count.
     pub fn run_spec(
         &mut self,
         parent: &BipartiteGraph,
         spec: &SampleSpec,
         metric: &dyn DensityMetric,
         truncation: Truncation,
-        engine: Engine,
         maps: &mut SampleMaps,
     ) -> (FdetResult, usize) {
-        let cap = match truncation {
-            Truncation::Auto { k_max, .. } => k_max,
-            Truncation::FixedK(k) => k,
-            Truncation::KeepAll { k_max } => k_max,
-        };
-
         self.view
             .rebuild_from_spec(parent, spec, &mut self.resolver, maps);
         let sample_edges = self.view.num_edges();
-        self.edge_alive.clear();
-        self.edge_alive.resize(sample_edges, true);
-        let nu = self.view.num_users();
-        let nv = self.view.num_merchants();
-
-        let mut blocks: Vec<Block> = Vec::new();
-        let mut scores: Vec<f64> = Vec::new();
-
-        while blocks.len() < cap {
-            if !blocks.is_empty() {
-                self.view.refilter(&self.edge_alive);
-            }
-            let Some(block) = peel_view(engine, &self.view, metric, &mut self.scratch) else {
-                break;
-            };
-            // Same disjointness rule as `run`: retire every edge incident
-            // to the block's nodes (see the comment there).
-            self.in_block.clear();
-            self.in_block.resize(nu + nv, false);
-            for &u in &block.users {
-                self.in_block[u.index()] = true;
-            }
-            for &v in &block.merchants {
-                self.in_block[nu + v.index()] = true;
-            }
-            let (e_id, e_u, e_v) = (
-                self.view.edge_ids(),
-                self.view.edge_users(),
-                self.view.edge_merchants(),
-            );
-            for ((&e, &u), &v) in e_id.iter().zip(e_u).zip(e_v) {
-                if self.in_block[u as usize] || self.in_block[nu + v as usize] {
-                    self.edge_alive[e as usize] = false;
-                }
-            }
-            scores.push(block.score);
-            if block.edges.is_empty() {
-                blocks.push(block);
-                break;
-            }
-            blocks.push(block);
-
-            if let Truncation::Auto { patience, .. } = truncation {
-                let k_hat = truncation_point(&scores);
-                if scores.len() >= k_hat + patience {
-                    break;
-                }
-            }
-        }
-
-        let k_hat = match truncation {
-            Truncation::Auto { .. } => truncation_point(&scores).min(blocks.len()),
-            Truncation::FixedK(k) => k.min(blocks.len()),
-            Truncation::KeepAll { .. } => blocks.len(),
-        };
-
-        (
-            FdetResult {
-                blocks,
-                scores,
-                k_hat,
-            },
-            sample_edges,
-        )
+        (self.run_view(metric, truncation), sample_edges)
     }
 
     /// Runs FDET on `g` with the chosen engine. See [`crate::fdet::fdet`]
@@ -468,125 +314,53 @@ impl FdetEngine {
         truncation: Truncation,
         engine: Engine,
     ) -> FdetResult {
-        let cap = match truncation {
-            Truncation::Auto { k_max, .. } => k_max,
-            Truncation::FixedK(k) => k,
-            Truncation::KeepAll { k_max } => k_max,
-        };
-
-        self.edge_alive.clear();
-        self.edge_alive.resize(g.num_edges(), true);
-        let mut blocks: Vec<Block> = Vec::new();
-        let mut scores: Vec<f64> = Vec::new();
-
-        while blocks.len() < cap {
-            let block = match engine {
-                Engine::Naive => peel_densest(g, metric, &self.edge_alive),
-                _ => {
-                    if blocks.is_empty() {
-                        // First iteration: every edge is alive.
-                        self.view.rebuild_sharded(g, self.build_workers);
-                    } else {
-                        // Later iterations: shrink the previous snapshot
-                        // instead of re-scanning the parent's dead edges.
-                        self.view.refilter(&self.edge_alive);
-                    }
-                    peel_view(engine, &self.view, metric, &mut self.scratch)
-                }
-            };
-            let Some(block) = block else {
-                break; // current graph has no edges left
-            };
-            // Retire every edge *incident* to the block's nodes, not only
-            // the internal ones: Algorithm 1 removes the induced edges
-            // `E_i`, but the problem definition (Eq. 1) requires the
-            // detected vertex sets to be disjoint, which plain edge removal
-            // does not guarantee (a block node with an outside edge could
-            // be re-detected). Retiring the nodes enforces `S_l ∩ S_m = ∅`.
-            match engine {
-                Engine::Naive => {
-                    for &u in &block.users {
-                        for e in g.user_edge_ids(u) {
-                            self.edge_alive[e] = false;
-                        }
-                    }
-                    for &v in &block.merchants {
-                        for e in g.merchant_edge_ids(v) {
-                            self.edge_alive[e] = false;
-                        }
-                    }
-                }
-                _ => {
-                    // One pass over the view's alive edges: kill every edge
-                    // with an endpoint in the block (dead edges stay dead,
-                    // so the view's canonical arrays are sufficient).
-                    let nu = g.num_users();
-                    self.in_block.clear();
-                    self.in_block.resize(nu + g.num_merchants(), false);
-                    for &u in &block.users {
-                        self.in_block[u.index()] = true;
-                    }
-                    for &v in &block.merchants {
-                        self.in_block[nu + v.index()] = true;
-                    }
-                    let (e_id, e_u, e_v) = (
-                        self.view.edge_ids(),
-                        self.view.edge_users(),
-                        self.view.edge_merchants(),
-                    );
-                    for ((&e, &u), &v) in e_id.iter().zip(e_u).zip(e_v) {
-                        if self.in_block[u as usize] || self.in_block[nu + v as usize] {
-                            self.edge_alive[e as usize] = false;
-                        }
-                    }
-                }
+        match engine {
+            Engine::Naive => fdet_naive(g, metric, truncation),
+            Engine::Bucket => {
+                self.view.rebuild_sharded(g, self.build_workers);
+                self.run_view(metric, truncation)
             }
-            scores.push(block.score);
-            // Degenerate safety: a block with no internal edges cannot
-            // shrink the graph and would loop forever.
-            if block.edges.is_empty() {
-                blocks.push(block);
-                break;
-            }
-            blocks.push(block);
-
-            if let Truncation::Auto { patience, .. } = truncation {
-                // Early stop once the provisional elbow has been stable for
-                // `patience` additional blocks.
-                let k_hat = truncation_point(&scores);
-                if scores.len() >= k_hat + patience {
-                    break;
-                }
-            }
-        }
-
-        let k_hat = match truncation {
-            Truncation::Auto { .. } => truncation_point(&scores).min(blocks.len()),
-            Truncation::FixedK(k) => k.min(blocks.len()),
-            Truncation::KeepAll { .. } => blocks.len(),
-        };
-
-        FdetResult {
-            blocks,
-            scores,
-            k_hat,
         }
     }
-}
 
-/// Dispatches one peel of `view` to the selected view engine. `Naive` has
-/// no view path and is routed to the CSR loop (callers dispatch `Naive`
-/// before reaching here; this keeps the match total).
-fn peel_view(
-    engine: Engine,
-    view: &CsrView,
-    metric: &dyn DensityMetric,
-    s: &mut PeelScratch,
-) -> Option<Block> {
-    match engine {
-        Engine::Naive | Engine::Csr => peel_csr(view, metric, s),
-        Engine::Bucket => peel_bucket(view, metric, s),
-        Engine::BucketBatch => peel_bucket_batch(view, metric, s),
+    /// The FDET iterations over the freshly built view: every edge starts
+    /// alive, and each later iteration shrinks the previous snapshot
+    /// ([`CsrView::refilter`]) instead of re-scanning dead edges.
+    fn run_view(&mut self, metric: &dyn DensityMetric, truncation: Truncation) -> FdetResult {
+        let FdetEngine {
+            view,
+            scratch,
+            edge_alive,
+            in_block,
+            ..
+        } = self;
+        let nu = view.num_users();
+        edge_alive.clear();
+        edge_alive.resize(view.num_edges(), true);
+        iterate_blocks(truncation, |first| {
+            if !first {
+                view.refilter(edge_alive);
+            }
+            let block = peel_seq(view, metric, scratch)?;
+            // One pass over the view's alive edges retires every edge with
+            // an endpoint in the block (dead edges stay dead, so the view's
+            // canonical arrays are sufficient).
+            in_block.clear();
+            in_block.resize(nu + view.num_merchants(), false);
+            for &u in &block.users {
+                in_block[u.index()] = true;
+            }
+            for &v in &block.merchants {
+                in_block[nu + v.index()] = true;
+            }
+            let (e_id, e_u, e_v) = (view.edge_ids(), view.edge_users(), view.edge_merchants());
+            for ((&e, &u), &v) in e_id.iter().zip(e_u).zip(e_v) {
+                if in_block[u as usize] || in_block[nu + v as usize] {
+                    edge_alive[e as usize] = false;
+                }
+            }
+            Some(block)
+        })
     }
 }
 
@@ -611,110 +385,18 @@ fn prefetch_read<T>(slice: &[T], i: usize) {
     let _ = (slice, i);
 }
 
-/// The queue interface the sequential peel loop drives. Both
-/// implementations share the lazy-entry semantics and the exact `(key, id)`
-/// pop order (see the module docs), so one generic loop serves the `Csr`
-/// and `Bucket` engines with identical floating-point trajectories.
-trait PeelQueue {
-    /// Replaces the contents with one entry per participating node and
-    /// pre-sizes for up to `edge_hint` decrease-key pushes.
-    fn rebuild(&mut self, active: &[u32], key: &[f64], edge_hint: usize);
-    /// Pushes a run of fresh (possibly superseding) entries, identical in
-    /// effect to pushing each in sequence (implementations may overlap
-    /// routing latency).
-    fn push_all(&mut self, entries: &[(u32, f64)]);
-    /// Removes the smallest `(key, element)` entry, stale or not.
-    fn pop(&mut self) -> Option<(f64, u32)>;
-    /// The element the next pop will return, for prefetching.
-    fn peek_element(&self) -> Option<u32>;
-    /// Pending entries, stale included.
-    fn len(&self) -> usize;
-    /// Prunes stale entries (order-neutral; see `retain_current`).
-    fn compact(&mut self, current: &[f64]);
-}
-
-impl PeelQueue for LazyMinHeap {
-    fn rebuild(&mut self, active: &[u32], key: &[f64], edge_hint: usize) {
-        // Entries carry distinct node ids, so the packed order is total and
-        // the pop sequence is independent of the fill order.
-        self.fill(active.iter().filter_map(|&node| {
-            let k = key[node as usize];
-            (k >= 0.0).then_some((node, k))
-        }));
-        // One decrease-key entry per alive edge can follow; reserve once so
-        // the loop never reallocates.
-        self.reserve(edge_hint);
-    }
-    fn push_all(&mut self, entries: &[(u32, f64)]) {
-        for &(e, k) in entries {
-            LazyMinHeap::push(self, e, k);
-        }
-    }
-    fn pop(&mut self) -> Option<(f64, u32)> {
-        LazyMinHeap::pop(self)
-    }
-    fn peek_element(&self) -> Option<u32> {
-        LazyMinHeap::peek_element(self)
-    }
-    fn len(&self) -> usize {
-        LazyMinHeap::len(self)
-    }
-    fn compact(&mut self, current: &[f64]) {
-        self.retain_current(current);
-    }
-}
-
-impl PeelQueue for BucketQueue {
-    fn rebuild(&mut self, active: &[u32], key: &[f64], _edge_hint: usize) {
-        self.fill(active.iter().filter_map(|&node| {
-            let k = key[node as usize];
-            (k >= 0.0).then_some((node, k))
-        }));
-    }
-    fn push_all(&mut self, entries: &[(u32, f64)]) {
-        BucketQueue::push_all(self, entries);
-    }
-    fn pop(&mut self) -> Option<(f64, u32)> {
-        BucketQueue::pop(self)
-    }
-    fn peek_element(&self) -> Option<u32> {
-        BucketQueue::peek_element(self)
-    }
-    fn len(&self) -> usize {
-        BucketQueue::len(self)
-    }
-    fn compact(&mut self, current: &[f64]) {
-        self.retain_current(current);
-    }
-}
-
 /// Peels the densest block out of `view` (which holds exactly the alive
-/// edges) with the lazy-deletion heap — the `Csr` engine. Mirrors
-/// [`crate::peel::peel_densest`] operation for operation.
-fn peel_csr(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> Option<Block> {
-    let PeelScratch { nodes, heap, .. } = s;
-    peel_seq(view, metric, nodes, heap)
-}
-
-/// The same loop driven by the monotone bucket queue — the `Bucket`
-/// engine. Bit-identical to [`peel_csr`] (see the module docs).
-fn peel_bucket(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> Option<Block> {
-    let PeelScratch { nodes, bucket, .. } = s;
-    peel_seq(view, metric, nodes, bucket)
-}
-
-/// The sequential peel loop, generic over the queue. Every operation on
-/// node state happens in pop order, which both queues define identically,
-/// so the monomorphized loops produce bit-identical blocks.
-fn peel_seq<Q: PeelQueue>(
-    view: &CsrView,
-    metric: &dyn DensityMetric,
-    nodes: &mut NodeScratch,
-    q: &mut Q,
-) -> Option<Block> {
+/// edges) with the bucket queue. Mirrors [`crate::peel::peel_densest`]
+/// operation for operation: every operation on node state happens in pop
+/// order, which both queues define identically (see the module docs).
+fn peel_seq(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> Option<Block> {
+    let PeelScratch { nodes, queue: q } = s;
     let (mut f, participating) = nodes.begin(view, metric)?;
     let nu = view.num_users();
-    q.rebuild(&nodes.active, &nodes.key, view.num_edges());
+    q.fill(nodes.active.iter().filter_map(|&node| {
+        let k = nodes.key[node as usize];
+        (k >= 0.0).then_some((node, k))
+    }));
 
     // Peel, tracking the best prefix.
     let mut size = participating;
@@ -747,8 +429,8 @@ fn peel_seq<Q: PeelQueue>(
         if q.len() > 2 * size + 64 {
             // More stale entries than live ones: prune so the structure
             // tracks the shrinking live set (order-neutral pruning — see
-            // `LazyMinHeap::retain_current`).
-            q.compact(&nodes.key);
+            // `BucketQueue::retain_current`).
+            q.retain_current(&nodes.key);
         }
 
         // Relax the still-alive opposite endpoints: an incident edge is
@@ -875,382 +557,6 @@ fn extract_block(view: &CsrView, nodes: &NodeScratch, best_phi: f64, best_step: 
     }
 }
 
-// ---------------------------------------------------------------------------
-// Batched peel (`Engine::BucketBatch`)
-// ---------------------------------------------------------------------------
-
-/// Round nodes per emission chunk in the parallel relax.
-const BATCH_CHUNK: usize = 256;
-/// Neighbor-id shards in the parallel relax; each shard owns a contiguous
-/// id range so workers never write the same key.
-const BATCH_SHARDS: usize = 64;
-/// Rounds whose combined adjacency is below this relax inline — the
-/// two-phase machinery only pays for itself on large rounds.
-const BATCH_PAR_EDGES: usize = 1 << 15;
-/// Cap on scoped relax workers per round.
-const BATCH_MAX_WORKERS: usize = 8;
-
-#[inline]
-fn pack_entry(element: u32, key: f64) -> u128 {
-    ((key.to_bits() as u128) << 32) | element as u128
-}
-
-#[inline]
-fn unpack_entry(entry: u128) -> (f64, u32) {
-    (f64::from_bits((entry >> 32) as u64), entry as u32)
-}
-
-/// Round buffers for the batched engine, recycled across rounds and peels.
-#[derive(Clone, Debug, Default)]
-struct BatchScratch {
-    /// Live same-side nodes tied at the round's key, ascending id.
-    round: Vec<u32>,
-    /// Phase-1 emission buffers: `[chunk][shard]` → packed
-    /// `(delta_bits << 32) | neighbor` records in adjacency order.
-    chunk_bufs: Vec<Vec<Vec<u128>>>,
-    /// Phase-2 output: one packed `(final_key, neighbor)` entry per
-    /// touched neighbor, per shard.
-    shard_pushes: Vec<Vec<u128>>,
-    /// Per-shard first-touch lists (drained every round).
-    shard_touched: Vec<Vec<u32>>,
-    /// Round tag that last touched each node (dedups the decrease entries
-    /// pushed per round without an O(n) reset).
-    touch_stamp: Vec<u32>,
-    /// Current round tag; wraps with a full stamp clear like the peel
-    /// epoch does.
-    round_seq: u32,
-}
-
-/// One shard's mutable state for the phase-2 apply: an exclusive window
-/// over the key and stamp arrays plus its output buffers.
-struct ShardTask<'a> {
-    sidx: usize,
-    start: usize,
-    keys: &'a mut [f64],
-    stamps: &'a mut [u32],
-    pushes: &'a mut Vec<u128>,
-    touched: &'a mut Vec<u32>,
-}
-
-/// The batched peel: each round removes *every* live same-side node whose
-/// key equals the current minimum, then relaxes their combined adjacency —
-/// with scoped workers when the round is large (see [`BATCH_PAR_EDGES`]).
-///
-/// Determinism: the inline and parallel relax paths apply, for every
-/// neighbor, the same update sequence in the same order (chunks ascending,
-/// emission order within a chunk), so results never depend on the worker
-/// count — only the set of queue entries differs (the parallel path
-/// coalesces each neighbor's decreases into one entry), which is invisible
-/// through the stale-entry filter.
-fn peel_bucket_batch(
-    view: &CsrView,
-    metric: &dyn DensityMetric,
-    s: &mut PeelScratch,
-) -> Option<Block> {
-    peel_bucket_batch_with(view, metric, s, BATCH_PAR_EDGES)
-}
-
-/// [`peel_bucket_batch`] with an explicit parallelism threshold, so tests
-/// can force both relax paths (`0` = always parallel, `usize::MAX` = always
-/// inline) and assert identical output.
-fn peel_bucket_batch_with(
-    view: &CsrView,
-    metric: &dyn DensityMetric,
-    s: &mut PeelScratch,
-    par_edges: usize,
-) -> Option<Block> {
-    let PeelScratch {
-        nodes,
-        bucket: q,
-        batch,
-        ..
-    } = s;
-    let (mut f, participating) = nodes.begin(view, metric)?;
-    let nu = view.num_users();
-    let n = nu + view.num_merchants();
-    q.fill(nodes.active.iter().filter_map(|&node| {
-        let k = nodes.key[node as usize];
-        (k >= 0.0).then_some((node, k))
-    }));
-    if batch.touch_stamp.len() < n {
-        batch.touch_stamp.resize(n, 0);
-    }
-    if batch.shard_pushes.is_empty() {
-        batch.shard_pushes.resize_with(BATCH_SHARDS, Vec::new);
-        batch.shard_touched.resize_with(BATCH_SHARDS, Vec::new);
-    }
-
-    let mut size = participating;
-    let mut best_phi = f / size as f64;
-    let mut best_step = 0u32;
-    let mut step = 0u32;
-
-    while let Some((p, first)) = q.pop() {
-        if p != nodes.key[first as usize] {
-            continue;
-        }
-        // Collect the round: every live node on `first`'s side holding
-        // exactly this key. Candidates all live in one bucket (exact key
-        // match implies same bucket index); stale entries and duplicates
-        // are filtered by the key check and the dedup below.
-        batch.round.clear();
-        batch.round.push(first);
-        let user_side = (first as usize) < nu;
-        {
-            let key = &nodes.key;
-            let round = &mut batch.round;
-            q.for_each_in_bucket_of(p, |k2, e2| {
-                if k2 == p
-                    && e2 != first
-                    && ((e2 as usize) < nu) == user_side
-                    && key[e2 as usize] == k2
-                {
-                    round.push(e2);
-                }
-            });
-        }
-        batch.round.sort_unstable();
-        batch.round.dedup();
-
-        // Remove the round in ascending id order. Same-side nodes share no
-        // edges, so every key in the round stays valid until its own
-        // removal — the bookkeeping below mirrors a sequential peel that
-        // happened to pop the round in id order.
-        for &node in &batch.round {
-            let node = node as usize;
-            nodes.key[node] = -1.0;
-            step += 1;
-            nodes.rank[node] = step;
-            f -= p;
-            size -= 1;
-            if size > 0 {
-                let phi = f.max(0.0) / size as f64;
-                if phi > best_phi {
-                    best_phi = phi;
-                    best_step = step;
-                }
-            }
-        }
-        if size == 0 {
-            break;
-        }
-
-        let adjacency: usize = batch
-            .round
-            .iter()
-            .map(|&nd| {
-                let nd = nd as usize;
-                if nd < nu {
-                    view.user_neighbors(UserId(nd as u32)).pairs.len()
-                } else {
-                    view.merchant_neighbors(MerchantId((nd - nu) as u32)).pairs.len()
-                }
-            })
-            .sum();
-
-        if adjacency < par_edges || batch.round.len() < 2 {
-            // Inline relax in canonical order: round nodes ascending,
-            // adjacency order within each node.
-            for &node in &batch.round {
-                let node = node as usize;
-                if node < nu {
-                    for &(v, w) in view.user_neighbors(UserId(node as u32)).pairs {
-                        let other = nu + v as usize;
-                        let k = nodes.key[other];
-                        if k >= 0.0 {
-                            let nk = (k - w * nodes.cw[v as usize]).max(0.0);
-                            nodes.key[other] = nk;
-                            q.push(other as u32, nk);
-                        }
-                    }
-                } else {
-                    let v = node - nu;
-                    let cwv = nodes.cw[v];
-                    for &(u, w) in view.merchant_neighbors(MerchantId(v as u32)).pairs {
-                        let other = u as usize;
-                        let k = nodes.key[other];
-                        if k >= 0.0 {
-                            let nk = (k - w * cwv).max(0.0);
-                            nodes.key[other] = nk;
-                            q.push(other as u32, nk);
-                        }
-                    }
-                }
-            }
-        } else {
-            relax_round_parallel(view, nodes, batch, q, nu, n);
-        }
-    }
-
-    Some(extract_block(view, nodes, best_phi, best_step))
-}
-
-/// Two-phase scoped-thread relax of one round's combined adjacency.
-///
-/// Phase 1 partitions the round into fixed chunks; workers emit
-/// `(neighbor, delta)` records into per-`(chunk, shard)` buffers, where a
-/// neighbor's shard is a contiguous id range. Phase 2 assigns each shard
-/// to exactly one worker, which applies its records in (chunk ascending,
-/// emission order) — the same canonical order the inline path uses — then
-/// pushes one coalesced decrease entry per touched neighbor. The main
-/// thread merges the per-shard entries into the queue. No two workers ever
-/// touch the same key, and the application order is scheduling-independent,
-/// so the relax is deterministic and exactly equal to the inline path.
-fn relax_round_parallel(
-    view: &CsrView,
-    nodes: &mut NodeScratch,
-    batch: &mut BatchScratch,
-    q: &mut BucketQueue,
-    nu: usize,
-    n: usize,
-) {
-    let chunk_count = batch.round.len().div_ceil(BATCH_CHUNK);
-    while batch.chunk_bufs.len() < chunk_count {
-        batch
-            .chunk_bufs
-            .push((0..BATCH_SHARDS).map(|_| Vec::new()).collect());
-    }
-    // Shard = high bits of the neighbor id: shard `s` owns ids
-    // `[s << shift, (s+1) << shift)`, clamped to `n`.
-    let shift = (usize::BITS - n.leading_zeros()).saturating_sub(BATCH_SHARDS.trailing_zeros());
-    // Unique per-round tag for the first-touch dedup stamps.
-    if batch.round_seq == u32::MAX {
-        batch.touch_stamp.iter_mut().for_each(|t| *t = 0);
-        batch.round_seq = 0;
-    }
-    batch.round_seq += 1;
-    let tag = batch.round_seq;
-
-    let workers = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
-        .clamp(1, BATCH_MAX_WORKERS);
-
-    // Phase 1: emit (neighbor, delta) records, sharded by neighbor id.
-    {
-        let round: &[u32] = &batch.round;
-        let key: &[f64] = &nodes.key;
-        let cw: &[f64] = &nodes.cw;
-        /// One worker's share of phase 1: `(chunk index, that chunk's
-        /// per-shard record buffers)`.
-        type WorkerTasks<'a> = Vec<(usize, &'a mut Vec<Vec<u128>>)>;
-        let mut per_worker: Vec<WorkerTasks> = (0..workers).map(|_| Vec::new()).collect();
-        for (c, buf) in batch.chunk_bufs[..chunk_count].iter_mut().enumerate() {
-            per_worker[c % workers].push((c, buf));
-        }
-        std::thread::scope(|sc| {
-            for tasks in per_worker {
-                sc.spawn(move || {
-                    for (c, buf) in tasks {
-                        let lo = c * BATCH_CHUNK;
-                        let hi = (lo + BATCH_CHUNK).min(round.len());
-                        for &nd in &round[lo..hi] {
-                            let nd = nd as usize;
-                            if nd < nu {
-                                for &(v, w) in view.user_neighbors(UserId(nd as u32)).pairs {
-                                    let other = nu + v as usize;
-                                    // Opposite-side neighbors cannot die
-                                    // mid-round, so aliveness here equals
-                                    // aliveness at apply time.
-                                    if key[other] >= 0.0 {
-                                        let delta = w * cw[v as usize];
-                                        buf[other >> shift].push(pack_entry(other as u32, delta));
-                                    }
-                                }
-                            } else {
-                                let v = nd - nu;
-                                let cwv = cw[v];
-                                for &(u, w) in view.merchant_neighbors(MerchantId(v as u32)).pairs {
-                                    let other = u as usize;
-                                    if key[other] >= 0.0 {
-                                        let delta = w * cwv;
-                                        buf[other >> shift].push(pack_entry(other as u32, delta));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    // Phase 2: apply deltas per shard in canonical (chunk, emission) order.
-    {
-        let bufs: &[Vec<Vec<u128>>] = &batch.chunk_bufs;
-        let mut tasks: Vec<ShardTask<'_>> = Vec::with_capacity(BATCH_SHARDS);
-        let mut keys_rest: &mut [f64] = &mut nodes.key[..n];
-        let mut stamps_rest: &mut [u32] = &mut batch.touch_stamp[..n];
-        let mut start = 0usize;
-        for (sidx, (pushes, touched)) in batch
-            .shard_pushes
-            .iter_mut()
-            .zip(batch.shard_touched.iter_mut())
-            .enumerate()
-        {
-            let end = ((sidx + 1) << shift).min(n).max(start);
-            let (ks, kr) = keys_rest.split_at_mut(end - start);
-            let (ss, sr) = stamps_rest.split_at_mut(end - start);
-            keys_rest = kr;
-            stamps_rest = sr;
-            tasks.push(ShardTask {
-                sidx,
-                start,
-                keys: ks,
-                stamps: ss,
-                pushes,
-                touched,
-            });
-            start = end;
-        }
-        let mut per_worker: Vec<Vec<ShardTask<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, t) in tasks.into_iter().enumerate() {
-            per_worker[i % workers].push(t);
-        }
-        std::thread::scope(|sc| {
-            for mut tasks in per_worker {
-                sc.spawn(move || {
-                    for t in &mut tasks {
-                        for cbuf in &bufs[..chunk_count] {
-                            for &e in &cbuf[t.sidx] {
-                                let (delta, other) = unpack_entry(e);
-                                let local = other as usize - t.start;
-                                // Per-record clamp, exactly as the inline
-                                // path applies each edge.
-                                t.keys[local] = (t.keys[local] - delta).max(0.0);
-                                if t.stamps[local] != tag {
-                                    t.stamps[local] = tag;
-                                    t.touched.push(other);
-                                }
-                            }
-                        }
-                        for &node in t.touched.iter() {
-                            t.pushes
-                                .push(pack_entry(node, t.keys[node as usize - t.start]));
-                        }
-                        t.touched.clear();
-                    }
-                });
-            }
-        });
-    }
-
-    // Merge the coalesced decrease entries (ascending shard = ascending id
-    // ranges) and reset the emission buffers for the next round.
-    for sidx in 0..BATCH_SHARDS {
-        for &e in &batch.shard_pushes[sidx] {
-            let (k, node) = unpack_entry(e);
-            q.push(node, k);
-        }
-        batch.shard_pushes[sidx].clear();
-    }
-    for cbuf in &mut batch.chunk_bufs[..chunk_count] {
-        for sbuf in cbuf.iter_mut() {
-            sbuf.clear();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1274,7 +580,7 @@ mod tests {
 
     fn peel_csr_full(g: &BipartiteGraph, metric: &dyn DensityMetric) -> Option<Block> {
         let view = CsrView::from_graph(g);
-        peel_csr(&view, metric, &mut PeelScratch::default())
+        peel_seq(&view, metric, &mut PeelScratch::default())
     }
 
     #[test]
@@ -1287,21 +593,7 @@ mod tests {
             let naive = peel_densest_full(&g, metric).unwrap();
             let csr = peel_csr_full(&g, metric).unwrap();
             assert_eq!(naive, csr);
-        }
-    }
-
-    #[test]
-    fn bucket_peel_is_bit_identical_to_csr() {
-        let g = planted_graph();
-        for metric in [
-            &AverageDegreeMetric as &dyn DensityMetric,
-            &LogWeightedMetric::paper_default(),
-        ] {
-            let view = CsrView::from_graph(&g);
-            let csr = peel_csr(&view, metric, &mut PeelScratch::default()).unwrap();
-            let bucket = peel_bucket(&view, metric, &mut PeelScratch::default()).unwrap();
-            assert_eq!(csr, bucket);
-            assert_eq!(csr.score.to_bits(), bucket.score.to_bits());
+            assert_eq!(naive.score.to_bits(), csr.score.to_bits());
         }
     }
 
@@ -1321,9 +613,6 @@ mod tests {
         let naive = peel_densest_full(&g, &AverageDegreeMetric).unwrap();
         let csr = peel_csr_full(&g, &AverageDegreeMetric).unwrap();
         assert_eq!(naive, csr);
-        let view = CsrView::from_graph(&g);
-        let bucket = peel_bucket(&view, &AverageDegreeMetric, &mut PeelScratch::default()).unwrap();
-        assert_eq!(naive, bucket);
     }
 
     #[test]
@@ -1332,11 +621,7 @@ mod tests {
         assert!(peel_csr_full(&g, &AverageDegreeMetric).is_none());
         let g = planted_graph();
         let view = CsrView::from_graph_filtered(&g, &vec![false; g.num_edges()]);
-        assert!(peel_csr(&view, &AverageDegreeMetric, &mut PeelScratch::default()).is_none());
-        assert!(peel_bucket(&view, &AverageDegreeMetric, &mut PeelScratch::default()).is_none());
-        assert!(
-            peel_bucket_batch(&view, &AverageDegreeMetric, &mut PeelScratch::default()).is_none()
-        );
+        assert!(peel_seq(&view, &AverageDegreeMetric, &mut PeelScratch::default()).is_none());
     }
 
     #[test]
@@ -1355,96 +640,22 @@ mod tests {
         let mut view = CsrView::new();
         for g in [&g1, &g2, &g1] {
             view.rebuild(g, None);
-            let reused = peel_csr(&view, &AverageDegreeMetric, &mut scratch);
+            let reused = peel_seq(&view, &AverageDegreeMetric, &mut scratch);
             let fresh = peel_csr_full(g, &AverageDegreeMetric);
             assert_eq!(reused, fresh);
-            let bucket_reused = peel_bucket(&view, &AverageDegreeMetric, &mut scratch);
-            assert_eq!(bucket_reused, fresh);
-        }
-    }
-
-    /// A graph engineered to have large tie rounds: a complete block whose
-    /// users are interchangeable, plus uniform background rows.
-    fn tie_heavy_graph() -> BipartiteGraph {
-        let mut b = GraphBuilder::new();
-        for u in 0..40u32 {
-            for v in 0..6u32 {
-                b.add_edge(UserId(u), MerchantId(v));
-            }
-        }
-        for u in 40..200u32 {
-            b.add_edge(UserId(u), MerchantId(6 + u % 11));
-        }
-        b.build()
-    }
-
-    #[test]
-    fn batch_peel_is_thread_count_invariant() {
-        // Forcing the parallel relax (threshold 0) and forcing the inline
-        // relax (threshold MAX) must produce byte-identical blocks.
-        for g in [&planted_graph(), &tie_heavy_graph()] {
-            let view = CsrView::from_graph(g);
-            let inline = peel_bucket_batch_with(
-                &view,
-                &LogWeightedMetric::paper_default(),
-                &mut PeelScratch::default(),
-                usize::MAX,
-            )
-            .unwrap();
-            let parallel = peel_bucket_batch_with(
-                &view,
-                &LogWeightedMetric::paper_default(),
-                &mut PeelScratch::default(),
-                0,
-            )
-            .unwrap();
-            assert_eq!(inline, parallel);
-            assert_eq!(inline.score.to_bits(), parallel.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_peel_scores_match_csr_within_tolerance() {
-        for g in [&planted_graph(), &tie_heavy_graph()] {
-            let view = CsrView::from_graph(g);
-            let csr = peel_csr(&view, &LogWeightedMetric::paper_default(), &mut PeelScratch::default())
-                .unwrap();
-            let batch = peel_bucket_batch(
-                &view,
-                &LogWeightedMetric::paper_default(),
-                &mut PeelScratch::default(),
-            )
-            .unwrap();
-            let tol = 1e-9 * csr.score.abs().max(1.0);
-            assert!(
-                (csr.score - batch.score).abs() <= tol,
-                "batch score {} vs csr {}",
-                batch.score,
-                csr.score
-            );
         }
     }
 
     #[test]
     fn fdet_engines_agree_end_to_end() {
+        assert_eq!(Engine::default(), Engine::Bucket);
         let g = planted_graph();
-        let naive = fdet_with_engine(
-            &g,
-            &MetricKind::default(),
-            Truncation::KeepAll { k_max: 10 },
-            Engine::Naive,
-        );
-        for engine in [Engine::Csr, Engine::Bucket] {
-            let got = fdet_with_engine(
-                &g,
-                &MetricKind::default(),
-                Truncation::KeepAll { k_max: 10 },
-                engine,
-            );
-            assert_eq!(naive.blocks, got.blocks, "{engine}");
-            assert_eq!(naive.scores, got.scores, "{engine}");
-            assert_eq!(naive.k_hat, got.k_hat, "{engine}");
-        }
+        let truncation = Truncation::KeepAll { k_max: 10 };
+        let naive = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Naive);
+        let got = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Bucket);
+        assert_eq!(naive.blocks, got.blocks);
+        assert_eq!(naive.scores, got.scores);
+        assert_eq!(naive.k_hat, got.k_hat);
     }
 
     #[test]
@@ -1461,40 +672,18 @@ mod tests {
             Truncation::KeepAll { k_max: 10 },
             Truncation::FixedK(2),
         ] {
-            for eng in [Engine::Csr, Engine::Bucket] {
-                let (spec_res, sample_edges) = engine.run_spec(
-                    &g,
-                    &spec,
-                    &MetricKind::default(),
-                    truncation,
-                    eng,
-                    &mut maps,
-                );
-                let sampled = spec.materialize(&g);
+            let (spec_res, sample_edges) =
+                engine.run_spec(&g, &spec, &MetricKind::default(), truncation, &mut maps);
+            let sampled = spec.materialize(&g);
+            for eng in [Engine::Bucket, Engine::Naive] {
                 let mat = engine.run(&sampled.graph, &MetricKind::default(), truncation, eng);
                 assert_eq!(spec_res.blocks, mat.blocks);
                 assert_eq!(spec_res.scores, mat.scores);
                 assert_eq!(spec_res.k_hat, mat.k_hat);
-                assert_eq!(sample_edges, sampled.graph.num_edges());
-                assert_eq!(maps.orig_users, sampled.orig_users);
-                assert_eq!(maps.orig_merchants, sampled.orig_merchants);
             }
+            assert_eq!(sample_edges, sampled.graph.num_edges());
+            assert_eq!(maps.orig_users, sampled.orig_users);
+            assert_eq!(maps.orig_merchants, sampled.orig_merchants);
         }
-    }
-
-    #[test]
-    fn engine_parsing_round_trips() {
-        for engine in [
-            Engine::Csr,
-            Engine::Naive,
-            Engine::Bucket,
-            Engine::BucketBatch,
-        ] {
-            assert_eq!(engine.name().parse::<Engine>().unwrap(), engine);
-            assert_eq!(engine.to_string(), engine.name());
-        }
-        assert!("fast".parse::<Engine>().is_err());
-        assert!("bucket_batch".parse::<Engine>().is_err());
-        assert_eq!(Engine::default(), Engine::Csr);
     }
 }

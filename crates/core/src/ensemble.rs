@@ -42,15 +42,15 @@ pub struct EnsemFdetConfig {
     pub metric: MetricKind,
     /// Block truncation strategy (Definition 3 by default).
     pub truncation: Truncation,
-    /// Peeling engine backing every FDET run (CSR hot path by default;
-    /// `bucket` is its bit-identical O(E) twin, `bucket-batch` the
-    /// tie-round parallel variant, and the naive reference path produces
-    /// identical results, slower).
+    /// Peeling engine backing every FDET run: the bucket-queue peel by
+    /// default; the naive reference path produces identical results,
+    /// slower, and exists for the equivalence gates.
     pub engine: Engine,
     /// Sampling data path: resolve sample specs lazily against the shared
     /// parent snapshot (`Mask`, default) or materialize each sample as a
-    /// compacted graph copy (`Materialize`, the reference path). Both
-    /// yield bit-identical votes, evidence, and scores.
+    /// compacted graph copy (`Materialize`, the reference the equivalence
+    /// gates compare against). Both yield bit-identical votes, evidence,
+    /// and scores.
     #[serde(default)]
     pub path: SamplePath,
     /// Master RNG seed.
@@ -81,36 +81,6 @@ pub enum SamplePath {
     /// Resolve sample specs lazily against the shared parent snapshot.
     #[default]
     Mask,
-}
-
-impl SamplePath {
-    /// Stable lowercase name (`mask` / `materialize`), as accepted by
-    /// [`SamplePath::from_str`](std::str::FromStr) and the CLI
-    /// `--sample-path` flag.
-    pub fn name(self) -> &'static str {
-        match self {
-            SamplePath::Materialize => "materialize",
-            SamplePath::Mask => "mask",
-        }
-    }
-}
-
-impl std::fmt::Display for SamplePath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for SamplePath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "mask" => Ok(SamplePath::Mask),
-            "materialize" => Ok(SamplePath::Materialize),
-            other => Err(format!("unknown sample path `{other}` (mask|materialize)")),
-        }
-    }
 }
 
 /// Serializable mirror of [`SamplingMethod`] (the sampling crate keeps its
@@ -404,8 +374,8 @@ impl EnsemFdet {
     /// Runs Algorithm 2 on `g`: sample `N` subgraphs, run FDET on each in
     /// parallel, and tally votes in the parent id space.
     ///
-    /// With [`SamplePath::Mask`] (the default) and any view engine (CSR,
-    /// bucket, or bucket-batch), every sample is a lightweight spec
+    /// With [`SamplePath::Mask`] (the default) and the bucket engine,
+    /// every sample is a lightweight spec
     /// resolved against `g` through per-thread scratch — no subgraph
     /// copies. The materializing path runs otherwise (including under the
     /// naive engine, which peels a real `BipartiteGraph` by definition);
@@ -530,7 +500,7 @@ impl EnsemFdet {
     /// very code it exists to cross-check — so any resolver bug would
     /// cancel out of the equivalence gates instead of tripping them. The
     /// gates in `tests/tests/spec_equivalence.rs` close the loop from the
-    /// other side (mask path ≡ materialized path under the view engines),
+    /// other side (mask path ≡ materialized path under the bucket engine),
     /// so every pairing is still covered: naive ≡ materialized ≡ mask.
     fn run_sample(&self, g: &BipartiteGraph, method: SamplingMethod, i: usize) -> SampleContribution {
         let use_mask = self.config.path == SamplePath::Mask && self.config.engine != Engine::Naive;
@@ -929,7 +899,7 @@ mod tests {
 
     /// The naive engine has no CSR view to mask over, so a mask-path
     /// config silently falls back to materializing — results still match
-    /// the CSR paths exactly.
+    /// the bucket engine exactly.
     #[test]
     fn naive_engine_falls_back_to_materializing() {
         let g = planted(8, 3, 60);
@@ -937,9 +907,9 @@ mod tests {
         cfg.engine = Engine::Naive;
         cfg.path = SamplePath::Mask;
         let naive = EnsemFdet::new(cfg).detect(&g);
-        cfg.engine = Engine::Csr;
-        let csr = EnsemFdet::new(cfg).detect(&g);
-        assert_eq!(naive.votes, csr.votes);
+        cfg.engine = Engine::Bucket;
+        let bucket = EnsemFdet::new(cfg).detect(&g);
+        assert_eq!(naive.votes, bucket.votes);
     }
 
     /// Replaying every sample across an unchanged-graph delta must be

@@ -7,14 +7,14 @@
 //! sets), and stop at the truncating point `k̂` (Definition 3) — or at a
 //! caller-fixed `k`, which is the ENSEMFDET-FIX-K ablation of Figure 6.
 //!
-//! Interchangeable peeling engines back the loop (see [`crate::engine`]):
-//! the CSR hot path (default), its bit-identical O(E) bucket-queue twin,
-//! the tie-round-parallel bucket-batch variant, and the naive reference
-//! path; [`fdet_with_engine`] selects one explicitly.
+//! Two bit-identical peeling engines back the loop (see [`crate::engine`]):
+//! the O(E) bucket-queue peel over CSR snapshots (default) and the naive
+//! reference path; [`fdet_with_engine`] selects one explicitly.
 
 use crate::block::Block;
 use crate::engine::{Engine, FdetEngine};
 use crate::metric::DensityMetric;
+use crate::truncate::truncation_point;
 use ensemfdet_graph::{BipartiteGraph, MerchantId, UserId};
 use serde::{Deserialize, Serialize};
 
@@ -130,13 +130,9 @@ pub fn fdet(g: &BipartiteGraph, metric: &dyn DensityMetric, truncation: Truncati
     fdet_with_engine(g, metric, truncation, Engine::default())
 }
 
-/// Runs FDET with an explicit peeling [`Engine`] — `Engine::Csr` (the
-/// [`fdet`] default), `Engine::Bucket`, `Engine::BucketBatch`, or the
-/// `Engine::Naive` reference path. All but `BucketBatch` produce
-/// bit-identical results, so choosing among them is only an A/B
-/// performance decision; `BucketBatch` matches up to tie-break order
-/// (same blocks structurally, scores equal within float tolerance — see
-/// [`crate::engine`] for the contract).
+/// Runs FDET with an explicit peeling [`Engine`] — `Engine::Bucket` (the
+/// [`fdet`] default) or the `Engine::Naive` reference path. Both produce
+/// bit-identical results (see [`crate::engine`] for the contract).
 ///
 /// Callers running FDET many times (ensembles, sweeps) should hold a
 /// [`FdetEngine`] instead and call [`FdetEngine::run`], which reuses the
@@ -148,6 +144,55 @@ pub fn fdet_with_engine(
     engine: Engine,
 ) -> FdetResult {
     FdetEngine::run_cached(g, metric, truncation, engine)
+}
+
+/// The FDET iteration loop every engine shares: `peel_next(first)` peels
+/// the densest block of the current graph and retires its nodes' edges
+/// (`first` is true on the first call, while every edge is alive), or
+/// returns `None` once no edge is left. Blocks are collected until the
+/// truncation rule stops the loop.
+pub(crate) fn iterate_blocks(
+    truncation: Truncation,
+    mut peel_next: impl FnMut(bool) -> Option<Block>,
+) -> FdetResult {
+    let cap = match truncation {
+        Truncation::Auto { k_max, .. } | Truncation::KeepAll { k_max } => k_max,
+        Truncation::FixedK(k) => k,
+    };
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut scores: Vec<f64> = Vec::new();
+
+    while blocks.len() < cap {
+        let Some(block) = peel_next(blocks.is_empty()) else {
+            break; // current graph has no edges left
+        };
+        scores.push(block.score);
+        // Degenerate safety: a block with no internal edges cannot
+        // shrink the graph and would loop forever.
+        let degenerate = block.edges.is_empty();
+        blocks.push(block);
+        if degenerate {
+            break;
+        }
+        if let Truncation::Auto { patience, .. } = truncation {
+            // Early stop once the provisional elbow has been stable for
+            // `patience` additional blocks.
+            if scores.len() >= truncation_point(&scores) + patience {
+                break;
+            }
+        }
+    }
+
+    let k_hat = match truncation {
+        Truncation::Auto { .. } => truncation_point(&scores).min(blocks.len()),
+        Truncation::FixedK(k) => k.min(blocks.len()),
+        Truncation::KeepAll { .. } => blocks.len(),
+    };
+    FdetResult {
+        blocks,
+        scores,
+        k_hat,
+    }
 }
 
 #[cfg(test)]

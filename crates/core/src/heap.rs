@@ -8,8 +8,8 @@
 //! - [`IndexedMinHeap`] — a binary heap with a position index and in-place
 //!   `update_key`. One entry per element; every decrease sifts the entry and
 //!   maintains the `pos` index (three arrays touched per swap).
-//! - [`LazyMinHeap`] — the lazy-deletion variant used by the CSR engine
-//!   (`ensemfdet::engine`): a decrease simply *pushes a fresh entry* and the
+//! - [`LazyMinHeap`] — the lazy-deletion variant behind the bucket
+//!   queue's frontier: a decrease simply *pushes a fresh entry* and the
 //!   consumer skips stale entries on pop (an entry is stale when its key no
 //!   longer matches the element's current key, or the element was already
 //!   removed). No position index, no re-heapify; entries are `(key, id)`
@@ -17,11 +17,12 @@
 //!   4-ary array, which is what makes the high pop volume of lazy deletion
 //!   affordable.
 //!
-//! A third structure, [`crate::bucket::BucketQueue`], keeps the lazy-entry
-//! contract but shards the entries across exponent-indexed append logs,
-//! absorbing each bucket into one small frontier `LazyMinHeap` only when
-//! the minimum reaches it — trading the global `O(log n)` sift for
-//! near-constant routing (the bucket engine's linear-peel claim).
+//! [`crate::bucket::BucketQueue`] keeps the lazy-entry contract but shards
+//! the entries across exponent-indexed append logs, absorbing each bucket
+//! into one small frontier `LazyMinHeap` only when the minimum reaches it —
+//! trading the global `O(log n)` sift for near-constant routing (the
+//! engine's linear-peel claim). `IndexedMinHeap` backs the naive reference
+//! peel ([`crate::peel`]).
 //!
 //! Keys only ever decrease during a peel, so for every element the entry
 //! carrying its *current* key is the element's minimum entry — the first
@@ -306,12 +307,6 @@ impl LazyMinHeap {
         self.len() == 0
     }
 
-    /// Pre-allocates room for `additional` further pushes, so a peel with
-    /// a known decrease count never reallocates mid-loop.
-    pub fn reserve(&mut self, additional: usize) {
-        self.entries.reserve(additional);
-    }
-
     /// Replaces the contents with `entries` in O(n log n) (one unstable
     /// sort of packed words) — cheaper in practice than a heap build plus
     /// n sifting pops, because the sorted run is consumed sequentially.
@@ -322,17 +317,6 @@ impl LazyMinHeap {
         self.base
             .extend(entries.into_iter().map(|(e, k)| Self::pack(e, k)));
         self.base.sort_unstable();
-    }
-
-    /// Visits every pending entry — stale ones included — in unspecified
-    /// order. Callers filter against their own notion of staleness, exactly
-    /// as they do for [`pop`](Self::pop).
-    #[inline]
-    pub fn for_each_entry(&self, mut f: impl FnMut(f64, u32)) {
-        for &e in self.base[self.cursor..].iter().chain(self.entries.iter()) {
-            let (k, id) = Self::unpack(e);
-            f(k, id);
-        }
     }
 
     /// Drops every entry that no longer carries its element's current key

@@ -85,7 +85,7 @@ pub use incremental::{
     FallbackReason, IncrementalPolicy, ReuseStats, SampleContribution, ScanCache,
 };
 pub use metric::{AverageDegreeMetric, DensityMetric, LogWeightedMetric, MetricKind};
-pub use monitor::{CampaignMonitor, MonitorConfig, ScanReport};
+pub use monitor::MonitorConfig;
 pub use peel::peel_densest;
 pub use pipeline::{
     IngestBuffer, ScanOutcome, ScanRunner, Snapshot, SnapshotStore, DELTA_HISTORY,

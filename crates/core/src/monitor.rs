@@ -1,22 +1,21 @@
-//! Micro-batch campaign monitoring.
+//! Micro-batch campaign monitoring configuration.
 //!
 //! The paper's deployment context wants fraud caught *during* a promotion
 //! ("detect and prevent fraud as early as possible"), not in a nightly
-//! batch. [`CampaignMonitor`] wraps the ensemble in that loop: ingest
-//! purchase events as they arrive, re-detect every `scan_interval`
-//! transactions (or on demand), and surface **new** alerts — accounts that
+//! batch. A monitor ingests purchase events as they arrive into an
+//! [`crate::IngestBuffer`], re-detects every `scan_interval` transactions
+//! (or on demand) over a [`crate::SnapshotStore`] snapshot through a
+//! [`crate::ScanRunner`], and surfaces **new** alerts — accounts that
 //! crossed the vote threshold for the first time — so downstream systems
-//! act once per account, not once per scan.
+//! act once per account, not once per scan. [`MonitorConfig`] holds that
+//! loop's knobs; the HTTP service and `ensemfdet monitor` run it.
 //!
 //! Each scan runs the full ensemble on the graph accumulated so far; at the
 //! micro-batch cadence this is exactly the deployment mode the paper's
 //! timing table argues is affordable (per-scan cost ≈ `S ×` one Fraudar
 //! pass, parallel over samples).
 
-use crate::aggregate::VoteTally;
-use crate::ensemble::{EnsemFdet, EnsemFdetConfig};
-use crate::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
-use ensemfdet_graph::{MerchantId, UserId};
+use crate::ensemble::EnsemFdetConfig;
 
 /// Monitor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -47,287 +46,5 @@ impl Default for MonitorConfig {
             alert_threshold: 10,
             min_transactions: 5_000,
         }
-    }
-}
-
-/// What one scan produced.
-#[derive(Clone, Debug)]
-pub struct ScanReport {
-    /// Epoch of the graph snapshot this scan ran on (see
-    /// [`crate::pipeline::Snapshot`]).
-    pub epoch: u64,
-    /// Every account currently at or above the alert threshold.
-    pub flagged: Vec<UserId>,
-    /// Accounts crossing the threshold for the first time in this scan.
-    pub new_alerts: Vec<UserId>,
-    /// Transactions ingested so far (lifetime).
-    pub transactions_seen: usize,
-    /// The full vote tally, for custom thresholds downstream.
-    pub votes: VoteTally,
-    /// Wall-clock of the whole ensemble pass behind this scan.
-    pub elapsed: std::time::Duration,
-    /// Per-sample wall-clock, in sample order — raw material for latency
-    /// histograms and parallel-speedup estimates.
-    pub sample_times: Vec<std::time::Duration>,
-    /// Per-stage CPU-time split of the ensemble pass (sampling /
-    /// detection / aggregation), for stage-level telemetry.
-    pub stages: crate::ensemble::StageTimings,
-    /// Bytes of sample state materialized across the pass (selection
-    /// vectors on the mask path, full subgraph buffers when
-    /// materializing).
-    pub sample_bytes: u64,
-}
-
-impl ScanReport {
-    /// Sum of per-sample wall-clock (what a fully parallel machine
-    /// overlaps).
-    pub fn total_sample_time(&self) -> std::time::Duration {
-        self.sample_times.iter().sum()
-    }
-
-    /// The slowest sample — the critical path under perfect parallelism.
-    pub fn max_sample_time(&self) -> std::time::Duration {
-        self.sample_times.iter().copied().max().unwrap_or_default()
-    }
-}
-
-/// Accumulates a campaign's purchase stream and re-detects periodically.
-///
-/// Since the ingest/scan split this is a thin *synchronous* composition
-/// of the pipeline pieces — an [`IngestBuffer`] append log, a
-/// [`SnapshotStore`] of epoch-versioned graphs, and a [`ScanRunner`] —
-/// kept for callers (CLI, batch tools) that want the simple
-/// ingest-then-scan loop in one value. The HTTP service composes the
-/// same pieces asynchronously so scans never block ingestion.
-#[derive(Clone, Debug)]
-pub struct CampaignMonitor {
-    config: MonitorConfig,
-    buffer: IngestBuffer,
-    snapshots: SnapshotStore,
-    runner: ScanRunner,
-    since_scan: usize,
-}
-
-impl CampaignMonitor {
-    /// Creates an empty monitor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scan_interval == 0` or `alert_threshold == 0`, or if the
-    /// detector configuration is invalid.
-    pub fn new(config: MonitorConfig) -> Self {
-        assert!(config.scan_interval > 0, "scan_interval must be positive");
-        assert!(config.alert_threshold > 0, "alert_threshold must be positive");
-        // Validate the detector config eagerly (EnsemFdet::new asserts).
-        let _ = EnsemFdet::new(config.detector);
-        CampaignMonitor {
-            buffer: IngestBuffer::new(),
-            // The synchronous monitor always scans fresh data, so the
-            // store's cadence is irrelevant here; scans force-compact.
-            snapshots: SnapshotStore::new(config.scan_interval),
-            runner: ScanRunner::new(),
-            config,
-            since_scan: 0,
-        }
-    }
-
-    /// Ingests one purchase. Returns a report iff this transaction
-    /// triggered an automatic scan.
-    pub fn ingest(&mut self, u: UserId, v: MerchantId) -> Option<ScanReport> {
-        self.buffer.append(u, v);
-        self.since_scan += 1;
-        if self.since_scan >= self.config.scan_interval
-            && self.buffer.len() >= self.config.min_transactions
-        {
-            Some(self.scan())
-        } else {
-            None
-        }
-    }
-
-    /// Ingests a batch of purchases *without* triggering automatic scans
-    /// (bulk backfill); call [`scan`](Self::scan) afterwards.
-    pub fn ingest_batch(&mut self, it: impl IntoIterator<Item = (UserId, MerchantId)>) {
-        self.buffer.append_batch(it);
-        self.since_scan = 0;
-    }
-
-    /// Transactions ingested so far.
-    pub fn transactions_seen(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Materializes the current (deduplicated) purchase graph — for
-    /// statistics dashboards and ad-hoc analysis outside the scan cycle.
-    pub fn graph_snapshot(&self) -> ensemfdet_graph::BipartiteGraph {
-        self.snapshots
-            .refresh(&self.buffer, true)
-            .graph
-            .as_ref()
-            .clone()
-    }
-
-    /// Runs a detection pass over everything ingested so far.
-    pub fn scan(&mut self) -> ScanReport {
-        self.since_scan = 0;
-        let snapshot = self.snapshots.refresh(&self.buffer, true);
-        let outcome =
-            self.runner
-                .run(&snapshot, &self.config.detector, self.config.alert_threshold);
-        ScanReport {
-            epoch: outcome.epoch,
-            flagged: outcome.flagged,
-            new_alerts: outcome.new_alerts,
-            transactions_seen: outcome.transactions,
-            sample_times: outcome.sample_times,
-            sample_bytes: outcome.sample_bytes,
-            elapsed: outcome.elapsed,
-            stages: outcome.stages,
-            votes: outcome.votes,
-        }
-    }
-
-    /// Accounts alerted at any point so far.
-    pub fn alerted(&self) -> Vec<UserId> {
-        self.runner.alerted()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashSet;
-
-    fn quick_config(interval: usize, threshold: u32) -> MonitorConfig {
-        MonitorConfig {
-            detector: EnsemFdetConfig {
-                num_samples: 10,
-                // 0.7 keeps per-sample detection of the planted ring near
-                // certain, so vote counts clear the threshold for any RNG
-                // stream rather than for one lucky seed.
-                sample_ratio: 0.7,
-                seed: 9,
-                ..Default::default()
-            },
-            scan_interval: interval,
-            alert_threshold: threshold,
-            min_transactions: 0,
-        }
-    }
-
-    /// Feeds background purchases, then a burst of ring purchases.
-    fn feed_campaign(monitor: &mut CampaignMonitor) -> Vec<ScanReport> {
-        let mut reports = Vec::new();
-        // Honest background: 300 purchases.
-        for i in 0..300u32 {
-            if let Some(r) = monitor.ingest(UserId(20 + i % 150), MerchantId(10 + i % 60)) {
-                reports.push(r);
-            }
-        }
-        // Fraud burst: 10 accounts × 5 ring merchants.
-        for round in 0..5u32 {
-            for u in 0..10u32 {
-                if let Some(r) = monitor.ingest(UserId(u), MerchantId(round)) {
-                    reports.push(r);
-                }
-            }
-        }
-        reports
-    }
-
-    #[test]
-    fn min_transactions_suppresses_early_scans() {
-        let mut m = CampaignMonitor::new(MonitorConfig {
-            min_transactions: 250,
-            ..quick_config(100, 6)
-        });
-        let reports = feed_campaign(&mut m);
-        // The 100/200 marks are suppressed; the first scan fires as soon
-        // as the warm-up is satisfied (transaction 250), the next a full
-        // interval later (350).
-        assert_eq!(reports.len(), 2, "{}", reports.len());
-        assert_eq!(reports[0].transactions_seen, 250);
-        assert_eq!(reports[1].transactions_seen, 350);
-    }
-
-    #[test]
-    fn automatic_scans_fire_on_interval() {
-        let mut m = CampaignMonitor::new(quick_config(100, 6));
-        let reports = feed_campaign(&mut m);
-        assert_eq!(reports.len(), 3, "350 transactions / interval 100");
-        assert_eq!(m.transactions_seen(), 350);
-    }
-
-    #[test]
-    fn fraud_burst_raises_alerts_exactly_once() {
-        let mut m = CampaignMonitor::new(quick_config(100, 6));
-        let reports = feed_campaign(&mut m);
-        // The last automatic scan happens mid-burst; force a final scan.
-        let last = m.scan();
-        let all_new: Vec<u32> = reports
-            .iter()
-            .flat_map(|r| r.new_alerts.iter().map(|u| u.0))
-            .chain(last.new_alerts.iter().map(|u| u.0))
-            .collect();
-        // Alerts are unique across scans.
-        let set: HashSet<u32> = all_new.iter().copied().collect();
-        assert_eq!(set.len(), all_new.len(), "duplicate alerts: {all_new:?}");
-        // The ring accounts dominate the alert set.
-        let ring_alerts = set.iter().filter(|&&u| u < 10).count();
-        assert!(ring_alerts >= 8, "only {ring_alerts}/10 ring accounts alerted");
-        assert_eq!(m.alerted().len(), set.len());
-    }
-
-    #[test]
-    fn flagged_is_cumulative_new_alerts_are_not() {
-        let mut m = CampaignMonitor::new(quick_config(1_000_000, 6));
-        feed_campaign(&mut m);
-        let first = m.scan();
-        assert!(!first.flagged.is_empty());
-        assert_eq!(first.flagged, first.new_alerts);
-        let second = m.scan();
-        assert_eq!(second.flagged, first.flagged, "no new data, same flags");
-        assert!(second.new_alerts.is_empty(), "nothing new to alert");
-    }
-
-    #[test]
-    fn ingest_batch_defers_scanning() {
-        let mut m = CampaignMonitor::new(quick_config(10, 5));
-        m.ingest_batch((0..100u32).map(|i| (UserId(i % 20), MerchantId(i % 7))));
-        assert_eq!(m.transactions_seen(), 100);
-        // No automatic scan fired; the next single ingest starts a fresh
-        // interval.
-        assert!(m.ingest(UserId(0), MerchantId(0)).is_none());
-    }
-
-    #[test]
-    fn scan_reports_carry_sample_timings() {
-        let mut m = CampaignMonitor::new(quick_config(1_000_000, 6));
-        feed_campaign(&mut m);
-        let r = m.scan();
-        assert_eq!(r.sample_times.len(), 10, "one timing per sample");
-        assert!(r.total_sample_time() >= r.max_sample_time());
-        assert!(r.elapsed >= r.max_sample_time());
-        // The stage split is populated and bounded by the sample totals.
-        let staged = r.stages.sampling + r.stages.detection;
-        assert!(staged > std::time::Duration::ZERO);
-        assert!(staged <= r.total_sample_time());
-    }
-
-    #[test]
-    fn empty_monitor_scan_is_clean() {
-        let mut m = CampaignMonitor::new(quick_config(10, 2));
-        let r = m.scan();
-        assert!(r.flagged.is_empty());
-        assert_eq!(r.transactions_seen, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "scan_interval")]
-    fn zero_interval_rejected() {
-        CampaignMonitor::new(MonitorConfig {
-            scan_interval: 0,
-            ..quick_config(1, 1)
-        });
     }
 }

@@ -17,6 +17,7 @@
 //! tests check that bound against brute force on small graphs.
 
 use crate::block::Block;
+use crate::fdet::{iterate_blocks, FdetResult, Truncation};
 use crate::heap::IndexedMinHeap;
 use crate::metric::DensityMetric;
 use ensemfdet_graph::{BipartiteGraph, EdgeId, MerchantId, UserId};
@@ -170,6 +171,36 @@ pub fn peel_densest(
         merchants,
         score: best_phi,
         edges,
+    })
+}
+
+/// FDET over the parent graph through an alive-edge mask — the
+/// [`crate::Engine::Naive`] reference the bucket engine is gated against.
+/// Each iteration peels with [`peel_densest`] and retires every edge
+/// *incident* to the block's nodes, not only the internal ones:
+/// Algorithm 1 removes the induced edges `E_i`, but the problem definition
+/// (Eq. 1) requires the detected vertex sets to be disjoint, which plain
+/// edge removal does not guarantee (a block node with an outside edge
+/// could be re-detected). Retiring the nodes enforces `S_l ∩ S_m = ∅`.
+pub fn fdet_naive(
+    g: &BipartiteGraph,
+    metric: &dyn DensityMetric,
+    truncation: Truncation,
+) -> FdetResult {
+    let mut edge_alive = vec![true; g.num_edges()];
+    iterate_blocks(truncation, |_| {
+        let block = peel_densest(g, metric, &edge_alive)?;
+        for &u in &block.users {
+            for e in g.user_edge_ids(u) {
+                edge_alive[e] = false;
+            }
+        }
+        for &v in &block.merchants {
+            for e in g.merchant_edge_ids(v) {
+                edge_alive[e] = false;
+            }
+        }
+        Some(block)
     })
 }
 

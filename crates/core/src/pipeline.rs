@@ -3,9 +3,8 @@
 //! A production deployment of the ensemble faces two workloads with
 //! opposite latency profiles: **ingest** (millions of tiny appends that
 //! must never stall) and **scan** (a full `N`-sample ensemble pass that
-//! takes seconds). Guarding both behind one mutex — the original
-//! [`CampaignMonitor`](crate::CampaignMonitor) shape — lets any scan
-//! freeze the ingest path for its whole duration.
+//! takes seconds). Guarding both behind one mutex lets any scan freeze
+//! the ingest path for its whole duration.
 //!
 //! This module splits the monitor into three independently lockable
 //! pieces, mirroring the paper's own separation of graph accumulation
@@ -25,10 +24,10 @@
 //!   produce the same flagged set, regardless of what ingest is doing
 //!   concurrently.
 //!
-//! [`CampaignMonitor`](crate::CampaignMonitor) is now a thin synchronous
-//! composition of the three; the HTTP service composes them with a
-//! background executor instead, so `POST /v1/transactions` and a running
-//! scan never contend.
+//! A synchronous caller (the CLI's `monitor`, `examples/live_monitor.rs`)
+//! composes the three in one loop; the HTTP service composes them with a
+//! background executor, so `POST /v1/transactions` and a running scan
+//! never contend.
 
 use crate::aggregate::VoteTally;
 use crate::detector::DetectContext;
@@ -906,11 +905,15 @@ mod tests {
     #[test]
     fn runner_alerts_once_per_account() {
         let b = IngestBuffer::new();
-        ring_and_background(&b);
         let store = SnapshotStore::new(1);
-        let snap = store.compact(&b);
         let cfg = quick_config();
         let mut runner = ScanRunner::new();
+        let empty = runner.run(&store.latest(), &cfg, 6);
+        assert!(empty.flagged.is_empty() && empty.new_alerts.is_empty());
+        assert_eq!(empty.transactions, 0);
+
+        ring_and_background(&b);
+        let snap = store.compact(&b);
         let first = runner.run(&snap, &cfg, 6);
         assert!(!first.flagged.is_empty());
         assert_eq!(first.flagged, first.new_alerts);
@@ -918,6 +921,20 @@ mod tests {
         assert_eq!(second.flagged, first.flagged);
         assert!(second.new_alerts.is_empty());
         assert_eq!(runner.alerted_count(), first.flagged.len());
+
+        // A second ring in a later epoch alerts only its own accounts.
+        for u in 300..308u32 {
+            for v in 100..105u32 {
+                b.append(UserId(u), MerchantId(v));
+            }
+        }
+        let third = runner.run(&store.compact(&b), &cfg, 6);
+        assert!(!third.new_alerts.is_empty());
+        assert!(third.new_alerts.iter().all(|u| !first.flagged.contains(u)));
+        assert_eq!(
+            runner.alerted_count(),
+            first.flagged.len() + third.new_alerts.len()
+        );
     }
 
     #[test]
@@ -932,6 +949,12 @@ mod tests {
         assert_eq!(out.epoch, 2);
         assert_eq!(out.transactions, snap.transactions);
         assert_eq!(out.sample_times.len(), 10);
+        let total: Duration = out.sample_times.iter().sum();
+        assert!(out.elapsed >= out.sample_times.iter().copied().max().unwrap());
+        // The stage split is populated and bounded by the sample totals.
+        let staged = out.stages.sampling + out.stages.detection;
+        assert!(staged > Duration::ZERO);
+        assert!(staged <= total);
     }
 
     /// The incremental compaction path (per-shard drains, binary-search

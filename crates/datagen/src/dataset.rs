@@ -130,10 +130,18 @@ mod tests {
         assert_eq!(tiny().table1_row(), (4, 2, 2, 3));
     }
 
+    /// A fresh directory for one test's files, named after the test and
+    /// the process id, so parallel tests never share a fixture file.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ensemfdet_datagen_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("ensemfdet_datagen_ds_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("save_load_round_trip");
         let stem = dir.join("tiny");
         let ds = tiny();
         ds.save(&stem).unwrap();

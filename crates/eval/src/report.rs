@@ -143,6 +143,15 @@ mod tests {
         assert_eq!(s.lines().count(), 2); // header + separator
     }
 
+    /// A fresh directory for one test's files, named after the test and
+    /// the process id, so parallel tests never share a fixture file.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ensemfdet_eval_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn write_json_round_trips() {
         #[derive(serde::Serialize, serde::Deserialize, PartialEq, Debug)]
@@ -150,7 +159,7 @@ mod tests {
             x: u32,
             name: String,
         }
-        let dir = std::env::temp_dir().join("ensemfdet_eval_report_test");
+        let dir = test_dir("write_json_round_trips");
         let path = dir.join("nested").join("row.json");
         let row = Row {
             x: 7,

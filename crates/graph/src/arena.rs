@@ -1,10 +1,10 @@
 //! Arena-backed string interning.
 //!
-//! The legacy [`TransactionInterner`](crate::TransactionInterner) stores
-//! every key twice (`HashMap<String, u32>` + `Vec<String>`), which means two
-//! heap allocations per distinct key and pointer-chasing on every probe. At
-//! the 60M-transaction regime the paper targets, interning is the ingest
-//! bottleneck, so this module rebuilds it around a byte arena:
+//! A twin-map interner stores every key twice (`HashMap<String, u32>` +
+//! `Vec<String>`), which means two heap allocations per distinct key and
+//! pointer-chasing on every probe. At the 60M-transaction regime the paper
+//! targets, interning is the ingest bottleneck, so this module builds it
+//! around a byte arena instead:
 //!
 //! - [`ArenaInterner`]: one contiguous byte arena plus `(offset, len)` spans
 //!   per key, with an open-addressing index of dense ids probed directly
@@ -17,7 +17,7 @@
 //!   the ids the serial interner would.
 //! - [`ArenaTransactionInterner`] / [`ConcurrentTransactionInterner`]:
 //!   the two-namespace (user + merchant) wrappers the loader and service
-//!   use, mirroring the legacy `TransactionInterner` surface.
+//!   use.
 
 use crate::ids::{MerchantId, UserId};
 use std::sync::RwLock;
@@ -191,9 +191,9 @@ impl ArenaInterner {
     }
 }
 
-/// Two-namespace (user + merchant) arena interner mirroring the legacy
-/// [`TransactionInterner`](crate::TransactionInterner) surface. This is
-/// what the parallel loader returns.
+/// Two-namespace (user + merchant) arena interner: what the parallel
+/// loader and the serial [`read_transactions_csv`](crate::read_transactions_csv)
+/// return.
 #[derive(Clone, Debug, Default)]
 pub struct ArenaTransactionInterner {
     users: ArenaInterner,
@@ -288,7 +288,7 @@ fn write_recover<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A concurrent interner: keys route by hash to [`NUM_SHARDS`] independent
+/// A concurrent interner: keys route by hash to `NUM_SHARDS` (16) independent
 /// shards, so threads interning disjoint keys take disjoint locks. Hits —
 /// the overwhelming majority on real logs — need only a shard *read* lock.
 ///
@@ -384,8 +384,8 @@ impl ShardedInterner {
 }
 
 /// Two-namespace concurrent interner for the service's bulk-ingest path:
-/// `&self` methods and internal sharding replace the coarse
-/// `Mutex<TransactionInterner>` that previously serialized every record.
+/// `&self` methods and internal sharding, so concurrent parse workers
+/// never serialize on one interner lock.
 #[derive(Debug, Default)]
 pub struct ConcurrentTransactionInterner {
     users: ShardedInterner,
@@ -580,5 +580,10 @@ mod tests {
         assert_eq!(i.find_user("PIN-bob"), Some(b));
         assert_eq!(i.find_merchant("store-1"), Some(m));
         assert_eq!(i.user_keys_of(&[a, b]), vec!["PIN-alice", "PIN-bob"]);
+        // Separate id spaces: a merchant key equal to a user key collides
+        // with nothing.
+        let same = i.merchant("PIN-alice");
+        assert_eq!(same.0, 1);
+        assert_eq!(i.num_merchants(), 2);
     }
 }

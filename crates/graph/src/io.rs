@@ -266,10 +266,18 @@ mod tests {
         assert_eq!(read_labels(&input[..]).unwrap(), vec![7, 9]);
     }
 
+    /// A fresh directory for one test's files, named after the test and
+    /// the process id, so parallel tests never share a fixture file.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ensemfdet_graph_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("ensemfdet_graph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("file_round_trip");
         let path = dir.join("g.edges");
         let g = sample();
         save_edge_list(&g, &path).unwrap();

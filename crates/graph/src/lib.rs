@@ -53,7 +53,6 @@ pub mod delta;
 pub mod error;
 pub mod graph;
 pub mod ids;
-pub mod interner;
 pub mod io;
 pub mod kcore;
 pub mod loader;
@@ -70,9 +69,10 @@ pub use delta::{GraphDelta, GraphDims};
 pub use error::GraphError;
 pub use graph::{BipartiteGraph, EdgeId, NeighborIter};
 pub use ids::{MerchantId, NodeRef, UserId};
-pub use interner::{read_transactions_csv, TransactionInterner};
 pub use kcore::{core_decomposition, CoreDecomposition};
-pub use loader::{load_transactions, load_transactions_path, LoadOptions, LoadedLog};
+pub use loader::{
+    load_transactions, load_transactions_path, read_transactions_csv, LoadOptions, LoadedLog,
+};
 pub use sampled::SampledGraph;
 pub use spec::{SampleMaps, SampleSpec, SpecKind, SpecResolver};
 pub use stats::GraphStats;

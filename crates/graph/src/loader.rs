@@ -29,9 +29,11 @@
 //! equivalence gate before any timing runs.
 
 use crate::arena::ArenaTransactionInterner;
+use crate::builder::{DuplicatePolicy, GraphBuilder};
 use crate::error::GraphError;
 use crate::graph::BipartiteGraph;
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 /// Options for [`load_transactions`].
@@ -305,6 +307,54 @@ pub fn load_transactions_path(
     load_transactions(&data, options)
 }
 
+/// Reads a delimited transaction log serially — the reference
+/// [`load_transactions`] is gated against: one `user<DELIM>merchant` record
+/// per line, `#` comments and blank lines skipped, extra fields ignored (real
+/// logs carry amounts/timestamps this reader drops). Returns the
+/// deduplicated, unweighted purchase graph and the interner for translating
+/// results back.
+///
+/// # Errors
+///
+/// Fails on I/O errors or records with fewer than two fields.
+pub fn read_transactions_csv<R: Read>(
+    r: R,
+    delimiter: char,
+) -> Result<(BipartiteGraph, ArenaTransactionInterner), GraphError> {
+    let mut r = BufReader::new(r);
+    let mut interner = ArenaTransactionInterner::new();
+    let mut builder = GraphBuilder::new();
+    // One line buffer reused across the whole file — `lines()` would
+    // allocate a fresh String per record.
+    let mut buf = String::new();
+    let mut lineno = 0usize;
+    loop {
+        buf.clear();
+        if r.read_line(&mut buf)? == 0 {
+            break;
+        }
+        lineno += 1;
+        let line = buf.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut fields = line.split(delimiter);
+        let user = fields.next().map(str::trim).filter(|s| !s.is_empty());
+        let merchant = fields.next().map(str::trim).filter(|s| !s.is_empty());
+        let (Some(user), Some(merchant)) = (user, merchant) else {
+            return Err(GraphError::Parse {
+                line: lineno,
+                message: format!("expected `user{delimiter}merchant[{delimiter}…]`"),
+            });
+        };
+        let u = interner.user(user);
+        let v = interner.merchant(merchant);
+        builder.add_edge(u, v);
+    }
+    let graph = builder.build_with(DuplicatePolicy::MergeBinary);
+    Ok((graph, interner))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,7 +496,7 @@ mod tests {
     fn ids_match_legacy_serial_interner() {
         let log = "carol,s9\nalice,s1\ncarol,s1\nbob,s9\n";
         let loaded = load(log, 3);
-        let (_, legacy) = crate::interner::read_transactions_csv(log.as_bytes(), ',').unwrap();
+        let (_, legacy) = read_transactions_csv(log.as_bytes(), ',').unwrap();
         for key in ["carol", "alice", "bob"] {
             assert_eq!(
                 loaded.interner.find_user(key).unwrap(),
@@ -476,5 +526,58 @@ mod tests {
                 assert!(!c.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn csv_ingestion_builds_graph() {
+        let log = "\
+# ts omitted
+alice,storeA,12.50
+bob,storeA
+alice,storeB
+alice,storeA
+";
+        let (g, interner) = read_transactions_csv(log.as_bytes(), ',').unwrap();
+        assert_eq!(g.num_users(), 2);
+        assert_eq!(g.num_merchants(), 2);
+        // Duplicate alice→storeA deduplicated.
+        assert_eq!(g.num_edges(), 3);
+        let alice = interner.find_user("alice").unwrap();
+        assert_eq!(g.user_degree(alice), 2);
+    }
+
+    #[test]
+    fn tab_delimited_logs_work() {
+        let log = "u1\tm1\nu2\tm1\n";
+        let (g, _) = read_transactions_csv(log.as_bytes(), '\t').unwrap();
+        assert_eq!(g.num_edges(), 2);
+    }
+
+    #[test]
+    fn malformed_record_reports_line() {
+        let log = "alice,storeA\njust-one-field\n";
+        let err = read_transactions_csv(log.as_bytes(), ',').unwrap_err();
+        match err {
+            GraphError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("unexpected: {other}"),
+        }
+    }
+
+    #[test]
+    fn detected_ids_translate_back_to_keys() {
+        let log = "alice,s1\nbob,s1\ncarol,s2\n";
+        let (_, interner) = read_transactions_csv(log.as_bytes(), ',').unwrap();
+        let detected = vec![
+            interner.find_user("alice").unwrap(),
+            interner.find_user("carol").unwrap(),
+        ];
+        assert_eq!(interner.user_keys_of(&detected), vec!["alice", "carol"]);
+    }
+
+    #[test]
+    fn empty_log_is_empty_graph() {
+        let (g, i) = read_transactions_csv("".as_bytes(), ',').unwrap();
+        assert_eq!(g.num_edges(), 0);
+        assert_eq!(i.num_users(), 0);
     }
 }

@@ -14,18 +14,11 @@
 //!   dedicated executor thread (the `executor` module) drains the queue.
 //! * `GET /v1/scans/{id}` / `GET /v1/scans/latest` read published,
 //!   epoch-tagged results.
-//!
-//! Legacy unversioned routes (`/health`, `/stats`, `/transactions`,
-//! `/scan`) remain as deprecated aliases; `POST /scan` keeps its
-//! synchronous 200 contract by enqueueing and waiting for the job.
 
 use crate::http::{Request, Response};
 use crate::jobs::{EnqueueError, JobLookup, JobState, JobStore, JobView, ScanResultView, ScanSpec};
 use ensemfdet::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
-use ensemfdet::{
-    Engine as PeelEngine, EnsemFdet, EnsemFdetConfig, IncrementalPolicy, MonitorConfig, SamplePath,
-    ScoringConfig,
-};
+use ensemfdet::{EnsemFdet, EnsemFdetConfig, IncrementalPolicy, MonitorConfig, ScoringConfig};
 use ensemfdet_graph::loader::{parse_csv_record, split_line_chunks};
 use ensemfdet_graph::{ConcurrentTransactionInterner, GraphStats};
 use ensemfdet_telemetry::{ServiceMetrics, PROMETHEUS_CONTENT_TYPE};
@@ -103,26 +96,21 @@ impl Default for ApiConfig {
 }
 
 /// The label a request is counted under in
-/// `ensemfdet_http_requests_total{route=…}`, plus whether the path is a
-/// deprecated alias (counted with `deprecated="true"`). The label set is
-/// fixed — `/v1/scans/<anything>` collapses to `/v1/scans/{id}` — so
-/// hostile paths cannot inflate label cardinality.
-pub fn route_label(_method: &str, path: &str) -> (&'static str, bool) {
+/// `ensemfdet_http_requests_total{route=…}`. The label set is fixed —
+/// `/v1/scans/<anything>` collapses to `/v1/scans/{id}` — so hostile paths
+/// cannot inflate label cardinality.
+pub fn route_label(_method: &str, path: &str) -> &'static str {
     match path {
-        "/v1/health" => ("/v1/health", false),
-        "/health" => ("/v1/health", true),
-        "/v1/stats" => ("/v1/stats", false),
-        "/stats" => ("/v1/stats", true),
-        "/v1/transactions" => ("/v1/transactions", false),
-        "/transactions" => ("/v1/transactions", true),
-        "/v1/scans" => ("/v1/scans", false),
-        "/scan" => ("/v1/scans", true),
-        "/v1/scans/latest" => ("/v1/scans/latest", false),
-        "/v1/follow" => ("/v1/follow", false),
-        "/v1/config" => ("/v1/config", false),
-        "/metrics" | "/v1/metrics" => ("/metrics", false),
-        p if p.starts_with("/v1/scans/") => ("/v1/scans/{id}", false),
-        _ => ("other", false),
+        "/v1/health" => "/v1/health",
+        "/v1/stats" => "/v1/stats",
+        "/v1/transactions" => "/v1/transactions",
+        "/v1/scans" => "/v1/scans",
+        "/v1/scans/latest" => "/v1/scans/latest",
+        "/v1/follow" => "/v1/follow",
+        "/v1/config" => "/v1/config",
+        "/metrics" | "/v1/metrics" => "/metrics",
+        p if p.starts_with("/v1/scans/") => "/v1/scans/{id}",
+        _ => "other",
     }
 }
 
@@ -191,14 +179,13 @@ impl Api {
     pub fn handle(&self, request: &Request) -> Response {
         let path = request.path.as_str();
         match (request.method.as_str(), path) {
-            ("GET", "/v1/health" | "/health") => self.health(),
-            ("GET", "/v1/stats" | "/stats") => self.stats(),
+            ("GET", "/v1/health") => self.health(),
+            ("GET", "/v1/stats") => self.stats(),
             ("GET", "/metrics" | "/v1/metrics") => self.metrics_page(),
             ("GET", "/v1/config") => self.config_page(),
             ("GET", "/v1/follow") => self.follow_status(),
-            ("POST", "/v1/transactions" | "/transactions") => self.transactions(request),
+            ("POST", "/v1/transactions") => self.transactions(request),
             ("POST", "/v1/scans") => self.submit_scan(&request.body),
-            ("POST", "/scan") => self.scan_sync(&request.body),
             ("GET", "/v1/scans/latest") => self.latest_scan(),
             ("GET", p) if p.starts_with("/v1/scans/") => {
                 self.scan_status(&p["/v1/scans/".len()..])
@@ -243,8 +230,7 @@ impl Api {
                 "workers": c.workers,
                 "ingest_workers": c.ingest_workers,
                 "scan_overrides": [
-                    "num_samples", "sample_ratio", "threshold", "path", "engine", "mode",
-                    "workers", "scoring",
+                    "num_samples", "sample_ratio", "threshold", "mode", "workers", "scoring",
                 ],
             }),
         )
@@ -491,32 +477,6 @@ impl Api {
                         })?;
                     threshold = t as u32;
                 }
-                "path" => {
-                    let p = value
-                        .as_str()
-                        .and_then(|s| s.parse::<SamplePath>().ok())
-                        .ok_or_else(|| {
-                            Response::error(
-                                400,
-                                "invalid_config",
-                                "path must be \"mask\" or \"materialize\"",
-                            )
-                        })?;
-                    config.path = p;
-                }
-                "engine" => {
-                    let eng = value
-                        .as_str()
-                        .and_then(|s| s.parse::<PeelEngine>().ok())
-                        .ok_or_else(|| {
-                            Response::error(
-                                400,
-                                "invalid_config",
-                                "engine must be \"csr\", \"bucket\", \"bucket-batch\", or \"naive\"",
-                            )
-                        })?;
-                    config.engine = eng;
-                }
                 "mode" => {
                     incremental = match value.as_str() {
                         Some("full") => false,
@@ -550,7 +510,7 @@ impl Api {
                     return Err(Response::error(
                         400,
                         "invalid_config",
-                        format!("unknown override {other:?} (expected num_samples, sample_ratio, threshold, path, engine, mode, workers, scoring)"),
+                        format!("unknown override {other:?} (expected num_samples, sample_ratio, threshold, mode, workers, scoring)"),
                     ));
                 }
             }
@@ -611,39 +571,6 @@ impl Api {
                 }),
             ),
             Err(resp) => resp,
-        }
-    }
-
-    /// Deprecated `POST /scan`: enqueue like everyone else, then block
-    /// until the job finishes, preserving the old synchronous 200 shape.
-    fn scan_sync(&self, body: &[u8]) -> Response {
-        let (config, threshold, incremental, workers) = match self.scan_overrides(body) {
-            Ok(x) => x,
-            Err(resp) => return resp,
-        };
-        let (id, _epoch) = match self.enqueue_scan(config, threshold, incremental, workers) {
-            Ok(x) => x,
-            Err(resp) => return resp,
-        };
-        match self.engine.jobs.wait(id) {
-            Some(view) => match view.result {
-                Some(r) => Response::json(
-                    200,
-                    &json!({
-                        "transactions": r.transactions,
-                        "flagged": r.flagged.clone(),
-                        "new_alerts": r.new_alerts.clone(),
-                        "scan_millis": r.scan_millis,
-                        "epoch": r.epoch,
-                    }),
-                ),
-                None => Response::error(
-                    500,
-                    "internal",
-                    view.error.unwrap_or_else(|| "scan failed".into()),
-                ),
-            },
-            None => Response::error(503, "internal", "service shutting down"),
         }
     }
 
@@ -828,7 +755,6 @@ fn result_json(r: &ScanResultView) -> Value {
         "scan_millis": r.scan_millis,
         "num_samples": r.config.num_samples,
         "sample_ratio": r.config.sample_ratio,
-        "engine": r.config.engine.name(),
         "workers": r.workers,
         "threshold": r.threshold,
         "mode": r.reuse.mode(),
@@ -1135,13 +1061,11 @@ mod tests {
     #[test]
     fn health_reports_counts_on_both_paths() {
         let api = quick_api();
-        for path in ["/v1/health", "/health"] {
-            let (status, body) = get(&api, path);
-            assert_eq!(status, 200);
-            assert_eq!(body["status"], "ok");
-            assert_eq!(body["transactions"], 0);
-            assert_eq!(body["snapshot_epoch"], 0);
-        }
+        let (status, body) = get(&api, "/v1/health");
+        assert_eq!(status, 200);
+        assert_eq!(body["status"], "ok");
+        assert_eq!(body["transactions"], 0);
+        assert_eq!(body["snapshot_epoch"], 0);
     }
 
     #[test]
@@ -1181,20 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_scan_alias_stays_synchronous() {
-        let api = quick_api();
-        post(&api, "/transactions", json!({ "records": ring_records() }));
-        let (status, body) = post(&api, "/scan", Value::Null);
-        assert_eq!(status, 200, "{body}");
-        assert_eq!(body["transactions"], 108);
-        let flagged = body["flagged"].as_array().unwrap();
-        assert!(
-            flagged.iter().any(|v| v.as_str().unwrap().starts_with("bot-")),
-            "{body}"
-        );
-    }
-
-    #[test]
     fn scan_overrides_are_applied_and_validated() {
         let api = quick_api();
         post(&api, "/v1/transactions", json!({ "records": ring_records() }));
@@ -1209,50 +1119,11 @@ mod tests {
         assert_eq!(done["result"]["num_samples"], 5);
         assert!(done["result"]["flagged"].as_array().unwrap().is_empty());
 
-        // Both sample paths are accepted and flag the same ring accounts
-        // (the mask path is the default; materialize is the reference).
-        let mut per_path = Vec::new();
-        for path in ["mask", "materialize"] {
-            let (status, body) =
-                post(&api, "/v1/scans", json!({ "path": path, "num_samples": 5 }));
-            assert_eq!(status, 202, "{body}");
-            let done = wait_done(&api, body["job_id"].as_u64().unwrap());
-            assert_eq!(done["status"], "done", "{done}");
-            let mut flagged: Vec<String> = done["result"]["flagged"]
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|v| v.as_str().unwrap().to_string())
-                .collect();
-            flagged.sort();
-            per_path.push(flagged);
-        }
-        assert_eq!(per_path[0], per_path[1], "paths disagree on flagged set");
+        // The result no longer echoes an engine: there is one.
+        assert!(done["result"].get("engine").is_none(), "{done}");
 
-        // Every peel engine is selectable and flags the same ring (csr and
-        // bucket are bit-identical; bucket-batch by the score contract).
-        let mut per_engine = Vec::new();
-        for engine in ["csr", "bucket", "bucket-batch", "naive"] {
-            let (status, body) =
-                post(&api, "/v1/scans", json!({ "engine": engine, "num_samples": 5 }));
-            assert_eq!(status, 202, "{body}");
-            let done = wait_done(&api, body["job_id"].as_u64().unwrap());
-            assert_eq!(done["status"], "done", "{done}");
-            assert_eq!(done["result"]["engine"], engine, "{done}");
-            let mut flagged: Vec<String> = done["result"]["flagged"]
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|v| v.as_str().unwrap().to_string())
-                .collect();
-            flagged.sort();
-            per_engine.push(flagged);
-        }
-        for other in &per_engine[1..] {
-            assert_eq!(per_engine[0], *other, "engines disagree on flagged set");
-        }
-
-        // Invalid overrides are 400 invalid_config.
+        // Invalid overrides are 400 invalid_config. The peel engine and
+        // the sample path are not overrides: any value is unknown.
         for bad in [
             json!({ "sample_ratio": 0.0 }),
             json!({ "sample_ratio": 1.5 }),
@@ -1261,8 +1132,10 @@ mod tests {
             json!({ "threshold": -3 }),
             json!({ "path": "mmap" }),
             json!({ "path": 7 }),
+            json!({ "path": "mask" }),
             json!({ "engine": "quantum" }),
             json!({ "engine": 7 }),
+            json!({ "engine": "csr" }),
             json!({ "mode": "turbo" }),
             json!({ "mode": 1 }),
             json!({ "workers": -1 }),
@@ -1389,9 +1262,9 @@ mod tests {
         assert_eq!(body["alert_threshold"], 15);
         assert_eq!(body["scan_queue_capacity"], 8);
         let overrides = body["scan_overrides"].as_array().unwrap();
-        assert_eq!(overrides.len(), 8);
-        assert!(overrides.iter().any(|v| v == "path"));
-        assert!(overrides.iter().any(|v| v == "engine"));
+        assert_eq!(overrides.len(), 6);
+        assert!(!overrides.iter().any(|v| v == "path"));
+        assert!(!overrides.iter().any(|v| v == "engine"));
         assert!(overrides.iter().any(|v| v == "mode"));
         assert!(overrides.iter().any(|v| v == "workers"));
         assert!(overrides.iter().any(|v| v == "scoring"));
@@ -1473,7 +1346,8 @@ mod tests {
             "/v1/transactions",
             json!({ "records": [["a", "x"], ["b", "x"]] }),
         );
-        post(&api, "/scan", Value::Null);
+        let (_, body) = post(&api, "/v1/scans", Value::Null);
+        wait_done(&api, body["job_id"].as_u64().unwrap());
         let resp = api.handle(&Request {
             method: "GET".into(),
             path: "/metrics".into(),
@@ -1581,14 +1455,6 @@ mod tests {
         assert_eq!(resp["error"]["line"], 2, "{resp}");
         let (_, health) = get(&api, "/v1/health");
         assert_eq!(health["transactions"], 0);
-    }
-
-    #[test]
-    fn legacy_transactions_alias_accepts_ndjson_too() {
-        let api = quick_api();
-        let (status, resp) = post_ndjson(&api, "/transactions", "[\"a\", \"x\"]\n");
-        assert_eq!(status, 200, "{resp}");
-        assert_eq!(resp["ingested"], 1);
     }
 
     #[test]
@@ -1902,6 +1768,15 @@ mod tests {
         let (status, body) = get(&api, "/nope");
         assert_eq!(status, 404);
         assert_eq!(body["error"]["code"], "not_found");
+        // The pre-v1 aliases are gone.
+        for path in ["/health", "/stats"] {
+            let (status, body) = get(&api, path);
+            assert_eq!(status, 404, "{path}: {body}");
+        }
+        for path in ["/scan", "/transactions"] {
+            let (status, body) = post(&api, path, json!({ "records": [["a", "x"]] }));
+            assert_eq!(status, 404, "{path}: {body}");
+        }
         let resp = api.handle(&Request {
             method: "DELETE".into(),
             path: "/v1/health".into(),
@@ -1941,8 +1816,10 @@ mod tests {
         let (status, body) = post(&api, "/v1/transactions", json!({ "records": [["b", "y"]] }));
         assert_eq!(status, 200, "{body}");
         assert_eq!(body["transactions"], 2);
-        let (status, body) = post(&api, "/scan", Value::Null);
-        assert_eq!(status, 200, "{body}");
+        let (status, body) = post(&api, "/v1/scans", Value::Null);
+        assert_eq!(status, 202, "{body}");
+        let done = wait_done(&api, body["job_id"].as_u64().unwrap());
+        assert_eq!(done["status"], "done", "{done}");
     }
 
     #[test]
@@ -1975,13 +1852,13 @@ mod tests {
 
     #[test]
     fn route_labels_have_fixed_cardinality() {
-        assert_eq!(route_label("GET", "/metrics"), ("/metrics", false));
-        assert_eq!(route_label("GET", "/../../etc/passwd"), ("other", false));
-        assert_eq!(route_label("POST", "/scan"), ("/v1/scans", true));
-        assert_eq!(route_label("POST", "/v1/scans"), ("/v1/scans", false));
-        assert_eq!(route_label("GET", "/v1/scans/17"), ("/v1/scans/{id}", false));
-        assert_eq!(route_label("GET", "/v1/scans/latest"), ("/v1/scans/latest", false));
-        assert_eq!(route_label("GET", "/v1/follow"), ("/v1/follow", false));
-        assert_eq!(route_label("GET", "/health"), ("/v1/health", true));
+        assert_eq!(route_label("GET", "/metrics"), "/metrics");
+        assert_eq!(route_label("GET", "/../../etc/passwd"), "other");
+        assert_eq!(route_label("POST", "/scan"), "other");
+        assert_eq!(route_label("POST", "/v1/scans"), "/v1/scans");
+        assert_eq!(route_label("GET", "/v1/scans/17"), "/v1/scans/{id}");
+        assert_eq!(route_label("GET", "/v1/scans/latest"), "/v1/scans/latest");
+        assert_eq!(route_label("GET", "/v1/follow"), "/v1/follow");
+        assert_eq!(route_label("GET", "/health"), "other");
     }
 }

@@ -281,16 +281,16 @@ mod tests {
 
     #[test]
     fn parses_get_without_body() {
-        let raw = b"GET /health HTTP/1.1\r\nhost: x\r\n\r\n";
+        let raw = b"GET /v1/health HTTP/1.1\r\nhost: x\r\n\r\n";
         let r = read_request(&raw[..]).unwrap();
         assert_eq!(r.method, "GET");
-        assert_eq!(r.path, "/health");
+        assert_eq!(r.path, "/v1/health");
         assert!(r.body.is_empty());
     }
 
     #[test]
     fn parses_post_with_body() {
-        let raw = b"POST /scan HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
+        let raw = b"POST /v1/scans HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
         let r = read_request(&raw[..]).unwrap();
         assert_eq!(r.method, "POST");
         assert_eq!(r.body, b"{\"a\":1}");
@@ -308,7 +308,7 @@ mod tests {
         let raw = b"POST /x HTTP/1.1\r\nContent-Type: Application/X-NDJSON; charset=utf-8\r\ncontent-length: 2\r\n\r\nhi";
         let r = read_request(&raw[..]).unwrap();
         assert_eq!(r.content_type, "application/x-ndjson");
-        let raw = b"GET /health HTTP/1.1\r\n\r\n";
+        let raw = b"GET /v1/health HTTP/1.1\r\n\r\n";
         assert_eq!(read_request(&raw[..]).unwrap().content_type, "");
     }
 

@@ -216,9 +216,6 @@ pub struct JobStore {
     inner: Mutex<Inner>,
     /// Signals the executor that work (or shutdown) is available.
     work_available: Condvar,
-    /// Signals synchronous waiters that some job reached a terminal
-    /// state.
-    job_finished: Condvar,
     capacity: usize,
     ring: usize,
 }
@@ -236,7 +233,6 @@ impl JobStore {
         JobStore {
             inner: Mutex::new(Inner::default()),
             work_available: Condvar::new(),
-            job_finished: Condvar::new(),
             capacity,
             ring,
         }
@@ -313,8 +309,6 @@ impl JobStore {
         }
         inner.latest = Some(result);
         self.finish(&mut inner, id);
-        drop(inner);
-        self.job_finished.notify_all();
     }
 
     /// Marks a job failed.
@@ -326,8 +320,6 @@ impl JobStore {
             job.error = Some(error.into());
         }
         self.finish(&mut inner, id);
-        drop(inner);
-        self.job_finished.notify_all();
     }
 
     /// Ring bookkeeping: remember the finished id, prune ids that fell
@@ -378,37 +370,15 @@ impl JobStore {
         lock_recover(&self.inner).latest.clone()
     }
 
-    /// Blocks until job `id` reaches a terminal state and returns its
-    /// view, or `None` if the job is unknown / the store stops first.
-    /// Backs the deprecated synchronous `POST /scan` alias.
-    pub fn wait(&self, id: u64) -> Option<JobView> {
-        let mut inner = lock_recover(&self.inner);
-        loop {
-            match inner.jobs.get(&id) {
-                None => return None,
-                Some(job) if job.state.is_terminal() => return Some(job.view(id)),
-                Some(_) if inner.stopping => return None,
-                Some(_) => {
-                    inner = self
-                        .job_finished
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-    }
-
     /// Jobs currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
         lock_recover(&self.inner).pending.len()
     }
 
-    /// Stops the store: wakes the executor (which then exits) and every
-    /// synchronous waiter.
+    /// Stops the store: wakes the executor, which then exits.
     pub fn stop(&self) {
         lock_recover(&self.inner).stopping = true;
         self.work_available.notify_all();
-        self.job_finished.notify_all();
     }
 }
 
@@ -540,19 +510,6 @@ mod tests {
         assert_eq!(view.state, JobState::Failed);
         assert_eq!(view.error.as_deref(), Some("detector panicked"));
         assert!(store.latest().is_none(), "failures do not publish results");
-    }
-
-    #[test]
-    fn wait_blocks_until_terminal() {
-        let store = Arc::new(JobStore::new(2, 2));
-        let id = store.enqueue(spec(1)).unwrap();
-        let waiter = {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || store.wait(id).map(|v| v.state))
-        };
-        let (got, _, _) = store.next_job().unwrap();
-        store.complete(got, result(got, 1));
-        assert_eq!(waiter.join().unwrap(), Some(JobState::Done));
     }
 
     #[test]

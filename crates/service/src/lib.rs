@@ -18,11 +18,6 @@
 //! | `GET /v1/config`         | —                                      | effective service configuration |
 //! | `GET /metrics`           | —                                      | Prometheus text metrics |
 //!
-//! Unversioned paths (`/health`, `/stats`, `/transactions`, `/scan`)
-//! remain as deprecated aliases, counted under `deprecated="true"` in the
-//! request metrics; `POST /scan` keeps its synchronous contract by
-//! waiting on the job it enqueues.
-//!
 //! **Ingest and scans never contend.** Ingestion appends to a sharded
 //! log ([`ensemfdet::pipeline::IngestBuffer`]); scans run on immutable
 //! epoch-versioned snapshots compacted from that log

@@ -58,7 +58,6 @@ fn main() {
     println!("endpoints (v1): GET /v1/health, GET /v1/stats, GET /v1/config, GET /metrics,");
     println!("  POST /v1/transactions, POST /v1/scans, GET /v1/scans/{{id}}, GET /v1/scans/latest,");
     println!("  GET /v1/follow");
-    println!("deprecated aliases: /health /stats /transactions /scan");
     if follow {
         println!("follow mode: scans default to incremental dirty-sample reuse");
     }

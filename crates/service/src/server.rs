@@ -316,18 +316,14 @@ fn handle_connection(stream: &TcpStream, api: &Api, config: &ServerConfig) {
     let start = Instant::now();
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let (route, deprecated, response) = match read_request(stream) {
-        Ok(request) => {
-            let (route, deprecated) = route_label(&request.method, &request.path);
-            (route, deprecated, api.handle(&request))
-        }
-        Err(e) => ("invalid", false, e.to_response()),
+    let (route, response) = match read_request(stream) {
+        Ok(request) => (
+            route_label(&request.method, &request.path),
+            api.handle(&request),
+        ),
+        Err(e) => ("invalid", e.to_response()),
     };
-    if deprecated {
-        metrics.deprecated_requests.inc(route, response.status);
-    } else {
-        metrics.requests.inc(route, response.status);
-    }
+    metrics.requests.inc(route, response.status);
     metrics.request_duration.observe_duration(start.elapsed());
     if let Err(e) = write_response(stream, &response) {
         let peer = stream.peer_addr().ok();
@@ -378,7 +374,7 @@ mod tests {
     #[test]
     fn health_over_a_real_socket() {
         let server = spawn_server();
-        let resp = roundtrip(server.addr(), "GET /health HTTP/1.1\r\nhost: t\r\n\r\n");
+        let resp = roundtrip(server.addr(), "GET /v1/health HTTP/1.1\r\nhost: t\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
         assert!(resp.contains("\"status\":\"ok\""));
         server.shutdown();
@@ -400,18 +396,31 @@ mod tests {
         }
         let body = format!("{{\"records\":[{}]}}", records.join(","));
         let post = format!(
-            "POST /transactions HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
+            "POST /v1/transactions HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
             body.len(),
             body
         );
         let resp = roundtrip(addr, &post);
         assert!(resp.contains("\"ingested\":64"), "{resp}");
 
-        let resp = roundtrip(addr, "POST /scan HTTP/1.1\r\ncontent-length: 0\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+        let resp = roundtrip(addr, "POST /v1/scans HTTP/1.1\r\ncontent-length: 0\r\n\r\n");
+        assert!(resp.starts_with("HTTP/1.1 202"), "{resp}");
+        let id_at = resp.find("\"job_id\":").expect("job id") + "\"job_id\":".len();
+        let job: String = resp[id_at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        let resp = loop {
+            let resp = roundtrip(addr, &format!("GET /v1/scans/{job} HTTP/1.1\r\n\r\n"));
+            if !resp.contains("\"status\":\"queued\"") && !resp.contains("\"status\":\"running\"") {
+                break resp;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        assert!(resp.contains("\"status\":\"done\""), "{resp}");
         assert!(resp.contains("bot-"), "no bot flagged: {resp}");
 
-        let resp = roundtrip(addr, "GET /stats HTTP/1.1\r\n\r\n");
+        let resp = roundtrip(addr, "GET /v1/stats HTTP/1.1\r\n\r\n");
         assert!(resp.contains("\"users\":46"), "{resp}");
         server.shutdown();
     }
@@ -421,7 +430,7 @@ mod tests {
         let server = spawn_server();
         let resp = roundtrip(
             server.addr(),
-            "POST /transactions HTTP/1.1\r\ncontent-length: 3\r\n\r\nxyz",
+            "POST /v1/transactions HTTP/1.1\r\ncontent-length: 3\r\n\r\nxyz",
         );
         assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
         server.shutdown();
@@ -432,7 +441,7 @@ mod tests {
         let server = spawn_server();
         let addr = server.addr();
         let handles: Vec<_> = (0..8)
-            .map(|_| std::thread::spawn(move || roundtrip(addr, "GET /health HTTP/1.1\r\n\r\n")))
+            .map(|_| std::thread::spawn(move || roundtrip(addr, "GET /v1/health HTTP/1.1\r\n\r\n")))
             .collect();
         for h in handles {
             let resp = h.join().expect("thread");
@@ -445,7 +454,7 @@ mod tests {
     fn shutdown_joins_and_frees_the_port() {
         let server = spawn_server();
         let addr = server.addr();
-        assert!(roundtrip(addr, "GET /health HTTP/1.1\r\n\r\n").contains("200"));
+        assert!(roundtrip(addr, "GET /v1/health HTTP/1.1\r\n\r\n").contains("200"));
         server.shutdown();
         // The listener is gone: a rebind on the exact address succeeds.
         let rebound = TcpListener::bind(addr).expect("port released after shutdown");
@@ -470,14 +479,14 @@ mod tests {
         // Open a connection, send half a request, then stall.
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         stream
-            .write_all(b"POST /scan HTTP/1.1\r\ncontent-length: 100\r\n\r\npartial")
+            .write_all(b"POST /v1/scans HTTP/1.1\r\ncontent-length: 100\r\n\r\npartial")
             .expect("send");
         let mut out = String::new();
         stream.read_to_string(&mut out).expect("recv");
         assert!(out.starts_with("HTTP/1.1 408 Request Timeout"), "{out}");
 
         // The worker is free again: a normal request still succeeds.
-        let resp = roundtrip(server.addr(), "GET /health HTTP/1.1\r\n\r\n");
+        let resp = roundtrip(server.addr(), "GET /v1/health HTTP/1.1\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         server.shutdown();
     }
@@ -486,7 +495,7 @@ mod tests {
     fn endless_headers_get_431_over_socket() {
         let server = spawn_server();
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream.write_all(b"GET /health HTTP/1.1\r\n").expect("send");
+        stream.write_all(b"GET /v1/health HTTP/1.1\r\n").expect("send");
         // Stream junk headers until the server cuts us off.
         let mut out = String::new();
         loop {
@@ -533,7 +542,7 @@ mod tests {
 
         // Occupy the worker with a half-sent request.
         let mut occupier = TcpStream::connect(addr).expect("connect occupier");
-        occupier.write_all(b"GET /health").expect("send partial");
+        occupier.write_all(b"GET /v1/health").expect("send partial");
         let t0 = Instant::now();
         while metrics.workers_busy.get() < 1 {
             assert!(t0.elapsed() < Duration::from_secs(5), "worker never picked up");
@@ -548,7 +557,7 @@ mod tests {
         }
 
         // The next connection is over capacity: shed, fast, no hang.
-        let resp = roundtrip(addr, "GET /health HTTP/1.1\r\n\r\n");
+        let resp = roundtrip(addr, "GET /v1/health HTTP/1.1\r\n\r\n");
         assert!(resp.starts_with("HTTP/1.1 503 Service Unavailable"), "{resp}");
         assert!(metrics.rejected.get() >= 1);
 

@@ -256,12 +256,8 @@ impl StatusCounter {
 /// The full metric set of the detection service.
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
-    /// Requests served on current (v1) routes, by route and status.
+    /// Requests served, by route and status.
     pub requests: StatusCounter,
-    /// Requests served on deprecated legacy route aliases, by canonical
-    /// route and status — rendered in the same
-    /// `ensemfdet_http_requests_total` family with `deprecated="true"`.
-    pub deprecated_requests: StatusCounter,
     /// Connections shed because the accept queue was full.
     pub rejected: Counter,
     /// Connections currently waiting in the accept queue.
@@ -432,14 +428,6 @@ impl ServiceMetrics {
             let _ = writeln!(
                 out,
                 "ensemfdet_http_requests_total{{route=\"{route}\",status=\"{status}\"}} {n}"
-            );
-        }
-        // Legacy-alias traffic is the same family, marked deprecated so
-        // dashboards can watch migration progress.
-        for ((route, status), n) in self.deprecated_requests.snapshot() {
-            let _ = writeln!(
-                out,
-                "ensemfdet_http_requests_total{{route=\"{route}\",status=\"{status}\",deprecated=\"true\"}} {n}"
             );
         }
 
@@ -1017,20 +1005,6 @@ mod tests {
         // HELP/TYPE pairs precede their samples.
         assert!(text.find("# TYPE ensemfdet_scans_total").unwrap()
             < text.find("\nensemfdet_scans_total ").unwrap());
-    }
-
-    #[test]
-    fn deprecated_requests_carry_the_deprecated_label() {
-        let m = ServiceMetrics::new();
-        m.requests.inc("/v1/scans", 202);
-        m.deprecated_requests.inc("/v1/scans", 200);
-        let text = m.render();
-        assert!(text.contains(
-            "ensemfdet_http_requests_total{route=\"/v1/scans\",status=\"202\"} 1"
-        ));
-        assert!(text.contains(
-            "ensemfdet_http_requests_total{route=\"/v1/scans\",status=\"200\",deprecated=\"true\"} 1"
-        ));
     }
 
     #[test]

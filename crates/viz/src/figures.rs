@@ -347,10 +347,17 @@ mod tests {
         assert!(figs[0].1.contains("n=80"));
     }
 
+    /// A fresh directory for one test's files, named after the test and
+    /// the process id, so parallel tests never share a fixture file.
+    fn test_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ensemfdet_viz_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn render_all_writes_files_and_skips_missing() {
-        let dir = std::env::temp_dir().join("ensemfdet_viz_render_all");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("render_all_writes_files_and_skips_missing");
         // Only fig1 input present.
         std::fs::write(
             dir.join("fig1_block_scores.json"),

@@ -3,20 +3,26 @@
 //! accounts the moment they cross the vote threshold — "detect and prevent
 //! fraud as early as possible".
 //!
+//! The loop composes the scan pipeline's three pieces synchronously: an
+//! [`IngestBuffer`] append log, a [`SnapshotStore`] of epoch-versioned
+//! graphs, and a [`ScanRunner`] that remembers which accounts already
+//! alerted. The HTTP service composes the same pieces with a background
+//! executor.
+//!
 //! Run with:
 //! ```text
 //! cargo run --release -p ensemfdet-examples --bin live_monitor
 //! ```
 
-use ensemfdet::{CampaignMonitor, EnsemFdetConfig, MonitorConfig};
-use ensemfdet_graph::TransactionInterner;
+use ensemfdet::{EnsemFdetConfig, IngestBuffer, MonitorConfig, ScanRunner, SnapshotStore};
+use ensemfdet_graph::ArenaTransactionInterner;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 fn main() {
-    // A monitor scanning every 2 000 purchases, alerting on accounts that
-    // win 14 of 16 sampled detections.
-    let mut monitor = CampaignMonitor::new(MonitorConfig {
+    // Scan every 2 000 purchases, alerting on accounts that win 14 of 16
+    // sampled detections.
+    let config = MonitorConfig {
         detector: EnsemFdetConfig {
             num_samples: 16,
             sample_ratio: 0.5,
@@ -27,9 +33,13 @@ fn main() {
         alert_threshold: 14,
         // Skip the sparse warm-up graph: early scans would alert on noise.
         min_transactions: 3_500,
-    });
-    let mut interner = TransactionInterner::new();
+    };
+    let buffer = IngestBuffer::new();
+    let snapshots = SnapshotStore::new(config.scan_interval);
+    let mut runner = ScanRunner::new();
+    let mut interner = ArenaTransactionInterner::new();
     let mut rng = StdRng::seed_from_u64(123);
+    let mut since_scan = 0usize;
 
     // Simulated feed: honest shoppers all day, a fraud ring firing from
     // transaction ~4 000 (mid-campaign).
@@ -49,30 +59,34 @@ fn main() {
             let store = (r * r * 300.0) as u32;
             (format!("pin-{shopper:04}"), format!("store-{store:03}"))
         };
-        let u = interner.user(&user_key);
-        let v = interner.merchant(&merchant_key);
+        buffer.append(interner.user(&user_key), interner.merchant(&merchant_key));
+        since_scan += 1;
 
-        if let Some(report) = monitor.ingest(u, v) {
+        if since_scan >= config.scan_interval && buffer.len() >= config.min_transactions {
+            since_scan = 0;
+            let snapshot = snapshots.refresh(&buffer, true);
+            let scan = runner.run(&snapshot, &config.detector, config.alert_threshold);
             println!(
                 "scan @ {:>5} transactions: {:>3} flagged, {:>3} new alerts",
-                report.transactions_seen,
-                report.flagged.len(),
-                report.new_alerts.len()
+                scan.transactions,
+                scan.flagged.len(),
+                scan.new_alerts.len()
             );
-            for alert in &report.new_alerts {
+            for alert in &scan.new_alerts {
                 println!("    ALERT {}", interner.user_key(*alert));
             }
         }
     }
 
-    let final_report = monitor.scan();
+    let snapshot = snapshots.refresh(&buffer, true);
+    let final_scan = runner.run(&snapshot, &config.detector, config.alert_threshold);
+    let alerted = runner.alerted();
     println!(
         "\nfinal scan: {} accounts flagged; alerted over the campaign: {}",
-        final_report.flagged.len(),
-        monitor.alerted().len()
+        final_scan.flagged.len(),
+        alerted.len()
     );
-    let bots_caught = monitor
-        .alerted()
+    let bots_caught = alerted
         .iter()
         .filter(|u| interner.user_key(**u).starts_with("bot-"))
         .count();

@@ -33,6 +33,6 @@ fn deeply_nested_json_body() {
         ..Default::default()
     });
     let body = format!("{{\"records\": {}}}", s);
-    let resp = api.handle(&Request { method: "POST".into(), path: "/transactions".into(), content_type: String::new(), body: body.into_bytes() });
+    let resp = api.handle(&Request { method: "POST".into(), path: "/v1/transactions".into(), content_type: String::new(), body: body.into_bytes() });
     println!("status={}", resp.status);
 }

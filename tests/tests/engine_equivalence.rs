@@ -1,10 +1,7 @@
-//! The CSR and bucket engines must be drop-in replacements for the naive
-//! reference path: identical blocks, identical scores, identical ensemble
-//! votes — not merely statistically similar. The batched bucket engine is
-//! held to the documented score-equality contract instead (same curve
-//! shape, scores equal within float tolerance), because its tie rounds
-//! may legitimately reorder removals. `bench_suite` relies on these gates
-//! before timing the engines against each other.
+//! The bucket engine must be a drop-in replacement for the naive reference
+//! path: identical blocks, identical scores, identical `k̂`, identical
+//! ensemble votes — not merely statistically similar. `bench_suite`
+//! relies on these gates before timing the engines against each other.
 //!
 //! The final test cross-checks the three priority-queue implementations
 //! themselves ([`IndexedMinHeap`], [`LazyMinHeap`], [`BucketQueue`])
@@ -14,51 +11,15 @@
 
 use ensemfdet::fdet::Truncation;
 use ensemfdet::heap::{IndexedMinHeap, LazyMinHeap};
-use ensemfdet::{
-    fdet_with_engine, BucketQueue, Engine, EnsemFdet, EnsemFdetConfig, FdetResult, MetricKind,
-};
+use ensemfdet::{fdet_with_engine, BucketQueue, Engine, EnsemFdet, EnsemFdetConfig, MetricKind};
 use ensemfdet_datagen::generate;
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_graph::BipartiteGraph;
 
 const SEEDS: [u64; 3] = [11, 4242, 0xDEAD_BEEF];
 
-/// All engines under the *bit-identical* contract.
-const EXACT_ENGINES: [Engine; 3] = [Engine::Naive, Engine::Csr, Engine::Bucket];
-
 fn preset_graph(which: JdDataset, seed: u64) -> BipartiteGraph {
     generate(&jd_preset(which, 400, seed)).graph
-}
-
-/// The strict form of the `Engine::BucketBatch` score gate: identical
-/// curve shape with every score equal within 1e-9 relative. Holds when no
-/// tie-split changes a peeled block's membership (e.g. the weighted graph
-/// below); the JD presets get the weaker leading-block gate instead.
-fn assert_score_equal(reference: &FdetResult, batch: &FdetResult, ctx: &str) {
-    assert_eq!(batch.k_hat, reference.k_hat, "{ctx}: k_hat");
-    assert_eq!(batch.scores.len(), reference.scores.len(), "{ctx}: curve length");
-    assert_batch_scores(reference, batch, reference.scores.len(), ctx);
-}
-
-/// The documented `Engine::BucketBatch` gate on the first `upto` blocks:
-/// each scores equal to the reference within 1e-9 relative. Trailing
-/// noise blocks past the truncating point may diverge once a tie-split
-/// hands the engines different residual graphs (see `crate::engine` docs).
-fn assert_batch_scores(reference: &FdetResult, batch: &FdetResult, upto: usize, ctx: &str) {
-    assert!(
-        reference.scores.len() >= upto && batch.scores.len() >= upto,
-        "{ctx}: curves shorter than the gated prefix ({} / {} < {upto})",
-        reference.scores.len(),
-        batch.scores.len(),
-    );
-    for i in 0..upto {
-        let (a, b) = (reference.scores[i], batch.scores[i]);
-        let tol = 1e-9 * a.abs().max(1.0);
-        assert!(
-            (a - b).abs() <= tol,
-            "{ctx}: score {i} diverged ({a} vs {b})"
-        );
-    }
 }
 
 #[test]
@@ -74,27 +35,10 @@ fn fdet_blocks_and_scores_identical_across_engines() {
                 let ctx = format!("{which:?}, seed {seed}, {truncation:?}");
                 let naive =
                     fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Naive);
-                for engine in [Engine::Csr, Engine::Bucket] {
-                    let r = fdet_with_engine(&g, &MetricKind::default(), truncation, engine);
-                    assert_eq!(r.blocks, naive.blocks, "{engine:?} blocks diverged ({ctx})");
-                    assert_eq!(r.scores, naive.scores, "{engine:?} scores diverged ({ctx})");
-                    assert_eq!(r.k_hat, naive.k_hat, "{engine:?} k_hat diverged ({ctx})");
-                }
-                let batch = fdet_with_engine(
-                    &g,
-                    &MetricKind::default(),
-                    truncation,
-                    Engine::BucketBatch,
-                );
-                // Auto truncation: the engines must agree on the retained
-                // set — same k̂, score-equal retained blocks. Elsewhere the
-                // gate is the leading (densest) block.
-                if matches!(truncation, Truncation::Auto { .. }) {
-                    assert_eq!(batch.k_hat, naive.k_hat, "batch k_hat diverged ({ctx})");
-                    assert_batch_scores(&naive, &batch, naive.k_hat, &ctx);
-                } else {
-                    assert_batch_scores(&naive, &batch, 1, &ctx);
-                }
+                let r = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Bucket);
+                assert_eq!(r.blocks, naive.blocks, "blocks diverged ({ctx})");
+                assert_eq!(r.scores, naive.scores, "scores diverged ({ctx})");
+                assert_eq!(r.k_hat, naive.k_hat, "k_hat diverged ({ctx})");
             }
         }
     }
@@ -118,15 +62,13 @@ fn ensemble_votes_identical_across_engines() {
         let k_hats = |o: &ensemfdet::EnsembleOutcome| -> Vec<usize> {
             o.samples.iter().map(|s| s.k_hat).collect()
         };
-        for engine in [Engine::Csr, Engine::Bucket] {
-            let outcome = run(engine);
-            assert_eq!(
-                outcome.votes.user_scores(),
-                reference.votes.user_scores(),
-                "{engine:?} ensemble votes diverged (seed {seed})"
-            );
-            assert_eq!(k_hats(&outcome), k_hats(&reference), "{engine:?} k̂s (seed {seed})");
-        }
+        let outcome = run(Engine::Bucket);
+        assert_eq!(
+            outcome.votes.user_scores(),
+            reference.votes.user_scores(),
+            "ensemble votes diverged (seed {seed})"
+        );
+        assert_eq!(k_hats(&outcome), k_hats(&reference), "k̂s (seed {seed})");
     }
 }
 
@@ -140,22 +82,10 @@ fn weighted_graph_identical_across_engines() {
     let weights: Vec<f64> = (0..edges.len()).map(|i| 0.25 + (i % 7) as f64 * 0.5).collect();
     let g = BipartiteGraph::from_weighted_edges(48, 11, edges, weights).unwrap();
     let run = |e| fdet_with_engine(&g, &MetricKind::default(), Truncation::KeepAll { k_max: 10 }, e);
-    let naive = run(Engine::Naive);
-    for engine in [Engine::Csr, Engine::Bucket] {
-        let r = run(engine);
-        assert_eq!(r.blocks, naive.blocks, "{engine:?} blocks");
-        assert_eq!(r.scores, naive.scores, "{engine:?} scores");
-    }
-    assert_score_equal(&naive, &run(Engine::BucketBatch), "weighted batch");
-}
-
-/// Sanity: the exact-contract list and the parser agree on the engine set.
-#[test]
-fn engine_matrix_covers_every_variant() {
-    for e in EXACT_ENGINES {
-        assert!(e.name().parse::<Engine>().unwrap() == e);
-    }
-    assert_eq!("bucket-batch".parse::<Engine>().unwrap(), Engine::BucketBatch);
+    let (naive, bucket) = (run(Engine::Naive), run(Engine::Bucket));
+    assert_eq!(bucket.blocks, naive.blocks, "blocks");
+    assert_eq!(bucket.scores, naive.scores, "scores");
+    assert_eq!(bucket.k_hat, naive.k_hat, "k_hat");
 }
 
 /// Splitmix-style deterministic RNG — no external crates in the tests.

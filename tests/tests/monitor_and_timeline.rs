@@ -1,7 +1,8 @@
-//! Cross-crate: the live monitor consuming generated campaign data, and
-//! detection across a drifting multi-period timeline.
+//! Cross-crate: the scan pipeline (ingest buffer → snapshot store → scan
+//! runner) consuming generated campaign data, and detection across a
+//! drifting multi-period timeline.
 
-use ensemfdet::{CampaignMonitor, EnsemFdetConfig, MonitorConfig};
+use ensemfdet::{EnsemFdetConfig, IngestBuffer, ScanRunner, SnapshotStore};
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_datagen::{generate, generate_timeline, BehaviorDrift, TimelineConfig};
 use ensemfdet_eval::group_recall;
@@ -10,30 +11,24 @@ use ensemfdet_graph::{MerchantId, UserId};
 #[test]
 fn monitor_catches_generated_rings_during_replay() {
     let ds = generate(&jd_preset(JdDataset::Jd1, 300, 91));
-    let mut monitor = CampaignMonitor::new(MonitorConfig {
-        detector: EnsemFdetConfig {
-            num_samples: 16,
-            sample_ratio: 0.2,
-            seed: 5,
-            ..Default::default()
-        },
-        // Manual scans only. The alert threshold sits well below N: each
-        // sample's auto-truncated detection keeps only the ring's densest
-        // core (~40% of members), so individual members' votes spread.
-        scan_interval: usize::MAX,
-        alert_threshold: 4,
-        min_transactions: 0,
-    });
+    let detector = EnsemFdetConfig {
+        num_samples: 16,
+        sample_ratio: 0.2,
+        seed: 5,
+        ..Default::default()
+    };
+    // The alert threshold sits well below N: each sample's auto-truncated
+    // detection keeps only the ring's densest core (~40% of members), so
+    // individual members' votes spread.
+    let threshold = 4;
 
-    // Replay the generated purchase log through the monitor.
-    monitor.ingest_batch(
-        ds.graph
-            .edges()
-            .map(|(_, u, v, _)| (u, v)),
-    );
-    assert_eq!(monitor.transactions_seen(), ds.graph.num_edges());
+    // Replay the generated purchase log through the pipeline.
+    let buffer = IngestBuffer::new();
+    buffer.append_batch(ds.graph.edges().map(|(_, u, v, _)| (u, v)));
+    assert_eq!(buffer.len(), ds.graph.num_edges());
 
-    let report = monitor.scan();
+    let snapshot = SnapshotStore::new(usize::MAX).refresh(&buffer, true);
+    let report = ScanRunner::new().run(&snapshot, &detector, threshold);
     let detected: Vec<u32> = report.flagged.iter().map(|u| u.0).collect();
     let groups: Vec<Vec<u32>> = ds.groups.iter().map(|g| g.users.clone()).collect();
     let gr = group_recall(&groups, &detected, 0.5);
@@ -51,33 +46,30 @@ fn monitor_catches_generated_rings_during_replay() {
         detected.len()
     );
     // The snapshot matches what was ingested (dedup aside).
-    let snap = monitor.graph_snapshot();
-    assert_eq!(snap.num_edges(), ds.graph.num_edges());
+    assert_eq!(snapshot.graph.num_edges(), ds.graph.num_edges());
 }
 
 #[test]
 fn monitor_alerts_are_stable_across_repeated_scans() {
-    let mut monitor = CampaignMonitor::new(MonitorConfig {
-        detector: EnsemFdetConfig {
-            num_samples: 10,
-            sample_ratio: 0.5,
-            seed: 8,
-            ..Default::default()
-        },
-        scan_interval: usize::MAX,
-        alert_threshold: 6,
-        min_transactions: 0,
-    });
+    let detector = EnsemFdetConfig {
+        num_samples: 10,
+        sample_ratio: 0.5,
+        seed: 8,
+        ..Default::default()
+    };
+    let buffer = IngestBuffer::new();
     for u in 0..12u32 {
         for v in 0..4u32 {
-            monitor.ingest(UserId(u), MerchantId(v));
+            buffer.append(UserId(u), MerchantId(v));
         }
     }
     for u in 12..200u32 {
-        monitor.ingest(UserId(u), MerchantId(4 + u % 60));
+        buffer.append(UserId(u), MerchantId(4 + u % 60));
     }
-    let first = monitor.scan();
-    let second = monitor.scan();
+    let snapshots = SnapshotStore::new(usize::MAX);
+    let mut runner = ScanRunner::new();
+    let first = runner.run(&snapshots.refresh(&buffer, true), &detector, 6);
+    let second = runner.run(&snapshots.refresh(&buffer, true), &detector, 6);
     // Same data + deterministic seeds ⇒ identical flags, no re-alerts.
     assert_eq!(first.flagged, second.flagged);
     assert!(second.new_alerts.is_empty());

@@ -5,10 +5,16 @@ use ensemfdet::{EnsemFdet, EnsemFdetConfig};
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_datagen::{generate, Dataset};
 
-fn tmp_stem(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("ensemfdet_integration_io");
+/// A fresh directory for one test's files, named after the test and the
+/// process id, so parallel tests never share a fixture file.
+fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ensemfdet_tests_{test}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    dir
+}
+
+fn tmp_stem(name: &str) -> std::path::PathBuf {
+    test_dir(name).join(name)
 }
 
 #[test]

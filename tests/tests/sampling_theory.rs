@@ -145,11 +145,11 @@ fn ensemble_votes_are_thread_count_invariant() {
             let serial = EnsemFdet::with_workers(cfg, 1).detect(g);
             assert_eq!(
                 parallel.votes, serial.votes,
-                "{method:?}/{path}: votes changed with thread count"
+                "{method:?}/{path:?}: votes changed with thread count"
             );
             assert_eq!(
                 parallel.evidence.user_evidence, serial.evidence.user_evidence,
-                "{method:?}/{path}: evidence changed with thread count"
+                "{method:?}/{path:?}: evidence changed with thread count"
             );
             let summarize = |o: &ensemfdet::EnsembleOutcome| {
                 o.samples
@@ -160,7 +160,7 @@ fn ensemble_votes_are_thread_count_invariant() {
             assert_eq!(
                 summarize(&parallel),
                 summarize(&serial),
-                "{method:?}/{path}: per-sample results changed with thread count"
+                "{method:?}/{path:?}: per-sample results changed with thread count"
             );
         }
     }

@@ -11,7 +11,7 @@
 
 use ensemfdet::pipeline::{IngestBuffer, SnapshotStore};
 use ensemfdet::{EnsemFdet, EnsemFdetConfig, MonitorConfig};
-use ensemfdet_graph::TransactionInterner;
+use ensemfdet_graph::ArenaTransactionInterner;
 use ensemfdet_service::{Api, ApiConfig, Server, ServerConfig, ServerHandle};
 use serde_json::Value;
 use std::io::{Read, Write};
@@ -230,7 +230,7 @@ fn same_epoch_same_seed_is_bit_identical_and_matches_the_library() {
 
     // Replicate the pipeline out-of-process: same interner order, same
     // compaction policy, same seed — the library flags the same keys.
-    let mut interner = TransactionInterner::new();
+    let mut interner = ArenaTransactionInterner::new();
     let buffer = IngestBuffer::new();
     for r in &records {
         let pair: Vec<String> = serde_json::from_str(r).unwrap();

@@ -7,9 +7,8 @@
 //!   with 408 instead of pinning a worker;
 //! * a Content-Length larger than the bytes actually sent is a 400;
 //! * an endless header stream is cut off with 431;
-//! * `GET /metrics` reports request counts — with legacy aliases in the
-//!   same family under `deprecated="true"` — and a non-empty
-//!   ensemble-scan latency histogram once a scan has run.
+//! * `GET /metrics` reports request counts by route and status and a
+//!   non-empty ensemble-scan latency histogram once a scan has run.
 
 use ensemfdet::{EnsemFdetConfig, MonitorConfig};
 use ensemfdet_service::{Api, ApiConfig, Server, ServerConfig, ServerHandle};
@@ -52,6 +51,12 @@ fn roundtrip(addr: SocketAddr, raw: &str) -> String {
     out
 }
 
+/// The JSON body of a raw HTTP response.
+fn json_body(resp: &str) -> serde_json::Value {
+    let body = &resp[resp.find("\r\n\r\n").expect("header end") + 4..];
+    serde_json::from_str(body).unwrap_or_else(|e| panic!("{e}: {resp}"))
+}
+
 fn post(addr: SocketAddr, path: &str, body: &str) -> String {
     roundtrip(
         addr,
@@ -67,8 +72,7 @@ fn metrics_expose_request_counts_and_scan_latencies() {
     let server = start(ServerConfig::default());
     let addr = server.addr();
 
-    // Some traffic: two v1 health checks, one v1 ingest, one scan via the
-    // deprecated alias.
+    // Some traffic: two health checks, one ingest, one scan job.
     for _ in 0..2 {
         assert!(roundtrip(addr, "GET /v1/health HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 200"));
     }
@@ -83,7 +87,24 @@ fn metrics_expose_request_counts_and_scan_latencies() {
     }
     let body = format!("{{\"records\":[{}]}}", records.join(","));
     assert!(post(addr, "/v1/transactions", &body).starts_with("HTTP/1.1 200"));
-    assert!(post(addr, "/scan", "").starts_with("HTTP/1.1 200"));
+    let job = json_body(&post(addr, "/v1/scans", ""))["job_id"]
+        .as_u64()
+        .expect("job id");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let status = json_body(&roundtrip(
+            addr,
+            &format!("GET /v1/scans/{job} HTTP/1.1\r\n\r\n"),
+        ));
+        if status["status"] == "done" {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "scan job never finished: {status}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     let resp = roundtrip(addr, "GET /metrics HTTP/1.1\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 200 OK"), "{resp}");
@@ -93,12 +114,8 @@ fn metrics_expose_request_counts_and_scan_latencies() {
         text.contains("ensemfdet_http_requests_total{route=\"/v1/health\",status=\"200\"} 2"),
         "{text}"
     );
-    // The legacy alias is the same metric family, marked deprecated and
-    // counted under its canonical v1 label.
     assert!(
-        text.contains(
-            "ensemfdet_http_requests_total{route=\"/v1/scans\",status=\"200\",deprecated=\"true\"} 1"
-        ),
+        text.contains("ensemfdet_http_requests_total{route=\"/v1/scans\",status=\"202\"} 1"),
         "{text}"
     );
     assert!(text.contains("ensemfdet_transactions_ingested_total 54"), "{text}");
@@ -122,7 +139,7 @@ fn saturation_sheds_503_without_hanging() {
     // Occupy the single worker with a half-sent request, then fill the
     // one queue slot with an idle connection.
     let mut occupier = TcpStream::connect(addr).expect("occupier");
-    occupier.write_all(b"GET /health").expect("partial send");
+    occupier.write_all(b"GET /v1/health").expect("partial send");
     let t0 = Instant::now();
     while metrics.workers_busy.get() < 1 {
         assert!(t0.elapsed() < Duration::from_secs(5), "worker never busy");
@@ -137,7 +154,7 @@ fn saturation_sheds_503_without_hanging() {
     // Every further connection is shed promptly with 503.
     for _ in 0..3 {
         let t = Instant::now();
-        let resp = roundtrip(addr, "GET /health HTTP/1.1\r\n\r\n");
+        let resp = roundtrip(addr, "GET /v1/health HTTP/1.1\r\n\r\n");
         assert!(
             resp.starts_with("HTTP/1.1 503 Service Unavailable"),
             "{resp}"
@@ -163,7 +180,7 @@ fn stalled_body_is_cut_off_by_read_deadline() {
     // Claim a 500-byte body, send 9 bytes, stall forever.
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
-        .write_all(b"POST /transactions HTTP/1.1\r\ncontent-length: 500\r\n\r\n{\"records")
+        .write_all(b"POST /v1/transactions HTTP/1.1\r\ncontent-length: 500\r\n\r\n{\"records")
         .expect("send");
     let t0 = Instant::now();
     let mut out = String::new();
@@ -174,7 +191,7 @@ fn stalled_body_is_cut_off_by_read_deadline() {
         "disconnect was not deadline-driven"
     );
     // The worker is free: the next request succeeds.
-    let resp = roundtrip(server.addr(), "GET /health HTTP/1.1\r\n\r\n");
+    let resp = roundtrip(server.addr(), "GET /v1/health HTTP/1.1\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
     server.shutdown();
 }
@@ -186,7 +203,7 @@ fn content_length_longer_than_body_is_400() {
     // wait for the missing ones.
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
-        .write_all(b"POST /scan HTTP/1.1\r\ncontent-length: 50\r\n\r\nshort")
+        .write_all(b"POST /v1/scans HTTP/1.1\r\ncontent-length: 50\r\n\r\nshort")
         .expect("send");
     stream
         .shutdown(std::net::Shutdown::Write)
@@ -201,7 +218,7 @@ fn content_length_longer_than_body_is_400() {
 fn endless_headers_are_cut_off_with_431() {
     let server = start(ServerConfig::default());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream.write_all(b"GET /health HTTP/1.1\r\n").expect("send");
+    stream.write_all(b"GET /v1/health HTTP/1.1\r\n").expect("send");
     stream
         .set_read_timeout(Some(Duration::from_millis(10)))
         .expect("probe timeout");
@@ -235,7 +252,7 @@ fn oversized_content_length_is_413_and_graceful_shutdown_serves_queued_work() {
     let addr = server.addr();
     let resp = roundtrip(
         addr,
-        "POST /transactions HTTP/1.1\r\ncontent-length: 999999999\r\n\r\n",
+        "POST /v1/transactions HTTP/1.1\r\ncontent-length: 999999999\r\n\r\n",
     );
     assert!(resp.starts_with("HTTP/1.1 413 Payload Too Large"), "{resp}");
 

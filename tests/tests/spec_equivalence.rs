@@ -79,7 +79,6 @@ fn check_engine_level(parent: &BipartiteGraph) {
                         &spec,
                         &metric,
                         truncation,
-                        ensemfdet::Engine::Csr,
                         &mut maps,
                     );
 
@@ -88,7 +87,7 @@ fn check_engine_level(parent: &BipartiteGraph) {
                         &sampled.graph,
                         &metric,
                         truncation,
-                        ensemfdet::Engine::Csr,
+                        ensemfdet::Engine::default(),
                     );
 
                     let ctx = format!("{method:?} seed {seed} S {ratio} {truncation:?}");
