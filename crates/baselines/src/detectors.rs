@@ -6,9 +6,9 @@
 //! scores in `[0, 1]`, block structure where the method produces it —
 //! without changing any ranking. Methods whose raw scores are unbounded
 //! (FBox, k-core, degree) are min-max normalized, which is strictly
-//! monotone on distinct values; the result-identity tests in `tests/`
-//! gate that every adapter ranks users exactly as the bespoke entry
-//! point does.
+//! monotone on distinct values;
+//! `every_detector_emits_unit_interval_scores` gates that every adapter
+//! ranks users exactly as the bespoke entry point does.
 //!
 //! Spectral methods score through
 //! [`DetectContext::adjacency`], so a hybrid scan consulting several of
@@ -167,6 +167,22 @@ mod tests {
                 "{}",
                 det.name()
             );
+            // Adapters rank users exactly as the bespoke entry points;
+            // rank normalization ignores how ties are stored.
+            let bespoke = match det.name() {
+                "spoken" => Spoken::default().score_users(&g),
+                "fbox" => FBox::default().score_users(&g),
+                "hits" => Hits::default().score_users(&g),
+                "kcore" => KCoreBaseline.score_users(&g),
+                "degree" => DegreeBaseline.score_users(&g),
+                _ => continue,
+            };
+            assert_eq!(
+                normalize_scores(&out.scores, ScoreNormalization::Rank),
+                normalize_scores(&bespoke, ScoreNormalization::Rank),
+                "{}: adapter ranking differs from score_users",
+                det.name()
+            );
         }
     }
 
@@ -177,6 +193,7 @@ mod tests {
         let out = Fraudar::default().score(&ctx);
         let blocks = out.blocks.expect("fraudar reports blocks");
         assert!(!blocks.is_empty());
+        assert_eq!(blocks, Fraudar::default().run(&g).blocks);
         // Users of the first (densest) block take the top score.
         let top = out.scores.iter().cloned().fold(0.0f64, f64::max);
         for u in &blocks[0].users {

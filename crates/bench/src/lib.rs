@@ -9,10 +9,9 @@
 //! (default 40; set the environment variable or pass `--scale N` to grow
 //! or shrink every experiment consistently).
 //!
-//! Criterion microbenches live in `benches/` and cover the ablations noted
-//! in DESIGN.md: heap-based vs naive peeling, sampler throughput, SVD
-//! accuracy/cost, metric robustness under camouflage, and end-to-end
-//! EnsemFDet vs Fraudar scaling.
+//! Timing lives in one place: the pinned benchmark
+//! (`src/bin/benchmark/`), which drives the live HTTP service end to end
+//! and attributes each run to its layers.
 
 pub mod datasets;
 pub mod methods;

@@ -169,6 +169,45 @@ mod tests {
         assert!(curve.best_f1() >= ensemfdet_curve(&out, &labels).best_f1() - 1e-12);
     }
 
+    /// The camouflage ablation's dominance claim: on dataset #1 at every
+    /// camouflage level (0/2/6/12 purchases per fraud user), the
+    /// calibrated hybrid's best F1 is at or above every single method's —
+    /// the ensemble's vote sweep and all six registry baselines.
+    #[test]
+    fn calibrated_hybrid_dominates_every_single_method_under_camouflage() {
+        use ensemfdet_datagen::generate;
+        use ensemfdet_datagen::presets::{jd_preset, JdDataset};
+
+        for camo in [0, 2, 6, 12] {
+            let mut cfg = jd_preset(JdDataset::Jd1, 400, 0xCA30);
+            for group in &mut cfg.fraud_groups {
+                group.camouflage_per_user = camo;
+            }
+            let ds = generate(&cfg);
+            let labels = ds.labels();
+            let outcome = run_ensemfdet(
+                &ds.graph,
+                EnsemFdetConfig {
+                    num_samples: 120,
+                    sample_ratio: 0.4,
+                    seed: 0xCA31,
+                    ..Default::default()
+                },
+            );
+            let (_, hybrid) = hybrid_curve(&ds.graph, &outcome, &labels, &ScoringConfig::enabled());
+            let hybrid_f1 = hybrid.best_f1();
+            let singles = std::iter::once(("ensemfdet", ensemfdet_curve(&outcome, &labels)))
+                .chain(detector_curves(&ds.graph, &labels));
+            for (name, curve) in singles {
+                let f1 = curve.best_f1();
+                assert!(
+                    hybrid_f1 >= f1 - 1e-9,
+                    "camo {camo}: hybrid best F1 {hybrid_f1:.4} below {name} {f1:.4}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn dense_block_methods_beat_chance_on_planted() {
         let (g, labels) = planted();

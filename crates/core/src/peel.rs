@@ -368,6 +368,37 @@ mod tests {
             "popular merchant should not dominate: {vs:?}"
         );
         assert!(block.users.iter().filter(|u| u.0 < 6).count() >= 5);
+
+        // At scale, with the un-penalized metric as the contrast: 40 fraud
+        // users × 8 ring merchants, each also buying at popular merchant 8,
+        // which 4,000 honest users share with a sparse tail.
+        let mut b = GraphBuilder::new();
+        for u in 0..40u32 {
+            for v in 0..8u32 {
+                b.add_edge(UserId(u), MerchantId(v));
+            }
+            b.add_edge(UserId(u), MerchantId(8));
+        }
+        for u in 40..4_040u32 {
+            b.add_edge(UserId(u), MerchantId(8));
+            b.add_edge(UserId(u), MerchantId(9 + u % 50));
+        }
+        let g = b.build();
+        let log_block = peel_densest_full(&g, &LogWeightedMetric::paper_default()).unwrap();
+        let fraud_in_log = log_block.users.iter().filter(|u| u.0 < 40).count();
+        assert!(
+            fraud_in_log >= 35 && log_block.users.len() <= 60,
+            "log metric lost the fraud core: {fraud_in_log} fraud of {} detected",
+            log_block.users.len()
+        );
+        // The popular merchant pulls honest users into the average-degree
+        // block, or the block takes the popular merchant itself.
+        let avg_block = peel_densest_full(&g, &AverageDegreeMetric).unwrap();
+        let honest_in_avg = avg_block.users.iter().filter(|u| u.0 >= 40).count();
+        assert!(
+            honest_in_avg > 100 || avg_block.merchants.contains(&MerchantId(8)),
+            "expected the un-penalized metric to chase the popular merchant"
+        );
     }
 
     #[test]

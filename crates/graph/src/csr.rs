@@ -109,14 +109,6 @@ impl CsrView {
         view
     }
 
-    /// [`from_graph`](Self::from_graph) with the build sharded over
-    /// `workers` threads; see [`rebuild_sharded`](Self::rebuild_sharded).
-    pub fn from_graph_sharded(g: &BipartiteGraph, workers: usize) -> Self {
-        let mut view = CsrView::new();
-        view.rebuild_sharded(g, workers);
-        view
-    }
-
     /// Builds the view of the subgraph spanned by edges with
     /// `edge_alive[e] == true`.
     ///
@@ -195,8 +187,8 @@ impl CsrView {
     /// occurrences of that node, the output order per CSR row is exactly
     /// ascending edge index — the same stable counting sort
     /// [`rebuild`](Self::rebuild) runs sequentially, so the result is
-    /// **bit-identical** for any worker count (gated in tests and by the
-    /// `bench_suite` scale phase).
+    /// **bit-identical** for any worker count (gated by
+    /// `sharded_build_matches_sequential_bit_for_bit`).
     ///
     /// `workers == 0` or `1` (or an edgeless graph) falls back to the
     /// sequential builder. Transient cost: one `num_nodes`-sized count
@@ -948,7 +940,8 @@ mod tests {
         for (gi, g) in graphs.iter().enumerate() {
             let sequential = CsrView::from_graph(g);
             for workers in [0, 1, 2, 3, 5, 16] {
-                let sharded = CsrView::from_graph_sharded(g, workers);
+                let mut sharded = CsrView::new();
+                sharded.rebuild_sharded(g, workers);
                 assert_views_identical(&sharded, &sequential);
                 let _ = (gi, workers); // context on failure via panic site
             }
@@ -961,7 +954,8 @@ mod tests {
     fn sharded_rebuild_reuses_dirty_view() {
         let big = scrambled_graph(60, 30, 500, true);
         let small = sample_graph();
-        let mut view = CsrView::from_graph_sharded(&big, 4);
+        let mut view = CsrView::new();
+        view.rebuild_sharded(&big, 4);
         view.rebuild_sharded(&small, 4);
         assert_views_identical(&view, &CsrView::from_graph(&small));
         view.rebuild_sharded(&big, 3);

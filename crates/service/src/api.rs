@@ -796,10 +796,7 @@ fn result_json(r: &ScanResultView) -> Value {
 /// Parses the legacy JSON-array ingest shape
 /// `{"records": [[user, merchant], …]}` into owned key pairs,
 /// validating every record up front.
-///
-/// Public so the bench suite can time the two ingest parsers directly,
-/// without socket noise.
-pub fn parse_json_records(body: &[u8]) -> Result<Vec<(String, String)>, Response> {
+fn parse_json_records(body: &[u8]) -> Result<Vec<(String, String)>, Response> {
     let parsed: Value = serde_json::from_slice(body)
         .map_err(|e| Response::error(400, "bad_request", format!("invalid JSON: {e}")))?;
     let Some(records) = parsed.get("records").and_then(Value::as_array) else {
@@ -834,10 +831,7 @@ pub fn parse_json_records(body: &[u8]) -> Result<Vec<(String, String)>, Response
 /// never builds a `serde_json::Value` tree, which is what makes this the
 /// bulk path. A bad line fails the whole batch with `400 invalid_record`
 /// carrying the 1-based `"line"` number in the error object.
-///
-/// Public so the bench suite can time the two ingest parsers directly,
-/// without socket noise.
-pub fn parse_ndjson_records(body: &[u8]) -> Result<Vec<(String, String)>, Response> {
+fn parse_ndjson_records(body: &[u8]) -> Result<Vec<(String, String)>, Response> {
     let mut keys = Vec::new();
     for (i, line) in body.split(|&b| b == b'\n').enumerate() {
         if line.iter().all(u8::is_ascii_whitespace) {
@@ -921,7 +915,9 @@ fn scan_csv_chunk(chunk: &[u8]) -> CsvChunk<'_> {
 /// the 1-based `"line"` number in the error object — the same contract
 /// as the NDJSON path.
 ///
-/// Public so the bench suite can exercise the CSV ingest parser directly.
+/// Public because the pinned benchmark's per-layer replay
+/// (`crates/bench/src/bin/benchmark/replay.rs`) times this parser as its
+/// `ingest` span, without socket noise.
 pub fn parse_csv_pairs(body: &[u8], workers: usize) -> Result<Vec<(&str, &str)>, Response> {
     let chunks = split_line_chunks(body, workers.max(1));
     let scanned: Vec<CsvChunk<'_>> = if chunks.len() <= 1 {
@@ -1435,6 +1431,16 @@ mod tests {
         assert_eq!(a["users"], b["users"]);
         assert_eq!(a["merchants"], b["merchants"]);
         assert_eq!(a["edges"], b["edges"]);
+
+        // Both parsers return exactly the source records, in order.
+        let records = ring_records();
+        let pairs: Vec<(String, String)> = records
+            .iter()
+            .map(|r| (r[0].as_str().unwrap().into(), r[1].as_str().unwrap().into()))
+            .collect();
+        let json_body = json!({ "records": records }).to_string();
+        assert_eq!(parse_json_records(json_body.as_bytes()).ok(), Some(pairs.clone()));
+        assert_eq!(parse_ndjson_records(lines.as_bytes()).ok(), Some(pairs));
     }
 
     #[test]
@@ -1460,10 +1466,12 @@ mod tests {
     #[test]
     fn csv_ingest_accepts_transaction_logs() {
         let api = quick_api();
-        let body = "# ts omitted\nalice,storeA,12.50\nbob,storeA\n\nalice,storeB,3\n";
+        // A repeat purchase is one more ingested record but no new edge.
+        let body = "# ts omitted\nalice,storeA,12.50\nbob,storeA\n\nalice,storeB,3\n\
+                    alice,storeA,1.75\n";
         let (status, resp) = post_csv(&api, "/v1/transactions", body);
         assert_eq!(status, 200, "{resp}");
-        assert_eq!(resp["ingested"], 3);
+        assert_eq!(resp["ingested"], 4);
         let (_, stats) = get(&api, "/v1/stats");
         assert_eq!(stats["users"], 2);
         assert_eq!(stats["merchants"], 2);

@@ -85,7 +85,7 @@ impl Gauge {
 }
 
 /// Default latency bucket upper bounds, in seconds: sub-millisecond up to
-/// ten seconds, roughly log-spaced — wide enough for both a `/health` hit
+/// ten seconds, roughly log-spaced — wide enough for both a `/v1/health` hit
 /// and a full ensemble scan.
 pub const DEFAULT_LATENCY_BOUNDS: [f64; 14] = [
     0.000_25, 0.000_5, 0.001, 0.002_5, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
@@ -276,7 +276,7 @@ pub struct ServiceMetrics {
     pub stage_detection: Histogram,
     /// Wall-clock per scan spent merging votes and evidence.
     pub stage_aggregation: Histogram,
-    /// Transactions ingested via `POST /transactions`.
+    /// Transactions ingested via `POST /v1/transactions`.
     pub transactions_ingested: Counter,
     /// Detection scans run (manual and automatic).
     pub scans: Counter,
@@ -488,7 +488,7 @@ impl ServiceMetrics {
         write_counter(
             &mut out,
             "ensemfdet_transactions_ingested_total",
-            "Transactions ingested via POST /transactions.",
+            "Transactions ingested via POST /v1/transactions.",
             self.transactions_ingested.get(),
         );
         write_counter(
@@ -989,6 +989,10 @@ mod tests {
         assert!(text.contains("ensemfdet_http_requests_total{route=\"/scan\",status=\"503\"} 1"));
         assert!(text.contains("ensemfdet_http_rejected_total 1"));
         assert!(text.contains("ensemfdet_http_queue_depth 2"));
+        assert!(text.contains(
+            "# HELP ensemfdet_transactions_ingested_total \
+             Transactions ingested via POST /v1/transactions."
+        ));
         assert!(text.contains("ensemfdet_scans_total 1"));
         assert!(text.contains("ensemfdet_scan_sample_duration_seconds_count 2"));
         assert!(text.contains("ensemfdet_scan_duration_seconds_bucket{le=\"+Inf\"} 1"));

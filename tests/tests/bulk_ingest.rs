@@ -2,6 +2,7 @@
 //! loader's amount-summing aggregation, its typed per-line errors, and
 //! worker-count determinism on generated transaction logs.
 
+use ensemfdet::{EnsemFdet, EnsemFdetConfig};
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_datagen::{generate, transaction_log_string, TransactionLogConfig};
 use ensemfdet_graph::{load_transactions, GraphError, LoadOptions, LoadedLog};
@@ -103,10 +104,21 @@ proptest! {
     }
 }
 
-/// Interner ids and the final weighted graph are bit-identical across
-/// 1/2/4 workers on realistic generated logs, across three seeds.
+/// Interner ids, the final weighted graph and the ensemble votes a scan
+/// of it produces are bit-identical across 1/2/4 workers on realistic
+/// generated logs, across three seeds.
 #[test]
 fn worker_count_invariance_on_generated_logs() {
+    let votes = |l: &LoadedLog| {
+        EnsemFdet::new(EnsemFdetConfig {
+            num_samples: 8,
+            sample_ratio: 0.1,
+            seed: 7,
+            ..Default::default()
+        })
+        .detect(&l.graph)
+        .votes
+    };
     for seed in [11u64, 22, 33] {
         let ds = generate(&jd_preset(JdDataset::Jd1, 300, seed));
         let (log, summary) = transaction_log_string(
@@ -122,6 +134,7 @@ fn worker_count_invariance_on_generated_logs() {
         assert_eq!(reference.records, summary.records, "seed {seed}");
         assert_eq!(reference.graph.num_edges(), summary.distinct_pairs, "seed {seed}");
         let want = fingerprint(&reference);
+        let want_votes = votes(&reference);
         for workers in [2usize, 4] {
             let par = load(&log, workers).unwrap();
             assert_eq!(par.records, reference.records, "seed {seed} workers {workers}");
@@ -131,6 +144,7 @@ fn worker_count_invariance_on_generated_logs() {
                 want,
                 "seed {seed}: {workers}-worker load diverged from serial"
             );
+            assert_eq!(votes(&par), want_votes, "seed {seed}: {workers}-worker votes");
         }
     }
 }

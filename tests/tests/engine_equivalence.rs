@@ -1,7 +1,7 @@
 //! The bucket engine must be a drop-in replacement for the naive reference
 //! path: identical blocks, identical scores, identical `k̂`, identical
-//! ensemble votes — not merely statistically similar. `bench_suite`
-//! relies on these gates before timing the engines against each other.
+//! ensemble votes — not merely statistically similar. The naive engine
+//! survives only as the oracle these gates compare against.
 //!
 //! The final test cross-checks the three priority-queue implementations
 //! themselves ([`IndexedMinHeap`], [`LazyMinHeap`], [`BucketQueue`])
@@ -22,24 +22,40 @@ fn preset_graph(which: JdDataset, seed: u64) -> BipartiteGraph {
     generate(&jd_preset(which, 400, seed)).graph
 }
 
+/// A 30×8 complete block over `n` users with two sparse purchases each.
+fn planted_graph(n: u32) -> BipartiteGraph {
+    let mut edges = Vec::new();
+    for u in 0..30u32 {
+        for v in 0..8u32 {
+            edges.push((u, v));
+        }
+    }
+    for u in 30..n {
+        edges.push((u, 8 + u % (n / 4)));
+        edges.push((u, 8 + (u * 13) % (n / 4)));
+    }
+    BipartiteGraph::from_edges(n as usize, (8 + n / 4) as usize, edges).unwrap()
+}
+
 #[test]
 fn fdet_blocks_and_scores_identical_across_engines() {
-    for which in [JdDataset::Jd1, JdDataset::Jd2, JdDataset::Jd3] {
-        for seed in SEEDS {
-            let g = preset_graph(which, seed);
-            for truncation in [
-                Truncation::default(),
-                Truncation::FixedK(3),
-                Truncation::KeepAll { k_max: 25 },
-            ] {
-                let ctx = format!("{which:?}, seed {seed}, {truncation:?}");
-                let naive =
-                    fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Naive);
-                let r = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Bucket);
-                assert_eq!(r.blocks, naive.blocks, "blocks diverged ({ctx})");
-                assert_eq!(r.scores, naive.scores, "scores diverged ({ctx})");
-                assert_eq!(r.k_hat, naive.k_hat, "k_hat diverged ({ctx})");
-            }
+    let presets = [JdDataset::Jd1, JdDataset::Jd2, JdDataset::Jd3]
+        .into_iter()
+        .flat_map(|which| {
+            SEEDS.map(|seed| (format!("{which:?}, seed {seed}"), preset_graph(which, seed)))
+        });
+    for (name, g) in presets.chain([("planted 1k".to_string(), planted_graph(1_000))]) {
+        for truncation in [
+            Truncation::default(),
+            Truncation::FixedK(3),
+            Truncation::KeepAll { k_max: 25 },
+        ] {
+            let ctx = format!("{name}, {truncation:?}");
+            let naive = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Naive);
+            let r = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Bucket);
+            assert_eq!(r.blocks, naive.blocks, "blocks diverged ({ctx})");
+            assert_eq!(r.scores, naive.scores, "scores diverged ({ctx})");
+            assert_eq!(r.k_hat, naive.k_hat, "k_hat diverged ({ctx})");
         }
     }
 }
