@@ -21,7 +21,7 @@ use ensemfdet::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
 use ensemfdet::{EnsemFdet, EnsemFdetConfig, IncrementalPolicy, MonitorConfig, ScoringConfig};
 use ensemfdet_graph::loader::{parse_csv_record, split_line_chunks};
 use ensemfdet_graph::{ConcurrentTransactionInterner, GraphStats};
-use ensemfdet_telemetry::{ServiceMetrics, PROMETHEUS_CONTENT_TYPE};
+use ensemfdet_telemetry::{IngestFormat, ServiceMetrics, Side, PROMETHEUS_CONTENT_TYPE};
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -276,7 +276,10 @@ impl Api {
         // Force a fresh snapshot so /stats reflects everything ingested;
         // compaction never holds ingest locks during the graph build.
         let snapshot = e.snapshots.refresh(&e.buffer, true);
-        e.metrics.record_snapshot(snapshot.epoch, e.snapshots.lag(&e.buffer));
+        e.metrics.snapshot_epoch.set(snapshot.epoch as i64);
+        e.metrics
+            .snapshot_lag
+            .set(e.snapshots.lag(&e.buffer) as i64);
         let (users, merchants) = (e.interner.num_users(), e.interner.num_merchants());
         let s = GraphStats::of(&snapshot.graph);
         Response::json(
@@ -317,13 +320,17 @@ impl Api {
             return self.transactions_csv(&request.body, started);
         }
         let ndjson = request.content_type == "application/x-ndjson";
-        let format = if ndjson { "ndjson" } else { "json" };
+        let format = if ndjson {
+            IngestFormat::Ndjson
+        } else {
+            IngestFormat::Json
+        };
         let keys = if ndjson {
             parse_ndjson_records(&request.body)
         } else {
             parse_json_records(&request.body)
         };
-        self.engine.metrics.record_ingest_parse(format, started.elapsed());
+        self.engine.metrics.ingest_parse[format].observe_duration(started.elapsed());
         let keys = match keys {
             Ok(keys) => keys,
             Err(resp) => return resp,
@@ -347,7 +354,7 @@ impl Api {
         };
         let parse_started = std::time::Instant::now();
         let pairs = parse_csv_pairs(body, workers);
-        e.metrics.record_ingest_parse("csv", parse_started.elapsed());
+        e.metrics.ingest_parse[IngestFormat::Csv].observe_duration(parse_started.elapsed());
         let pairs = match pairs {
             Ok(pairs) => pairs,
             Err(resp) => return resp,
@@ -358,27 +365,27 @@ impl Api {
             .iter()
             .map(|&(u, v)| (e.interner.user(u), e.interner.merchant(v)))
             .collect();
-        self.finish_ingest(ids, "csv", started)
+        self.finish_ingest(ids, IngestFormat::Csv, started)
     }
 
     /// Shared tail of every ingest format: append, count, publish the
-    /// load-duration and interner gauges, maybe autoscan.
+    /// load-duration, interner and snapshot-lag gauges, maybe autoscan.
     fn finish_ingest(
         &self,
         ids: Vec<(ensemfdet_graph::UserId, ensemfdet_graph::MerchantId)>,
-        format: &str,
+        format: IngestFormat,
         started: std::time::Instant,
     ) -> Response {
         let e = &self.engine;
         let ingested = ids.len();
         e.buffer.append_batch(ids);
-        e.metrics.transactions_ingested.add(ingested as u64);
-        e.metrics.record_ingest_load(format, started.elapsed());
-        e.metrics.record_interner(
-            e.interner.num_users(),
-            e.interner.num_merchants(),
-            e.interner.arena_bytes(),
-        );
+        let m = &e.metrics;
+        m.transactions_ingested.add(ingested as u64);
+        m.ingest_load[format].observe_duration(started.elapsed());
+        m.interner_keys[Side::User].set(e.interner.num_users() as i64);
+        m.interner_keys[Side::Merchant].set(e.interner.num_merchants() as i64);
+        m.interner_arena_bytes.set(e.interner.arena_bytes() as i64);
+        m.snapshot_lag.set(e.snapshots.lag(&e.buffer) as i64);
         e.since_scan.fetch_add(ingested, Ordering::Relaxed);
         let scan_job = self.maybe_autoscan();
         Response::json(
@@ -529,7 +536,10 @@ impl Api {
         let e = &self.engine;
         let snapshot = e.snapshots.refresh(&e.buffer, true);
         let epoch = snapshot.epoch;
-        e.metrics.record_snapshot(epoch, e.snapshots.lag(&e.buffer));
+        e.metrics.snapshot_epoch.set(epoch as i64);
+        e.metrics
+            .snapshot_lag
+            .set(e.snapshots.lag(&e.buffer) as i64);
         e.since_scan.store(0, Ordering::Relaxed);
         match e.jobs.enqueue(ScanSpec {
             snapshot,
@@ -1337,24 +1347,31 @@ mod tests {
     #[test]
     fn metrics_page_reflects_activity() {
         let api = quick_api();
+        let metrics = || {
+            let resp = api.handle(&Request {
+                method: "GET".into(),
+                path: "/metrics".into(),
+                content_type: String::new(),
+                body: vec![],
+            });
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.content_type, PROMETHEUS_CONTENT_TYPE);
+            String::from_utf8(resp.body).unwrap()
+        };
         post(
             &api,
             "/v1/transactions",
             json!({ "records": [["a", "x"], ["b", "x"]] }),
         );
+        // Ingest alone moves the snapshot lag; no snapshot exists yet.
+        let text = metrics();
+        assert!(text.contains("ensemfdet_snapshot_lag_transactions 2"), "{text}");
         let (_, body) = post(&api, "/v1/scans", Value::Null);
         wait_done(&api, body["job_id"].as_u64().unwrap());
-        let resp = api.handle(&Request {
-            method: "GET".into(),
-            path: "/metrics".into(),
-            content_type: String::new(),
-            body: vec![],
-        });
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.content_type, PROMETHEUS_CONTENT_TYPE);
-        let text = String::from_utf8(resp.body).unwrap();
+        let text = metrics();
         assert!(text.contains("ensemfdet_transactions_ingested_total 2"), "{text}");
-        assert!(text.contains("ensemfdet_scans_total 1"), "{text}");
+        assert!(text.contains("ensemfdet_scan_duration_seconds_count 1"), "{text}");
+        assert!(text.contains("ensemfdet_snapshot_lag_transactions 0"), "{text}");
         // The scan fed one per-sample timing observation per sample.
         assert!(text.contains("ensemfdet_scan_sample_duration_seconds_count 20"), "{text}");
         // The pipeline gauges are published.

@@ -8,6 +8,7 @@
 
 use crate::api::{lock_recover, Engine};
 use crate::jobs::{ScanResultView, ScoringResultView};
+use ensemfdet_telemetry::{ScoringComponent, Stage};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -90,14 +91,19 @@ fn executor_loop(engine: &Engine) {
                     });
                     (to_keys(&outcome.flagged), to_keys(&outcome.new_alerts), scoring)
                 };
-                metrics.record_scan(outcome.elapsed, &outcome.sample_times);
-                metrics.record_scan_workers(outcome.workers, &outcome.worker_times);
-                metrics.record_scan_stages([
-                    outcome.stages.sampling,
-                    outcome.stages.detection,
-                    outcome.stages.aggregation,
-                ]);
-                metrics.record_sampling(outcome.stages.sampling, outcome.sample_bytes);
+                metrics.scan_duration.observe_duration(outcome.elapsed);
+                for &t in &outcome.sample_times {
+                    metrics.sample_duration.observe_duration(t);
+                }
+                metrics.scan_workers.set(outcome.workers as i64);
+                for &t in &outcome.worker_times {
+                    metrics.worker_busy_duration.observe_duration(t);
+                }
+                let stages = &metrics.stage_duration;
+                stages[Stage::Sampling].observe_duration(outcome.stages.sampling);
+                stages[Stage::Detection].observe_duration(outcome.stages.detection);
+                stages[Stage::Aggregation].observe_duration(outcome.stages.aggregation);
+                metrics.sample_bytes_materialized.add(outcome.sample_bytes);
                 metrics.record_scan_reuse(
                     outcome.reuse.incremental,
                     outcome.reuse.fallback.is_some(),
@@ -106,12 +112,23 @@ fn executor_loop(engine: &Engine) {
                     outcome.elapsed,
                 );
                 if let Some(s) = &outcome.scoring {
-                    metrics.record_scan_scoring(s.component_times);
+                    metrics.scans_hybrid.inc();
+                    let [vote, spectral, kcore] = s.component_times;
+                    let scoring = &metrics.scoring_duration;
+                    scoring[ScoringComponent::Vote].observe_duration(vote);
+                    scoring[ScoringComponent::Spectral].observe_duration(spectral);
+                    scoring[ScoringComponent::Kcore].observe_duration(kcore);
                 }
                 metrics.alerts.add(new_alerts.len() as u64);
-                metrics.record_snapshot(outcome.epoch, engine.snapshots.lag(&engine.buffer));
+                metrics.snapshot_epoch.set(outcome.epoch as i64);
+                metrics
+                    .snapshot_lag
+                    .set(engine.snapshots.lag(&engine.buffer) as i64);
                 metrics.scans_in_flight.dec();
-                metrics.record_scan_job(queue_wait, started.elapsed());
+                metrics.scan_queue_wait.observe_duration(queue_wait);
+                metrics
+                    .scan_job_duration
+                    .observe_duration(started.elapsed());
                 // Publish last, so every metric update above is visible
                 // by the time a synchronous waiter wakes.
                 engine.jobs.complete(
@@ -134,7 +151,10 @@ fn executor_loop(engine: &Engine) {
             Err(panic) => {
                 metrics.scans_failed.inc();
                 metrics.scans_in_flight.dec();
-                metrics.record_scan_job(queue_wait, started.elapsed());
+                metrics.scan_queue_wait.observe_duration(queue_wait);
+                metrics
+                    .scan_job_duration
+                    .observe_duration(started.elapsed());
                 engine.jobs.fail(id, format!("scan panicked: {}", panic_message(&panic)));
             }
         }

@@ -253,6 +253,7 @@ pub fn write_response<W: Write>(mut stream: W, response: &Response) -> std::io::
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        410 => "Gone",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
@@ -389,6 +390,7 @@ mod tests {
     #[test]
     fn reason_phrases_match_status() {
         for (status, phrase) in [
+            (410, "410 Gone"),
             (429, "429 Too Many Requests"),
             (500, "500 Internal Server Error"),
             (503, "503 Service Unavailable"),

@@ -5,20 +5,22 @@
 //! Three primitives — [`Counter`], [`Gauge`], [`Histogram`] — all safe to
 //! update from any thread without locks on the hot path, plus
 //! [`StatusCounter`] (a small labelled counter behind a mutex, fine at
-//! request rates) and [`ServiceMetrics`], the concrete metric set the HTTP
-//! service exposes at `GET /metrics` in the Prometheus text exposition
-//! format (version 0.0.4).
+//! request rates), [`Labelled`] (one series per variant of a fixed label
+//! enum) and [`ServiceMetrics`], the concrete metric set the HTTP service
+//! exposes at `GET /metrics` in the Prometheus text exposition format
+//! (version 0.0.4).
+//!
+//! Each family of [`ServiceMetrics`] is declared once — field, name, HELP
+//! text, and a type that fixes its kind, label set and buckets — and one
+//! generic renderer writes every family through one sample writer.
 //!
 //! No dependencies, no global registry: whoever owns a [`ServiceMetrics`]
-//! decides where its numbers go. The ensemble's per-sample wall-clock
-//! ([`SampleSummary::elapsed`]-style data) feeds the
-//! `ensemfdet_scan_sample_duration_seconds` histogram via
-//! [`ServiceMetrics::record_scan`].
-//!
-//! [`SampleSummary::elapsed`]: https://docs.rs/ensemfdet
+//! decides where its numbers go.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::marker::PhantomData;
+use std::ops::Index;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -253,462 +255,370 @@ impl StatusCounter {
     }
 }
 
-/// The full metric set of the detection service.
-#[derive(Debug, Default)]
-pub struct ServiceMetrics {
-    /// Requests served, by route and status.
-    pub requests: StatusCounter,
-    /// Connections shed because the accept queue was full.
-    pub rejected: Counter,
-    /// Connections currently waiting in the accept queue.
-    pub queue_depth: Gauge,
-    /// Workers currently handling a connection.
-    pub workers_busy: Gauge,
-    /// Wall-clock per HTTP request (read → handle → write).
-    pub request_duration: Histogram,
-    /// Wall-clock per ensemble scan.
-    pub scan_duration: Histogram,
-    /// Wall-clock per ensemble *sample* (N observations per scan).
-    pub sample_duration: Histogram,
-    /// CPU time per scan spent sampling (summed over the scan's samples).
-    pub stage_sampling: Histogram,
-    /// CPU time per scan spent in FDET detection (summed over samples).
-    pub stage_detection: Histogram,
-    /// Wall-clock per scan spent merging votes and evidence.
-    pub stage_aggregation: Histogram,
-    /// Transactions ingested via `POST /v1/transactions`.
-    pub transactions_ingested: Counter,
-    /// Detection scans run (manual and automatic).
-    pub scans: Counter,
-    /// New accounts alerted across all scans.
-    pub alerts: Counter,
-    /// Scan jobs waiting in the scan executor's queue.
-    pub scan_queue_depth: Gauge,
-    /// Scan jobs currently executing (0 or 1 with a single executor).
-    pub scans_in_flight: Gauge,
-    /// Scan jobs rejected because the scan queue was full (429s).
-    pub scan_queue_rejected: Counter,
-    /// Scan jobs that failed (detector panic or internal error).
-    pub scans_failed: Counter,
-    /// Epoch of the latest published graph snapshot.
-    pub snapshot_epoch: Gauge,
-    /// Transactions ingested since the latest snapshot was compacted
-    /// (snapshot age, measured in transactions).
-    pub snapshot_lag: Gauge,
-    /// End-to-end scan-job latency (enqueue → published result).
-    pub scan_job_duration: Histogram,
-    /// Time scan jobs spend queued before the executor picks them up.
-    pub scan_queue_wait: Histogram,
-    /// Per-scan sampling-stage duration (spec drawing on the mask path;
-    /// includes full subgraph construction when materializing).
-    pub sampling_duration: Histogram,
-    /// Bytes of per-sample state materialized across all scans:
-    /// selection vectors on the mask path, full subgraph buffers and
-    /// intern maps on the materializing path.
-    pub sample_bytes_materialized: Counter,
-    /// Scans that actually ran the incremental per-sample reuse path.
-    pub scans_incremental: Counter,
-    /// Incremental scan requests that degraded to a full re-peel (cold
-    /// cache, config change, missing delta, or oversized delta).
-    pub scan_fallbacks: Counter,
-    /// Fraction of samples an incremental scan had to re-peel (one
-    /// observation per incremental scan; fallbacks observe 1.0).
-    pub dirty_sample_fraction: FractionHistogram,
-    /// Nodes touched by the delta behind the most recent incremental
-    /// scan.
-    pub delta_touched_nodes: Gauge,
-    /// Wall-clock of full-mode scans (the `mode="full"` series of
-    /// `ensemfdet_scan_mode_duration_seconds`).
-    pub scan_duration_full: Histogram,
-    /// Wall-clock of incremental-mode scans (`mode="incremental"`).
-    pub scan_duration_incremental: Histogram,
-    /// Worker threads the most recent scan's sample pool ran with.
-    pub scan_workers: Gauge,
-    /// Busy time per ensemble worker per scan (`workers` observations
-    /// per scan) — the spread shows how evenly the sample pool balances.
-    pub worker_busy_duration: Histogram,
-    /// Ingest-body parse time for JSON-array batches (the
-    /// `content_type="json"` series of
-    /// `ensemfdet_ingest_parse_duration_seconds`).
-    pub ingest_parse_json: Histogram,
-    /// Ingest-body parse time for NDJSON batches
-    /// (`content_type="ndjson"`).
-    pub ingest_parse_ndjson: Histogram,
-    /// Ingest-body parse time for `text/csv` transaction-log batches
-    /// (`content_type="csv"`).
-    pub ingest_parse_csv: Histogram,
-    /// End-to-end bulk-load time (parse + intern + append) for JSON-array
-    /// ingest (the `format="json"` series of
-    /// `ensemfdet_ingest_load_duration_seconds`).
-    pub ingest_load_json: Histogram,
-    /// End-to-end bulk-load time for NDJSON ingest (`format="ndjson"`).
-    pub ingest_load_ndjson: Histogram,
-    /// End-to-end bulk-load time for `text/csv` ingest (`format="csv"`).
-    pub ingest_load_csv: Histogram,
-    /// Distinct user keys the interner currently holds (the
-    /// `side="user"` series of `ensemfdet_interner_keys_total`).
-    pub interner_user_keys: Gauge,
-    /// Distinct merchant keys the interner currently holds
-    /// (`side="merchant"`).
-    pub interner_merchant_keys: Gauge,
-    /// Bytes held by the interner's key arenas, both sides and all
-    /// shards.
-    pub interner_arena_bytes: Gauge,
-    /// Scans that ran the hybrid scoring fusion on top of the ensemble.
-    pub scans_hybrid: Counter,
-    /// Hybrid-scoring vote-component time (the `component="vote"` series
-    /// of `ensemfdet_scan_scoring_duration_seconds`; covers only the
-    /// vote-fraction conversion — the ensemble pass itself is timed by
-    /// the stage histograms).
-    pub scoring_vote_duration: Histogram,
-    /// Hybrid-scoring spectral-component time (`component="spectral"`:
-    /// adjacency assembly + randomized SVD).
-    pub scoring_spectral_duration: Histogram,
-    /// Hybrid-scoring k-core-component time (`component="kcore"`).
-    pub scoring_kcore_duration: Histogram,
+/// A fixed label set: one enum variant per series of a [`Labelled`]
+/// family.
+pub trait LabelSet: Copy + 'static {
+    /// Every variant, in exposition order.
+    const ALL: &'static [Self];
+
+    /// The label value this variant is exposed as.
+    fn value(self) -> &'static str;
+
+    /// This variant's position in [`ALL`](Self::ALL).
+    fn index(self) -> usize;
 }
 
-/// A [`Histogram`] whose default buckets cover a `[0, 1]` fraction
-/// instead of a latency — used for the dirty-sample fraction, where the
-/// interesting resolution is near 0 (most samples replayed).
-#[derive(Debug)]
-pub struct FractionHistogram(pub Histogram);
+/// Declares a fieldless label enum and its [`LabelSet`] impl from
+/// `Variant = "value"` pairs, in exposition order.
+macro_rules! label_set {
+    ($(#[$meta:meta])* $name:ident {
+        $($(#[$variant_meta:meta])* $variant:ident = $value:literal,)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$variant_meta])* $variant,)+
+        }
 
-impl Default for FractionHistogram {
-    fn default() -> Self {
-        FractionHistogram(Histogram::new(&[
-            0.0, 0.01, 0.025, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0,
-        ]))
+        impl LabelSet for $name {
+            const ALL: &'static [Self] = &[$(Self::$variant,)+];
+
+            fn value(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $value,)+
+                }
+            }
+
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
+label_set! {
+    /// A scan pipeline stage.
+    Stage {
+        /// Drawing the samples.
+        Sampling = "sampling",
+        /// FDET detection on the samples.
+        Detection = "detection",
+        /// Merging votes and evidence.
+        Aggregation = "aggregation",
     }
+}
+
+label_set! {
+    /// The path a scan took.
+    ScanMode {
+        /// Every sample peeled from scratch (including fallbacks).
+        Full = "full",
+        /// Per-sample reuse of the previous epoch's results.
+        Incremental = "incremental",
+    }
+}
+
+label_set! {
+    /// The body format of a `POST /v1/transactions` batch.
+    IngestFormat {
+        /// The `{"records": [[user, merchant], …]}` JSON array (the
+        /// default).
+        Json = "json",
+        /// `application/x-ndjson`, one record per line.
+        Ndjson = "ndjson",
+        /// `text/csv` transaction logs.
+        Csv = "csv",
+    }
+}
+
+label_set! {
+    /// A bipartite side of the transaction graph.
+    Side {
+        /// User accounts.
+        User = "user",
+        /// Merchants.
+        Merchant = "merchant",
+    }
+}
+
+label_set! {
+    /// A component of the hybrid score.
+    ScoringComponent {
+        /// The vote-fraction conversion.
+        Vote = "vote",
+        /// Adjacency assembly plus randomized SVD.
+        Spectral = "spectral",
+        /// k-core depth.
+        Kcore = "kcore",
+    }
+}
+
+/// One metric per variant of the label enum `L`, exposed as the
+/// `key="value"` series of a single family.
+#[derive(Debug)]
+pub struct Labelled<L, M> {
+    key: &'static str,
+    series: Vec<M>,
+    labels: PhantomData<L>,
+}
+
+impl<L: LabelSet, M: Default> Labelled<L, M> {
+    /// A default `M` for every variant of `L`, labelled `key`.
+    fn new(key: &'static str) -> Self {
+        Labelled {
+            key,
+            series: L::ALL.iter().map(|_| M::default()).collect(),
+            labels: PhantomData,
+        }
+    }
+}
+
+impl<L: LabelSet, M> Index<L> for Labelled<L, M> {
+    type Output = M;
+
+    fn index(&self, label: L) -> &M {
+        &self.series[label.index()]
+    }
+}
+
+/// A metric the exposition can write: its Prometheus type and its sample
+/// lines.
+trait Metric {
+    /// The family's `# TYPE`: `counter`, `gauge` or `histogram`.
+    fn kind(&self) -> &'static str;
+
+    /// Writes this metric's sample lines under `name`, each carrying
+    /// `labels` (comma-separated `key="value"` pairs, possibly empty).
+    fn write_samples(&self, out: &mut String, name: &str, labels: &str);
+}
+
+impl Metric for Counter {
+    fn kind(&self) -> &'static str {
+        "counter"
+    }
+
+    fn write_samples(&self, out: &mut String, name: &str, labels: &str) {
+        write_sample(out, name, "", labels, self.get());
+    }
+}
+
+impl Metric for Gauge {
+    fn kind(&self) -> &'static str {
+        "gauge"
+    }
+
+    fn write_samples(&self, out: &mut String, name: &str, labels: &str) {
+        write_sample(out, name, "", labels, self.get());
+    }
+}
+
+impl Metric for Histogram {
+    fn kind(&self) -> &'static str {
+        "histogram"
+    }
+
+    /// Every figure comes from one [`Histogram::snapshot`], so the emitted
+    /// `+Inf` bucket and `_count` always agree even under concurrent
+    /// observes.
+    fn write_samples(&self, out: &mut String, name: &str, labels: &str) {
+        let snapshot = self.snapshot();
+        for (bound, count) in snapshot.cumulative() {
+            let le = if bound.is_finite() {
+                format!("le=\"{bound}\"")
+            } else {
+                "le=\"+Inf\"".to_string()
+            };
+            write_sample(out, name, "_bucket", &join_labels(labels, &le), count);
+        }
+        write_sample(out, name, "_sum", labels, self.sum_seconds());
+        write_sample(out, name, "_count", labels, snapshot.count());
+    }
+}
+
+impl Metric for StatusCounter {
+    fn kind(&self) -> &'static str {
+        "counter"
+    }
+
+    fn write_samples(&self, out: &mut String, name: &str, labels: &str) {
+        for ((route, status), n) in self.snapshot() {
+            let cell = format!("route=\"{route}\",status=\"{status}\"");
+            write_sample(out, name, "", &join_labels(labels, &cell), n);
+        }
+    }
+}
+
+impl<L: LabelSet, M: Metric> Metric for Labelled<L, M> {
+    fn kind(&self) -> &'static str {
+        self.series[0].kind()
+    }
+
+    fn write_samples(&self, out: &mut String, name: &str, labels: &str) {
+        for (label, metric) in L::ALL.iter().zip(&self.series) {
+            let series = format!("{}=\"{}\"", self.key, label.value());
+            metric.write_samples(out, name, &join_labels(labels, &series));
+        }
+    }
+}
+
+/// The one sample writer: `name{suffix}{labels} value`, with the braces
+/// left out when there are no labels.
+fn write_sample(out: &mut String, name: &str, suffix: &str, labels: &str, value: impl Display) {
+    let _ = if labels.is_empty() {
+        writeln!(out, "{name}{suffix} {value}")
+    } else {
+        writeln!(out, "{name}{suffix}{{{labels}}} {value}")
+    };
+}
+
+/// `outer` followed by `inner`, comma-separated; `outer` may be empty.
+fn join_labels(outer: &str, inner: &str) -> String {
+    if outer.is_empty() {
+        inner.to_string()
+    } else {
+        format!("{outer},{inner}")
+    }
+}
+
+/// Declares [`ServiceMetrics`], one family per entry:
+/// `field: Type [= init] => "name", "HELP text";`. The field's type fixes
+/// the family's kind and label set, `init` (default: `Default::default()`)
+/// its label key or buckets. Fields are public so call sites update them
+/// directly; [`ServiceMetrics::render`] writes the families in declaration
+/// order.
+macro_rules! service_metrics {
+    (@init) => { Default::default() };
+    (@init $init:expr) => { $init };
+    ($(
+        $(#[doc = $doc:literal])*
+        $field:ident: $ty:ty $(= $init:expr)? => $name:literal, $help:literal;
+    )+) => {
+        /// The full metric set of the detection service. Each field's
+        /// documentation starts with its family name and HELP text.
+        #[derive(Debug)]
+        pub struct ServiceMetrics {
+            $(
+                #[doc = concat!("`", $name, "`: ", $help)]
+                $(#[doc = $doc])*
+                pub $field: $ty,
+            )+
+        }
+
+        impl Default for ServiceMetrics {
+            fn default() -> Self {
+                ServiceMetrics {
+                    $($field: service_metrics!(@init $($init)?),)+
+                }
+            }
+        }
+
+        impl ServiceMetrics {
+            /// Every family in exposition order: `(name, help, metric)`.
+            fn families(&self) -> Vec<(&'static str, &'static str, &dyn Metric)> {
+                vec![$(($name, $help, &self.$field as &dyn Metric),)+]
+            }
+        }
+    };
+}
+
+service_metrics! {
+    requests: StatusCounter
+        => "ensemfdet_http_requests_total", "HTTP requests served, by route and status.";
+    rejected: Counter
+        => "ensemfdet_http_rejected_total", "Connections shed because the accept queue was full.";
+    queue_depth: Gauge
+        => "ensemfdet_http_queue_depth", "Connections waiting in the accept queue.";
+    workers_busy: Gauge
+        => "ensemfdet_http_workers_busy", "Workers currently handling a connection.";
+    /// Timed from read through handle to write.
+    request_duration: Histogram
+        => "ensemfdet_http_request_duration_seconds", "Wall-clock per HTTP request.";
+    scan_duration: Histogram
+        => "ensemfdet_scan_duration_seconds", "Wall-clock per ensemble detection scan.";
+    sample_duration: Histogram
+        => "ensemfdet_scan_sample_duration_seconds", "Wall-clock per ensemble sample (N per scan).";
+    /// Sampling and detection are CPU time summed over the scan's
+    /// samples; aggregation is wall-clock.
+    stage_duration: Labelled<Stage, Histogram> = Labelled::new("stage")
+        => "ensemfdet_scan_stage_duration_seconds",
+        "Per-scan pipeline-stage time (sampling/detection summed over samples).";
+    transactions_ingested: Counter
+        => "ensemfdet_transactions_ingested_total", "Transactions ingested via POST /v1/transactions.";
+    alerts: Counter
+        => "ensemfdet_alerts_total", "New accounts alerted across all scans.";
+    scan_queue_depth: Gauge
+        => "ensemfdet_scan_queue_depth", "Scan jobs waiting in the executor queue.";
+    /// 0 or 1 with a single executor.
+    scans_in_flight: Gauge
+        => "ensemfdet_scans_in_flight", "Scan jobs currently executing.";
+    /// Each one answered `429`.
+    scan_queue_rejected: Counter
+        => "ensemfdet_scan_queue_rejected_total", "Scan jobs rejected because the queue was full.";
+    /// A detector panic or an internal error.
+    scans_failed: Counter
+        => "ensemfdet_scans_failed_total", "Scan jobs that failed.";
+    snapshot_epoch: Gauge
+        => "ensemfdet_snapshot_epoch", "Epoch of the latest published graph snapshot.";
+    /// The snapshot's age, measured in transactions; updated on every
+    /// ingest and every snapshot refresh.
+    snapshot_lag: Gauge
+        => "ensemfdet_snapshot_lag_transactions",
+        "Transactions ingested since the latest snapshot was compacted.";
+    scan_job_duration: Histogram
+        => "ensemfdet_scan_job_duration_seconds",
+        "End-to-end scan-job latency (enqueue to published result).";
+    scan_queue_wait: Histogram
+        => "ensemfdet_scan_queue_wait_seconds", "Time scan jobs spend queued before execution.";
+    /// Selection vectors on the mask path; full subgraph buffers and
+    /// intern maps on the materializing reference path.
+    sample_bytes_materialized: Counter
+        => "ensemfdet_sample_bytes_materialized_total",
+        "Bytes of per-sample state materialized across all scans.";
+    /// Cold cache, config change, missing delta, or oversized delta.
+    scan_fallbacks: Counter
+        => "ensemfdet_scan_fallbacks_total",
+        "Incremental scan requests that degraded to a full re-peel.";
+    /// One observation per incremental scan; fallbacks observe 1.0. The
+    /// buckets resolve the interesting range near 0 (most samples
+    /// replayed).
+    dirty_sample_fraction: Histogram
+        = Histogram::new(&[0.0, 0.01, 0.025, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0])
+        => "ensemfdet_dirty_sample_fraction", "Fraction of samples an incremental scan re-peeled.";
+    delta_touched_nodes: Gauge
+        => "ensemfdet_delta_touched_nodes",
+        "Nodes touched by the delta behind the latest incremental scan.";
+    scan_mode_duration: Labelled<ScanMode, Histogram> = Labelled::new("mode")
+        => "ensemfdet_scan_mode_duration_seconds",
+        "Wall-clock per scan, split by full vs incremental mode.";
+    scan_workers: Gauge
+        => "ensemfdet_scan_workers", "Worker threads the most recent scan's sample pool ran with.";
+    /// One observation per worker per scan; the spread shows how evenly
+    /// the sample pool balances.
+    worker_busy_duration: Histogram
+        => "ensemfdet_scan_worker_busy_seconds", "Busy time per ensemble worker per scan.";
+    ingest_parse: Labelled<IngestFormat, Histogram> = Labelled::new("content_type")
+        => "ensemfdet_ingest_parse_duration_seconds", "Ingest-body parse time, by content type.";
+    ingest_load: Labelled<IngestFormat, Histogram> = Labelled::new("format")
+        => "ensemfdet_ingest_load_duration_seconds",
+        "End-to-end bulk-load time (parse + intern + append), by format.";
+    interner_keys: Labelled<Side, Gauge> = Labelled::new("side")
+        => "ensemfdet_interner_keys_total", "Distinct keys the transaction interner holds, by side.";
+    /// All shards included.
+    interner_arena_bytes: Gauge
+        => "ensemfdet_interner_arena_bytes", "Bytes held by the interner's key arenas (both sides).";
+    scans_hybrid: Counter
+        => "ensemfdet_scans_hybrid_total", "Scans that ran the hybrid scoring fusion.";
+    /// The vote component covers only the vote-fraction conversion; the
+    /// ensemble pass itself is timed by `stage_duration`.
+    scoring_duration: Labelled<ScoringComponent, Histogram> = Labelled::new("component")
+        => "ensemfdet_scan_scoring_duration_seconds",
+        "Hybrid-scoring component time per hybrid scan, by component.";
 }
 
 impl ServiceMetrics {
     /// A fresh metric set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records one ensemble scan: total wall-clock plus every per-sample
-    /// timing (from the ensemble's `SampleSummary.elapsed` diagnostics).
-    pub fn record_scan(&self, elapsed: Duration, sample_times: &[Duration]) {
-        self.scans.inc();
-        self.scan_duration.observe_duration(elapsed);
-        for &t in sample_times {
-            self.sample_duration.observe_duration(t);
-        }
-    }
-
-    /// Records one scan's per-stage split (from the ensemble's
-    /// `StageTimings` diagnostics): `[sampling, detection, aggregation]`.
-    pub fn record_scan_stages(&self, stages: [Duration; 3]) {
-        self.stage_sampling.observe_duration(stages[0]);
-        self.stage_detection.observe_duration(stages[1]);
-        self.stage_aggregation.observe_duration(stages[2]);
-    }
-
-    /// Records one scan's sampling cost: the sampling-stage duration and
-    /// the bytes of per-sample state it materialized (from the ensemble's
-    /// `sample_bytes` diagnostics).
-    pub fn record_sampling(&self, sampling: Duration, bytes: u64) {
-        self.sampling_duration.observe_duration(sampling);
-        self.sample_bytes_materialized.add(bytes);
-    }
-
-    /// Renders everything in the Prometheus text exposition format.
-    pub fn render(&self) -> String {
-        let mut out = String::with_capacity(4096);
-
-        write_header(
-            &mut out,
-            "ensemfdet_http_requests_total",
-            "counter",
-            "HTTP requests served, by route and status.",
-        );
-        for ((route, status), n) in self.requests.snapshot() {
-            let _ = writeln!(
-                out,
-                "ensemfdet_http_requests_total{{route=\"{route}\",status=\"{status}\"}} {n}"
-            );
-        }
-
-        write_counter(
-            &mut out,
-            "ensemfdet_http_rejected_total",
-            "Connections shed because the accept queue was full.",
-            self.rejected.get(),
-        );
-        write_gauge(
-            &mut out,
-            "ensemfdet_http_queue_depth",
-            "Connections waiting in the accept queue.",
-            self.queue_depth.get(),
-        );
-        write_gauge(
-            &mut out,
-            "ensemfdet_http_workers_busy",
-            "Workers currently handling a connection.",
-            self.workers_busy.get(),
-        );
-        write_histogram(
-            &mut out,
-            "ensemfdet_http_request_duration_seconds",
-            "Wall-clock per HTTP request.",
-            &self.request_duration,
-        );
-        write_histogram(
-            &mut out,
-            "ensemfdet_scan_duration_seconds",
-            "Wall-clock per ensemble detection scan.",
-            &self.scan_duration,
-        );
-        write_histogram(
-            &mut out,
-            "ensemfdet_scan_sample_duration_seconds",
-            "Wall-clock per ensemble sample (N per scan).",
-            &self.sample_duration,
-        );
-        write_header(
-            &mut out,
-            "ensemfdet_scan_stage_duration_seconds",
-            "histogram",
-            "Per-scan pipeline-stage time (sampling/detection summed over samples).",
-        );
-        for (stage, h) in [
-            ("sampling", &self.stage_sampling),
-            ("detection", &self.stage_detection),
-            ("aggregation", &self.stage_aggregation),
-        ] {
-            write_histogram_samples(
-                &mut out,
-                "ensemfdet_scan_stage_duration_seconds",
-                &format!("stage=\"{stage}\","),
-                h,
-            );
-        }
-        write_counter(
-            &mut out,
-            "ensemfdet_transactions_ingested_total",
-            "Transactions ingested via POST /v1/transactions.",
-            self.transactions_ingested.get(),
-        );
-        write_counter(
-            &mut out,
-            "ensemfdet_scans_total",
-            "Detection scans run (manual and automatic).",
-            self.scans.get(),
-        );
-        write_counter(
-            &mut out,
-            "ensemfdet_alerts_total",
-            "New accounts alerted across all scans.",
-            self.alerts.get(),
-        );
-        write_gauge(
-            &mut out,
-            "ensemfdet_scan_queue_depth",
-            "Scan jobs waiting in the executor queue.",
-            self.scan_queue_depth.get(),
-        );
-        write_gauge(
-            &mut out,
-            "ensemfdet_scans_in_flight",
-            "Scan jobs currently executing.",
-            self.scans_in_flight.get(),
-        );
-        write_counter(
-            &mut out,
-            "ensemfdet_scan_queue_rejected_total",
-            "Scan jobs rejected because the queue was full.",
-            self.scan_queue_rejected.get(),
-        );
-        write_counter(
-            &mut out,
-            "ensemfdet_scans_failed_total",
-            "Scan jobs that failed.",
-            self.scans_failed.get(),
-        );
-        write_gauge(
-            &mut out,
-            "ensemfdet_snapshot_epoch",
-            "Epoch of the latest published graph snapshot.",
-            self.snapshot_epoch.get(),
-        );
-        write_gauge(
-            &mut out,
-            "ensemfdet_snapshot_lag_transactions",
-            "Transactions ingested since the latest snapshot was compacted.",
-            self.snapshot_lag.get(),
-        );
-        write_histogram(
-            &mut out,
-            "ensemfdet_scan_job_duration_seconds",
-            "End-to-end scan-job latency (enqueue to published result).",
-            &self.scan_job_duration,
-        );
-        write_histogram(
-            &mut out,
-            "ensemfdet_scan_queue_wait_seconds",
-            "Time scan jobs spend queued before execution.",
-            &self.scan_queue_wait,
-        );
-        write_histogram(
-            &mut out,
-            "ensemfdet_scan_sampling_duration_seconds",
-            "Per-scan sampling-stage duration.",
-            &self.sampling_duration,
-        );
-        write_counter(
-            &mut out,
-            "ensemfdet_sample_bytes_materialized_total",
-            "Bytes of per-sample state materialized across all scans.",
-            self.sample_bytes_materialized.get(),
-        );
-        write_counter(
-            &mut out,
-            "ensemfdet_scans_incremental_total",
-            "Scans that ran the incremental per-sample reuse path.",
-            self.scans_incremental.get(),
-        );
-        write_counter(
-            &mut out,
-            "ensemfdet_scan_fallbacks_total",
-            "Incremental scan requests that degraded to a full re-peel.",
-            self.scan_fallbacks.get(),
-        );
-        write_histogram(
-            &mut out,
-            "ensemfdet_dirty_sample_fraction",
-            "Fraction of samples an incremental scan re-peeled.",
-            &self.dirty_sample_fraction.0,
-        );
-        write_gauge(
-            &mut out,
-            "ensemfdet_delta_touched_nodes",
-            "Nodes touched by the delta behind the latest incremental scan.",
-            self.delta_touched_nodes.get(),
-        );
-        write_header(
-            &mut out,
-            "ensemfdet_scan_mode_duration_seconds",
-            "histogram",
-            "Wall-clock per scan, split by full vs incremental mode.",
-        );
-        for (mode, h) in [
-            ("full", &self.scan_duration_full),
-            ("incremental", &self.scan_duration_incremental),
-        ] {
-            write_histogram_samples(
-                &mut out,
-                "ensemfdet_scan_mode_duration_seconds",
-                &format!("mode=\"{mode}\","),
-                h,
-            );
-        }
-        write_gauge(
-            &mut out,
-            "ensemfdet_scan_workers",
-            "Worker threads the most recent scan's sample pool ran with.",
-            self.scan_workers.get(),
-        );
-        write_histogram(
-            &mut out,
-            "ensemfdet_scan_worker_busy_seconds",
-            "Busy time per ensemble worker per scan.",
-            &self.worker_busy_duration,
-        );
-        write_header(
-            &mut out,
-            "ensemfdet_ingest_parse_duration_seconds",
-            "histogram",
-            "Ingest-body parse time, by content type.",
-        );
-        for (ct, h) in [
-            ("json", &self.ingest_parse_json),
-            ("ndjson", &self.ingest_parse_ndjson),
-            ("csv", &self.ingest_parse_csv),
-        ] {
-            write_histogram_samples(
-                &mut out,
-                "ensemfdet_ingest_parse_duration_seconds",
-                &format!("content_type=\"{ct}\","),
-                h,
-            );
-        }
-        write_header(
-            &mut out,
-            "ensemfdet_ingest_load_duration_seconds",
-            "histogram",
-            "End-to-end bulk-load time (parse + intern + append), by format.",
-        );
-        for (format, h) in [
-            ("json", &self.ingest_load_json),
-            ("ndjson", &self.ingest_load_ndjson),
-            ("csv", &self.ingest_load_csv),
-        ] {
-            write_histogram_samples(
-                &mut out,
-                "ensemfdet_ingest_load_duration_seconds",
-                &format!("format=\"{format}\","),
-                h,
-            );
-        }
-        write_header(
-            &mut out,
-            "ensemfdet_interner_keys_total",
-            "gauge",
-            "Distinct keys the transaction interner holds, by side.",
-        );
-        let _ = writeln!(
-            out,
-            "ensemfdet_interner_keys_total{{side=\"user\"}} {}",
-            self.interner_user_keys.get()
-        );
-        let _ = writeln!(
-            out,
-            "ensemfdet_interner_keys_total{{side=\"merchant\"}} {}",
-            self.interner_merchant_keys.get()
-        );
-        write_gauge(
-            &mut out,
-            "ensemfdet_interner_arena_bytes",
-            "Bytes held by the interner's key arenas (both sides).",
-            self.interner_arena_bytes.get(),
-        );
-        write_counter(
-            &mut out,
-            "ensemfdet_scans_hybrid_total",
-            "Scans that ran the hybrid scoring fusion.",
-            self.scans_hybrid.get(),
-        );
-        write_header(
-            &mut out,
-            "ensemfdet_scan_scoring_duration_seconds",
-            "histogram",
-            "Hybrid-scoring component time per hybrid scan, by component.",
-        );
-        for (component, h) in [
-            ("vote", &self.scoring_vote_duration),
-            ("spectral", &self.scoring_spectral_duration),
-            ("kcore", &self.scoring_kcore_duration),
-        ] {
-            write_histogram_samples(
-                &mut out,
-                "ensemfdet_scan_scoring_duration_seconds",
-                &format!("component=\"{component}\","),
-                h,
-            );
-        }
-        out
-    }
-
-    /// Records one hybrid-scored scan: the `[vote, spectral, kcore]`
-    /// component wall-clocks (from the scan outcome's
-    /// `HybridScanScores::component_times`) plus the hybrid-scan counter.
-    pub fn record_scan_scoring(&self, component_times: [Duration; 3]) {
-        self.scans_hybrid.inc();
-        self.scoring_vote_duration.observe_duration(component_times[0]);
-        self.scoring_spectral_duration.observe_duration(component_times[1]);
-        self.scoring_kcore_duration.observe_duration(component_times[2]);
     }
 
     /// Records one scan's reuse telemetry: the mode-labelled duration
@@ -724,117 +634,27 @@ impl ServiceMetrics {
         elapsed: Duration,
     ) {
         if incremental {
-            self.scans_incremental.inc();
-            self.dirty_sample_fraction.0.observe(dirty_fraction);
+            self.dirty_sample_fraction.observe(dirty_fraction);
             self.delta_touched_nodes.set(delta_touched as i64);
-            self.scan_duration_incremental.observe_duration(elapsed);
+            self.scan_mode_duration[ScanMode::Incremental].observe_duration(elapsed);
         } else {
             if fell_back {
                 self.scan_fallbacks.inc();
-                self.dirty_sample_fraction.0.observe(1.0);
+                self.dirty_sample_fraction.observe(1.0);
             }
-            self.scan_duration_full.observe_duration(elapsed);
+            self.scan_mode_duration[ScanMode::Full].observe_duration(elapsed);
         }
     }
 
-    /// Records one scan's worker-pool telemetry: the effective worker
-    /// count and each worker's busy time (from the ensemble's
-    /// `worker_times` diagnostics).
-    pub fn record_scan_workers(&self, workers: usize, worker_times: &[Duration]) {
-        self.scan_workers.set(workers as i64);
-        for &t in worker_times {
-            self.worker_busy_duration.observe_duration(t);
+    /// Renders every family in the Prometheus text exposition format.
+    pub fn render(&self) -> String {
+        let mut out = String::with_capacity(4096);
+        for (name, help, metric) in self.families() {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} {}", metric.kind());
+            metric.write_samples(&mut out, name, "");
         }
-    }
-
-    /// Records one ingest body parse, labelled by content type:
-    /// `"json"` (the default JSON array), `"ndjson"`, or `"csv"`.
-    /// Unknown labels fall back to the JSON series.
-    pub fn record_ingest_parse(&self, content_type: &str, elapsed: Duration) {
-        let h = match content_type {
-            "ndjson" => &self.ingest_parse_ndjson,
-            "csv" => &self.ingest_parse_csv,
-            _ => &self.ingest_parse_json,
-        };
-        h.observe_duration(elapsed);
-    }
-
-    /// Records one end-to-end bulk load (parse + intern + append),
-    /// labelled by format (`"json"`, `"ndjson"`, `"csv"`).
-    pub fn record_ingest_load(&self, format: &str, elapsed: Duration) {
-        let h = match format {
-            "ndjson" => &self.ingest_load_ndjson,
-            "csv" => &self.ingest_load_csv,
-            _ => &self.ingest_load_json,
-        };
-        h.observe_duration(elapsed);
-    }
-
-    /// Publishes the interner's size gauges: distinct keys per side and
-    /// total arena bytes.
-    pub fn record_interner(&self, users: usize, merchants: usize, arena_bytes: usize) {
-        self.interner_user_keys.set(users as i64);
-        self.interner_merchant_keys.set(merchants as i64);
-        self.interner_arena_bytes.set(arena_bytes as i64);
-    }
-
-    /// Records one completed scan job: time spent queued and the
-    /// end-to-end latency from enqueue to published result.
-    pub fn record_scan_job(&self, queue_wait: Duration, total: Duration) {
-        self.scan_queue_wait.observe_duration(queue_wait);
-        self.scan_job_duration.observe_duration(total);
-    }
-
-    /// Updates the snapshot freshness gauges from the latest published
-    /// snapshot's epoch and the transactions ingested since it.
-    pub fn record_snapshot(&self, epoch: u64, lag: usize) {
-        self.snapshot_epoch.set(epoch as i64);
-        self.snapshot_lag.set(lag as i64);
-    }
-}
-
-fn write_header(out: &mut String, name: &str, kind: &str, help: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-}
-
-fn write_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    write_header(out, name, "counter", help);
-    let _ = writeln!(out, "{name} {value}");
-}
-
-fn write_gauge(out: &mut String, name: &str, help: &str, value: i64) {
-    write_header(out, name, "gauge", help);
-    let _ = writeln!(out, "{name} {value}");
-}
-
-fn write_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
-    write_header(out, name, "histogram", help);
-    write_histogram_samples(out, name, "", h);
-}
-
-/// Emits one histogram's samples with `extra_labels` (e.g. `stage="x",`,
-/// trailing comma included) prepended to each bucket's `le` label.
-///
-/// Every figure comes from one [`Histogram::snapshot`], so the emitted
-/// `+Inf` bucket and `_count` always agree even under concurrent observes.
-fn write_histogram_samples(out: &mut String, name: &str, extra_labels: &str, h: &Histogram) {
-    let snapshot = h.snapshot();
-    let total = snapshot.count();
-    for (bound, count) in snapshot.cumulative() {
-        if bound.is_finite() {
-            let _ = writeln!(out, "{name}_bucket{{{extra_labels}le=\"{bound}\"}} {count}");
-        } else {
-            let _ = writeln!(out, "{name}_bucket{{{extra_labels}le=\"+Inf\"}} {count}");
-        }
-    }
-    let labels = extra_labels.trim_end_matches(',');
-    if labels.is_empty() {
-        let _ = writeln!(out, "{name}_sum {}", h.sum_seconds());
-        let _ = writeln!(out, "{name}_count {total}");
-    } else {
-        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", h.sum_seconds());
-        let _ = writeln!(out, "{name}_count{{{labels}}} {total}");
+        out
     }
 }
 
@@ -970,45 +790,96 @@ mod tests {
         m.requests.inc("/scan", 503);
         m.rejected.inc();
         m.queue_depth.set(2);
-        m.record_scan(
-            Duration::from_millis(30),
-            &[Duration::from_millis(10), Duration::from_millis(20)],
-        );
-        m.record_scan_stages([
-            Duration::from_millis(5),
-            Duration::from_millis(24),
-            Duration::from_millis(1),
-        ]);
-        m.record_sampling(Duration::from_millis(5), 4096);
+        m.scan_duration.observe_duration(Duration::from_millis(30));
+        m.sample_duration
+            .observe_duration(Duration::from_millis(10));
+        m.sample_duration
+            .observe_duration(Duration::from_millis(20));
+        m.stage_duration[Stage::Sampling].observe_duration(Duration::from_millis(5));
+        m.stage_duration[Stage::Detection].observe_duration(Duration::from_millis(24));
+        m.stage_duration[Stage::Aggregation].observe_duration(Duration::from_millis(1));
+        m.sample_bytes_materialized.add(4096);
         let text = m.render();
-        assert!(text.contains("ensemfdet_scan_sampling_duration_seconds_count 1"));
-        assert!(text.contains("ensemfdet_sample_bytes_materialized_total 4096"));
         assert!(text.contains(
-            "ensemfdet_http_requests_total{route=\"/health\",status=\"200\"} 1"
+            "# HELP ensemfdet_http_rejected_total Connections shed because the accept queue was full.\n\
+             # TYPE ensemfdet_http_rejected_total counter\n\
+             ensemfdet_http_rejected_total 1\n"
         ));
+        assert!(text.contains("ensemfdet_scan_stage_duration_seconds_count{stage=\"sampling\"} 1"));
+        assert!(text.contains("ensemfdet_sample_bytes_materialized_total 4096"));
+        assert!(text.contains("ensemfdet_http_requests_total{route=\"/health\",status=\"200\"} 1"));
         assert!(text.contains("ensemfdet_http_requests_total{route=\"/scan\",status=\"503\"} 1"));
-        assert!(text.contains("ensemfdet_http_rejected_total 1"));
         assert!(text.contains("ensemfdet_http_queue_depth 2"));
         assert!(text.contains(
             "# HELP ensemfdet_transactions_ingested_total \
              Transactions ingested via POST /v1/transactions."
         ));
-        assert!(text.contains("ensemfdet_scans_total 1"));
+        assert!(text.contains("ensemfdet_scan_duration_seconds_count 1"));
         assert!(text.contains("ensemfdet_scan_sample_duration_seconds_count 2"));
         assert!(text.contains("ensemfdet_scan_duration_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains(
             "ensemfdet_scan_stage_duration_seconds_bucket{stage=\"detection\",le=\"+Inf\"} 1"
         ));
-        assert!(text.contains("ensemfdet_scan_stage_duration_seconds_count{stage=\"sampling\"} 1"));
-        // Every non-comment line is `name{labels} value` or `name value`.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let (name, value) = line.rsplit_once(' ').expect("name value");
-            assert!(!name.is_empty());
+        // Every family is one `# HELP` line, then one `# TYPE` line, then
+        // its samples: each named after the family (histograms add
+        // `_bucket`/`_sum`/`_count`) with a numeric value.
+        let mut family: Option<(&str, &str)> = None;
+        let mut seen = Vec::new();
+        let mut lines = text.lines();
+        while let Some(line) = lines.next() {
+            if let Some(help) = line.strip_prefix("# HELP ") {
+                let name = help.split(' ').next().unwrap();
+                let kind = lines
+                    .next()
+                    .and_then(|l| l.strip_prefix(&format!("# TYPE {name} ")))
+                    .unwrap_or_else(|| panic!("no TYPE line after `{line}`"));
+                assert!(["counter", "gauge", "histogram"].contains(&kind), "{kind}");
+                assert!(!seen.contains(&name), "{name} declared twice");
+                seen.push(name);
+                family = Some((name, kind));
+                continue;
+            }
+            let (name, kind) = family.unwrap_or_else(|| panic!("sample before any TYPE: `{line}`"));
+            let (series, value) = line.rsplit_once(' ').expect("name value");
             assert!(value.parse::<f64>().is_ok(), "bad value in `{line}`");
+            let sample = series.split('{').next().unwrap();
+            let suffix = sample
+                .strip_prefix(name)
+                .unwrap_or_else(|| panic!("`{line}` outside {name}"));
+            let allowed: &[&str] = if kind == "histogram" {
+                &["_bucket", "_sum", "_count"]
+            } else {
+                &[""]
+            };
+            assert!(allowed.contains(&suffix), "`{line}` in {kind} {name}");
         }
-        // HELP/TYPE pairs precede their samples.
-        assert!(text.find("# TYPE ensemfdet_scans_total").unwrap()
-            < text.find("\nensemfdet_scans_total ").unwrap());
+        assert_eq!(seen.len(), m.families().len());
+    }
+
+    #[test]
+    fn every_family_is_named_once_and_documented() {
+        const API_DOCS: &str = include_str!("../../../docs/API.md");
+        let m = ServiceMetrics::new();
+        let families = m.families();
+        let mut names: Vec<&str> = families.iter().map(|f| f.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), families.len(), "duplicate family names");
+        for (name, _, metric) in &families {
+            let row = format!("| `{name}` | {} |", metric.kind());
+            assert!(API_DOCS.contains(&row), "docs/API.md has no row `{row}`");
+        }
+        // ... and the docs name no family that is not declared.
+        for row in API_DOCS
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `ensemfdet_"))
+        {
+            let name = format!("ensemfdet_{}", row.split('`').next().unwrap());
+            assert!(
+                names.contains(&name.as_str()),
+                "docs/API.md documents undeclared {name}"
+            );
+        }
     }
 
     #[test]
@@ -1018,8 +889,11 @@ mod tests {
         m.scans_in_flight.set(1);
         m.scan_queue_rejected.inc();
         m.scans_failed.inc();
-        m.record_snapshot(7, 42);
-        m.record_scan_job(Duration::from_millis(2), Duration::from_millis(90));
+        m.snapshot_epoch.set(7);
+        m.snapshot_lag.set(42);
+        m.scan_queue_wait.observe_duration(Duration::from_millis(2));
+        m.scan_job_duration
+            .observe_duration(Duration::from_millis(90));
         let text = m.render();
         assert!(text.contains("ensemfdet_scan_queue_depth 3"));
         assert!(text.contains("ensemfdet_scans_in_flight 1"));
@@ -1034,45 +908,45 @@ mod tests {
     #[test]
     fn worker_and_ingest_parse_metrics_render() {
         let m = ServiceMetrics::new();
-        m.record_scan_workers(
-            2,
-            &[Duration::from_millis(40), Duration::from_millis(35)],
-        );
-        m.record_ingest_parse("json", Duration::from_micros(300));
-        m.record_ingest_parse("ndjson", Duration::from_micros(120));
-        m.record_ingest_parse("ndjson", Duration::from_micros(90));
-        m.record_ingest_parse("csv", Duration::from_micros(75));
+        m.scan_workers.set(2);
+        m.worker_busy_duration
+            .observe_duration(Duration::from_millis(40));
+        m.worker_busy_duration
+            .observe_duration(Duration::from_millis(35));
+        for (format, micros) in [
+            (IngestFormat::Json, 300),
+            (IngestFormat::Ndjson, 120),
+            (IngestFormat::Ndjson, 90),
+            (IngestFormat::Csv, 75),
+        ] {
+            m.ingest_parse[format].observe_duration(Duration::from_micros(micros));
+        }
         let text = m.render();
         assert!(text.contains("ensemfdet_scan_workers 2"));
         assert!(text.contains("ensemfdet_scan_worker_busy_seconds_count 2"));
-        assert!(text.contains(
-            "ensemfdet_ingest_parse_duration_seconds_count{content_type=\"json\"} 1"
-        ));
-        assert!(text.contains(
-            "ensemfdet_ingest_parse_duration_seconds_count{content_type=\"ndjson\"} 2"
-        ));
-        assert!(text.contains(
-            "ensemfdet_ingest_parse_duration_seconds_count{content_type=\"csv\"} 1"
-        ));
+        assert!(
+            text.contains("ensemfdet_ingest_parse_duration_seconds_count{content_type=\"json\"} 1")
+        );
+        assert!(text
+            .contains("ensemfdet_ingest_parse_duration_seconds_count{content_type=\"ndjson\"} 2"));
+        assert!(
+            text.contains("ensemfdet_ingest_parse_duration_seconds_count{content_type=\"csv\"} 1")
+        );
     }
 
     #[test]
     fn ingest_load_and_interner_metrics_render() {
         let m = ServiceMetrics::new();
-        m.record_ingest_load("csv", Duration::from_millis(4));
-        m.record_ingest_load("csv", Duration::from_millis(6));
-        m.record_ingest_load("ndjson", Duration::from_millis(2));
-        m.record_interner(1200, 340, 65536);
+        m.ingest_load[IngestFormat::Csv].observe_duration(Duration::from_millis(4));
+        m.ingest_load[IngestFormat::Csv].observe_duration(Duration::from_millis(6));
+        m.ingest_load[IngestFormat::Ndjson].observe_duration(Duration::from_millis(2));
+        m.interner_keys[Side::User].set(1200);
+        m.interner_keys[Side::Merchant].set(340);
+        m.interner_arena_bytes.set(65536);
         let text = m.render();
-        assert!(text.contains(
-            "ensemfdet_ingest_load_duration_seconds_count{format=\"csv\"} 2"
-        ));
-        assert!(text.contains(
-            "ensemfdet_ingest_load_duration_seconds_count{format=\"ndjson\"} 1"
-        ));
-        assert!(text.contains(
-            "ensemfdet_ingest_load_duration_seconds_count{format=\"json\"} 0"
-        ));
+        assert!(text.contains("ensemfdet_ingest_load_duration_seconds_count{format=\"csv\"} 2"));
+        assert!(text.contains("ensemfdet_ingest_load_duration_seconds_count{format=\"ndjson\"} 1"));
+        assert!(text.contains("ensemfdet_ingest_load_duration_seconds_count{format=\"json\"} 0"));
         assert!(text.contains("ensemfdet_interner_keys_total{side=\"user\"} 1200"));
         assert!(text.contains("ensemfdet_interner_keys_total{side=\"merchant\"} 340"));
         assert!(text.contains("ensemfdet_interner_arena_bytes 65536"));
@@ -1081,16 +955,12 @@ mod tests {
     #[test]
     fn scoring_metrics_render_per_component() {
         let m = ServiceMetrics::new();
-        m.record_scan_scoring([
-            Duration::from_micros(50),
-            Duration::from_millis(12),
-            Duration::from_millis(3),
-        ]);
-        m.record_scan_scoring([
-            Duration::from_micros(60),
-            Duration::from_millis(11),
-            Duration::from_millis(2),
-        ]);
+        for millis in [[1, 12, 3], [2, 11, 2]] {
+            m.scans_hybrid.inc();
+            for (&component, ms) in ScoringComponent::ALL.iter().zip(millis) {
+                m.scoring_duration[component].observe_duration(Duration::from_millis(ms));
+            }
+        }
         let text = m.render();
         assert!(text.contains("ensemfdet_scans_hybrid_total 2"));
         for component in ["vote", "spectral", "kcore"] {
@@ -1113,7 +983,6 @@ mod tests {
         // One fallback (oversized delta, say).
         m.record_scan_reuse(false, true, 1.0, 0, Duration::from_millis(75));
         let text = m.render();
-        assert!(text.contains("ensemfdet_scans_incremental_total 1"));
         assert!(text.contains("ensemfdet_scan_fallbacks_total 1"));
         assert!(text.contains("ensemfdet_delta_touched_nodes 14"));
         // 0.25 lands in the le=0.35 bucket; the fallback's 1.0 joins at 1.
@@ -1121,9 +990,7 @@ mod tests {
         assert!(text.contains("ensemfdet_dirty_sample_fraction_bucket{le=\"1\"} 2"));
         assert!(text.contains("ensemfdet_dirty_sample_fraction_count 2"));
         // Mode-labelled duration series: 1 incremental, 2 full.
-        assert!(text.contains(
-            "ensemfdet_scan_mode_duration_seconds_count{mode=\"incremental\"} 1"
-        ));
+        assert!(text.contains("ensemfdet_scan_mode_duration_seconds_count{mode=\"incremental\"} 1"));
         assert!(text.contains("ensemfdet_scan_mode_duration_seconds_count{mode=\"full\"} 2"));
     }
 }
