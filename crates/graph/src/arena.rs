@@ -10,17 +10,18 @@
 //!   per key, with an open-addressing index of dense ids probed directly
 //!   against the arena. One amortized allocation per *arena doubling*, not
 //!   per key, and borrow-keyed lookup with no temporary `String`.
-//! - [`ShardedInterner`]: a concurrent variant routing keys by hash to
-//!   independent [`ArenaInterner`]-style shards so threads interning
-//!   disjoint keys never contend, while a global reverse map keeps ids
-//!   **dense and arrival-ordered** — single-threaded use assigns exactly
-//!   the ids the serial interner would.
-//! - [`ArenaTransactionInterner`] / [`ConcurrentTransactionInterner`]:
-//!   the two-namespace (user + merchant) wrappers the loader and service
-//!   use.
+//! - [`ArenaTransactionInterner`]: the two-namespace (user + merchant)
+//!   interner the loader, the CLI and the service all use.
+//! - [`ConcurrentTransactionInterner`]: the service's shared instance, one
+//!   [`ArenaTransactionInterner`] behind one mutex. Ingest takes the lock
+//!   once per batch and a scan once to translate its flagged ids. One
+//!   arena under one lock is also the faster design: `BENCH_PR10.json`
+//!   (jd3/4, 3.17M records) timed interning at 0.79 s (103.5 MB
+//!   allocated) for the arena against 1.70 s and 1.80 s (153.6 MB) for a
+//!   16-shard lock-striped interner on one and two workers.
 
 use crate::ids::{MerchantId, UserId};
-use std::sync::RwLock;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// FNV-1a, 64-bit: deterministic across runs and platforms (unlike the
 /// std `RandomState`), cheap on the short keys transaction logs carry.
@@ -33,11 +34,6 @@ fn fnv1a(key: &[u8]) -> u64 {
     }
     h
 }
-
-/// Number of shards in [`ShardedInterner`]. Sixteen keeps per-shard table
-/// sizes reasonable while making same-shard collisions rare for typical
-/// worker counts (≤ 16).
-const NUM_SHARDS: usize = 16;
 
 /// A single-namespace interner: one byte arena, `(offset, len)` spans, and
 /// an open-addressing table of dense ids compared straight against the
@@ -193,7 +189,8 @@ impl ArenaInterner {
 
 /// Two-namespace (user + merchant) arena interner: what the parallel
 /// loader and the serial [`read_transactions_csv`](crate::read_transactions_csv)
-/// return.
+/// return, and what the service shares behind
+/// [`ConcurrentTransactionInterner`].
 #[derive(Clone, Debug, Default)]
 pub struct ArenaTransactionInterner {
     users: ArenaInterner,
@@ -269,127 +266,15 @@ impl ArenaTransactionInterner {
     }
 }
 
-/// One shard of a [`ShardedInterner`]: a local arena plus a table mapping
-/// keys to *local* indexes, and the local→global id translation.
-#[derive(Debug, Default)]
-struct Shard {
-    local: ArenaInterner,
-    /// `globals[local_index]` is the dense global id.
-    globals: Vec<u32>,
-}
-
-/// Recovers a read guard even if a writer panicked; the interner's
-/// invariants hold at every await-free step, so the data is still usable.
-fn read_recover<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn write_recover<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A concurrent interner: keys route by hash to `NUM_SHARDS` (16) independent
-/// shards, so threads interning disjoint keys take disjoint locks. Hits —
-/// the overwhelming majority on real logs — need only a shard *read* lock.
-///
-/// Global ids stay **dense and arrival-ordered**: a miss takes the shard
-/// write lock, then a global reverse-map lock (always in that order) to
-/// allocate the next id. Used single-threaded, the assigned ids are
-/// identical to [`ArenaInterner`]'s.
-#[derive(Debug)]
-pub struct ShardedInterner {
-    shards: Vec<RwLock<Shard>>,
-    /// `reverse[global_id] = (shard, local_index)`.
-    reverse: RwLock<Vec<(u32, u32)>>,
-}
-
-impl Default for ShardedInterner {
-    fn default() -> Self {
-        ShardedInterner {
-            shards: (0..NUM_SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
-            reverse: RwLock::new(Vec::new()),
-        }
-    }
-}
-
-impl ShardedInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn shard_of(key: &str) -> usize {
-        // High bits pick the shard so the low bits the shard table uses
-        // stay independent of the routing decision.
-        (fnv1a(key.as_bytes()) >> 57) as usize & (NUM_SHARDS - 1)
-    }
-
-    /// Interns `key`, returning its dense global id (arrival order).
-    pub fn intern(&self, key: &str) -> u32 {
-        let shard = &self.shards[Self::shard_of(key)];
-        {
-            let guard = read_recover(shard);
-            if let Some(local) = guard.local.find(key) {
-                return guard.globals[local as usize];
-            }
-        }
-        let mut guard = write_recover(shard);
-        // Re-check under the write lock: another thread may have won the
-        // race between our read probe and here.
-        if let Some(local) = guard.local.find(key) {
-            return guard.globals[local as usize];
-        }
-        // Lock order is always shard → reverse, so two misses on different
-        // shards serialize only on the id allocation itself.
-        let mut reverse = write_recover(&self.reverse);
-        let global = u32::try_from(reverse.len()).expect("interner exceeds u32 ids");
-        let local = guard.local.intern(key);
-        reverse.push((Self::shard_of(key) as u32, local));
-        guard.globals.push(global);
-        global
-    }
-
-    /// Looks up an existing key without allocating.
-    pub fn find(&self, key: &str) -> Option<u32> {
-        let guard = read_recover(&self.shards[Self::shard_of(key)]);
-        guard.local.find(key).map(|l| guard.globals[l as usize])
-    }
-
-    /// The key stored under `id`, as an owned `String` (the backing arena
-    /// lives behind a shard lock, so a borrow cannot escape).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never returned by [`Self::intern`].
-    pub fn key(&self, id: u32) -> String {
-        let (shard, local) = read_recover(&self.reverse)[id as usize];
-        read_recover(&self.shards[shard as usize]).local.key(local).to_string()
-    }
-
-    /// Number of distinct keys interned.
-    pub fn len(&self) -> usize {
-        read_recover(&self.reverse).len()
-    }
-
-    /// Whether no key has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes held by the key arenas across all shards.
-    pub fn arena_bytes(&self) -> usize {
-        self.shards.iter().map(|s| read_recover(s).local.arena_bytes()).sum()
-    }
-}
-
-/// Two-namespace concurrent interner for the service's bulk-ingest path:
-/// `&self` methods and internal sharding, so concurrent parse workers
-/// never serialize on one interner lock.
+/// The service's shared interner: one [`ArenaTransactionInterner`] behind
+/// one mutex. Callers that intern a whole batch take [`Self::lock`] once
+/// and intern through the guard; the per-key `&self` methods each take the
+/// lock for one call. Ids stay dense and arrival-ordered, so interning a
+/// log's records in file order assigns exactly the ids the loader's
+/// [`ArenaTransactionInterner`] does.
 #[derive(Debug, Default)]
 pub struct ConcurrentTransactionInterner {
-    users: ShardedInterner,
-    merchants: ShardedInterner,
+    inner: Mutex<ArenaTransactionInterner>,
 }
 
 impl ConcurrentTransactionInterner {
@@ -398,56 +283,37 @@ impl ConcurrentTransactionInterner {
         Self::default()
     }
 
+    /// Locks the interner, recovering from poisoning: every
+    /// [`ArenaTransactionInterner`] method leaves it valid at each step, so
+    /// a thread that panicked while holding the lock left usable data.
+    pub fn lock(&self) -> MutexGuard<'_, ArenaTransactionInterner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns (possibly allocating) the dense id of a user key.
-    #[inline]
     pub fn user(&self, key: &str) -> UserId {
-        UserId(self.users.intern(key))
+        self.lock().user(key)
     }
 
     /// Returns (possibly allocating) the dense id of a merchant key.
-    #[inline]
     pub fn merchant(&self, key: &str) -> MerchantId {
-        MerchantId(self.merchants.intern(key))
+        self.lock().merchant(key)
     }
 
-    /// Looks up an existing user key without allocating.
-    pub fn find_user(&self, key: &str) -> Option<UserId> {
-        self.users.find(key).map(UserId)
-    }
-
-    /// Looks up an existing merchant key without allocating.
-    pub fn find_merchant(&self, key: &str) -> Option<MerchantId> {
-        self.merchants.find(key).map(MerchantId)
-    }
-
-    /// The original key of a user id, as an owned `String`.
+    /// The original key of a user id, as an owned `String` (the arena
+    /// lives behind the lock, so a borrow cannot escape).
     pub fn user_key(&self, u: UserId) -> String {
-        self.users.key(u.0)
-    }
-
-    /// The original key of a merchant id, as an owned `String`.
-    pub fn merchant_key(&self, v: MerchantId) -> String {
-        self.merchants.key(v.0)
+        self.lock().user_key(u).to_string()
     }
 
     /// Number of distinct users seen.
     pub fn num_users(&self) -> usize {
-        self.users.len()
+        self.lock().num_users()
     }
 
     /// Number of distinct merchants seen.
     pub fn num_merchants(&self) -> usize {
-        self.merchants.len()
-    }
-
-    /// Translates a detected user set back to keys.
-    pub fn user_keys_of(&self, detected: &[UserId]) -> Vec<String> {
-        detected.iter().map(|&u| self.user_key(u)).collect()
-    }
-
-    /// Total arena bytes across both namespaces and all shards.
-    pub fn arena_bytes(&self) -> usize {
-        self.users.arena_bytes() + self.merchants.arena_bytes()
+        self.lock().num_merchants()
     }
 }
 
@@ -509,44 +375,49 @@ mod tests {
     }
 
     #[test]
-    fn sharded_single_thread_matches_serial_ids() {
-        let serial = {
-            let mut a = ArenaInterner::new();
-            (0..500).map(|i| a.intern(&format!("u{}", i % 173))).collect::<Vec<_>>()
-        };
-        let sharded = ShardedInterner::new();
-        let got: Vec<u32> = (0..500).map(|i| sharded.intern(&format!("u{}", i % 173))).collect();
-        assert_eq!(serial, got);
-        assert_eq!(sharded.len(), 173);
+    fn concurrent_single_thread_matches_serial_ids() {
+        let keys: Vec<String> = (0..500).map(|i| format!("k{}", i % 173)).collect();
+        let mut serial = ArenaTransactionInterner::new();
+        let concurrent = ConcurrentTransactionInterner::new();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(concurrent.user(key), serial.user(key), "user {key}");
+            // Merchants arrive in a different order: namespaces stay apart.
+            let m = &keys[keys.len() - 1 - i];
+            assert_eq!(concurrent.merchant(m), serial.merchant(m), "merchant {m}");
+        }
+        assert_eq!(concurrent.num_users(), 173);
+        assert_eq!(concurrent.num_merchants(), 173);
         for id in 0..173u32 {
-            let key = sharded.key(id);
-            assert_eq!(sharded.find(&key), Some(id));
+            assert_eq!(concurrent.user_key(UserId(id)), serial.user_key(UserId(id)));
         }
     }
 
     #[test]
-    fn sharded_concurrent_interning_is_consistent() {
-        let interner = ShardedInterner::new();
+    fn concurrent_interning_is_consistent() {
+        let interner = ConcurrentTransactionInterner::new();
+        let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let interner = &interner;
+                let (interner, start) = (&interner, &start);
                 scope.spawn(move || {
+                    start.wait();
                     for i in 0..1000 {
-                        // Heavy overlap across threads to exercise the
-                        // double-checked miss path.
-                        interner.intern(&format!("key-{}", (i * 7 + t) % 311));
+                        // Heavy overlap across threads: most calls race on
+                        // keys another thread may have just added.
+                        interner.user(&format!("key-{}", (i * 7 + t) % 311));
                     }
                 });
             }
         });
-        assert_eq!(interner.len(), 311);
-        // Every id round-trips and ids are dense 0..n.
+        assert_eq!(interner.num_users(), 311);
+        // Ids are dense 0..n and every id round-trips to a distinct key.
         let mut seen = HashSet::new();
         for id in 0..311u32 {
-            let key = interner.key(id);
-            assert_eq!(interner.find(&key), Some(id));
+            let key = interner.user_key(UserId(id));
+            assert_eq!(interner.user(&key), UserId(id));
             assert!(seen.insert(key));
         }
+        assert_eq!(interner.num_users(), 311);
     }
 
     #[test]
@@ -559,11 +430,27 @@ mod tests {
         assert_eq!(i.num_users(), 1);
         assert_eq!(i.num_merchants(), 1);
         assert_eq!(i.user_key(u), "same-key");
-        assert_eq!(i.merchant_key(v), "same-key");
-        assert_eq!(i.user_keys_of(&[u]), vec!["same-key".to_string()]);
-        assert!(i.arena_bytes() >= 16);
-        assert_eq!(i.find_user("same-key"), Some(u));
-        assert_eq!(i.find_merchant("other"), None);
+        assert_eq!(i.lock().merchant_key(v), "same-key");
+        assert!(i.lock().arena_bytes() >= 16);
+    }
+
+    #[test]
+    fn concurrent_lock_recovers_from_poisoning() {
+        let i = ConcurrentTransactionInterner::new();
+        i.user("before");
+        let _ = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut guard = i.lock();
+                    guard.user("during");
+                    panic!("poison the interner");
+                })
+                .join()
+        });
+        assert!(i.inner.is_poisoned());
+        assert_eq!(i.user("after"), UserId(2));
+        assert_eq!(i.user_key(UserId(1)), "during");
+        assert_eq!(i.num_users(), 3);
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //!   local↔parent id maps and no intermediate graph copy.
 //! - [`io`]: plain-text edge-list and label-file round-trips.
 //! - [`arena`]: allocation-lean string interning — [`ArenaInterner`] (byte
-//!   arena + spans) and the sharded, lock-striped [`ShardedInterner`] for
-//!   concurrent ingest with dense arrival-order ids.
-//! - [`loader`]: chunked parallel `user,merchant[,amount]` log loading with
-//!   worker-count-invariant ids and amount-summed edge weights.
+//!   arena + spans), one implementation shared by the loader and the
+//!   service, which wraps it in one mutex as
+//!   [`ConcurrentTransactionInterner`] and locks it once per ingest batch.
+//! - [`loader`]: the one chunk scanner for `user,merchant[,amount]` logs
+//!   ([`loader::scan_records`]), and chunked parallel log loading on top of
+//!   it with worker-count-invariant ids and amount-summed edge weights.
 //! - [`stats`]: the dataset statistics reported in Table I of the paper.
 //! - [`components`]: connected components, used by tests and diagnostics.
 //!
@@ -60,9 +62,7 @@ pub mod sampled;
 pub mod spec;
 pub mod stats;
 
-pub use arena::{
-    ArenaInterner, ArenaTransactionInterner, ConcurrentTransactionInterner, ShardedInterner,
-};
+pub use arena::{ArenaInterner, ArenaTransactionInterner, ConcurrentTransactionInterner};
 pub use builder::GraphBuilder;
 pub use csr::{CsrView, NeighborSlices};
 pub use delta::{GraphDelta, GraphDims};

@@ -9,7 +9,9 @@
 //! 1. **Split** the input at line boundaries into one chunk per worker.
 //! 2. **Parse** chunks in parallel under `std::thread::scope`, each into a
 //!    *local* dictionary (an [`ArenaTransactionInterner`]) and local-id
-//!    records — no shared state, no locks.
+//!    records — no shared state, no locks. Steps 1 and 2 are
+//!    [`scan_records`], the one chunk scanner, which the service's
+//!    `text/csv` ingest route calls too.
 //! 3. **Merge** sequentially: walk each chunk's local keys in
 //!    first-appearance order, chunk 0 first, interning into the final
 //!    dictionary, then remap the records through per-chunk translation
@@ -25,8 +27,8 @@
 //! weights are bit-identical too, and edges are canonicalized by sorting
 //! on `(user, merchant)` exactly like
 //! [`DuplicatePolicy::MergeCounting`](crate::builder::DuplicatePolicy).
-//! The same invariance is enforced end-to-end by the bench suite's
-//! equivalence gate before any timing runs.
+//! The same invariance is checked by `loader::tests::worker_counts_are_bit_identical`
+//! and, on generated logs through detection, by `tests/tests/bulk_ingest.rs`.
 
 use crate::arena::ArenaTransactionInterner;
 use crate::builder::{DuplicatePolicy, GraphBuilder};
@@ -79,14 +81,10 @@ struct LocalRecord {
 }
 
 /// Everything a parse worker produces for its chunk.
+#[derive(Default)]
 struct ParsedChunk {
     interner: ArenaTransactionInterner,
     records: Vec<LocalRecord>,
-    /// Lines scanned in this chunk (full count unless `error` is set, in
-    /// which case counting stopped at the failing line).
-    lines: usize,
-    /// First malformed line: (line offset *within the chunk*, message).
-    error: Option<(usize, String)>,
 }
 
 /// Parses one `user<delim>merchant[<delim>amount]` line.
@@ -95,14 +93,7 @@ struct ParsedChunk {
 /// for a record (amount defaults to `1.0`), and a message for malformed
 /// input: fewer than two non-empty fields, or an unparseable amount.
 /// Fields beyond the third are ignored (real logs carry timestamps).
-///
-/// This is the single validation authority for the format — the parallel
-/// loader and the service's `text/csv` ingest route both call it, so both
-/// agree on what a malformed record is.
-pub fn parse_csv_record(
-    line: &str,
-    delimiter: char,
-) -> Result<Option<(&str, &str, f64)>, String> {
+fn parse_csv_record(line: &str, delimiter: char) -> Result<Option<(&str, &str, f64)>, String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -126,9 +117,8 @@ pub fn parse_csv_record(
 }
 
 /// Splits `data` into at most `n` chunks on `\n` boundaries. Every byte is
-/// covered exactly once; chunks are non-empty. Public because the
-/// service's `text/csv` ingest route chunks request bodies the same way.
-pub fn split_line_chunks(data: &[u8], n: usize) -> Vec<&[u8]> {
+/// covered exactly once; chunks are non-empty.
+fn split_line_chunks(data: &[u8], n: usize) -> Vec<&[u8]> {
     let mut chunks = Vec::with_capacity(n);
     if data.is_empty() {
         return chunks;
@@ -147,74 +137,70 @@ pub fn split_line_chunks(data: &[u8], n: usize) -> Vec<&[u8]> {
     chunks
 }
 
-/// Parses one chunk into local-id records. Never touches shared state.
-fn parse_chunk(chunk: &[u8], delimiter: char) -> ParsedChunk {
-    let mut interner = ArenaTransactionInterner::new();
-    let mut records = Vec::new();
+/// Scans one chunk, folding each record into a fresh `S`. Returns the
+/// state and the chunk's line count, or the first malformed line as
+/// (line offset *within the chunk*, message).
+fn scan_chunk<'a, S: Default>(
+    chunk: &'a [u8],
+    delimiter: char,
+    on_record: &impl Fn(&mut S, &'a str, &'a str, f64),
+) -> Result<(S, usize), (usize, String)> {
+    let mut state = S::default();
     let mut lines = 0usize;
-    let mut error = None;
     for raw in chunk.split(|&b| b == b'\n') {
         lines += 1;
-        let text = match std::str::from_utf8(raw) {
-            Ok(t) => t,
-            Err(_) => {
-                error = Some((lines, "line is not valid UTF-8".to_string()));
-                break;
-            }
-        };
-        match parse_csv_record(text, delimiter) {
-            Ok(None) => {}
-            Ok(Some((user, merchant, amount))) => {
-                let u = interner.user(user);
-                let v = interner.merchant(merchant);
-                records.push(LocalRecord {
-                    user: u.0,
-                    merchant: v.0,
-                    amount,
-                });
-            }
-            Err(message) => {
-                error = Some((lines, message));
-                break;
-            }
+        let text =
+            std::str::from_utf8(raw).map_err(|_| (lines, "line is not valid UTF-8".to_string()))?;
+        if let Some((user, merchant, amount)) =
+            parse_csv_record(text, delimiter).map_err(|message| (lines, message))?
+        {
+            on_record(&mut state, user, merchant, amount);
         }
     }
     // `split` on a `\n`-terminated chunk yields one trailing empty piece
     // that is not a real line; drop it from the count.
-    if error.is_none() && chunk.last() == Some(&b'\n') {
+    if chunk.last() == Some(&b'\n') {
         lines -= 1;
     }
-    ParsedChunk {
-        interner,
-        records,
-        lines,
-        error,
-    }
+    Ok((state, lines))
 }
 
-/// Loads a delimited transaction log from memory into an amount-summed
-/// weighted bipartite graph. See the module docs for the determinism
-/// argument; ids and weights are identical for every `options.workers`.
+/// The one scanner of delimited transaction logs: splits `data` into
+/// `workers` line-aligned chunks, scans them in parallel under
+/// `std::thread::scope` (serially on the calling thread for one chunk),
+/// and folds every `user<delim>merchant[<delim>amount]` record of a chunk
+/// into that chunk's own `S` with `on_record`. Blank lines and `#`
+/// comments are skipped; fields beyond the third are ignored.
+///
+/// Returns the per-chunk states in file order and the number of lines
+/// scanned. Both [`load_transactions`] and the service's `text/csv`
+/// ingest route parse through here, so they agree on what a malformed
+/// record is and where it sits.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::Parse`] with the 1-based global line number of
-/// the first malformed record (fewer than two fields, bad amount, or
-/// invalid UTF-8), or a graph-construction error.
-pub fn load_transactions(data: &[u8], options: &LoadOptions) -> Result<LoadedLog, GraphError> {
-    let workers = options.workers.max(1);
-    let chunks = split_line_chunks(data, workers);
-
-    let parsed: Vec<ParsedChunk> = if workers <= 1 || chunks.len() <= 1 {
-        chunks.iter().map(|c| parse_chunk(c, options.delimiter)).collect()
+/// the first malformed record (fewer than two non-empty fields, a bad or
+/// non-finite amount, or invalid UTF-8).
+pub fn scan_records<'a, S, F>(
+    data: &'a [u8],
+    delimiter: char,
+    workers: usize,
+    on_record: F,
+) -> Result<(Vec<S>, usize), GraphError>
+where
+    S: Default + Send,
+    F: Fn(&mut S, &'a str, &'a str, f64) + Sync,
+{
+    let chunks = split_line_chunks(data, workers.max(1));
+    let scan = |chunk: &'a [u8]| scan_chunk(chunk, delimiter, &on_record);
+    let scanned: Vec<_> = if chunks.len() <= 1 {
+        chunks.into_iter().map(scan).collect()
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
-                .iter()
-                .map(|&chunk| {
-                    let delimiter = options.delimiter;
-                    scope.spawn(move || parse_chunk(chunk, delimiter))
-                })
+                .into_iter()
+                .map(|chunk| scope.spawn(move || scan(chunk)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("parse worker panicked")).collect()
         })
@@ -223,17 +209,49 @@ pub fn load_transactions(data: &[u8], options: &LoadOptions) -> Result<LoadedLog
     // Surface the first (lowest-line) malformed record. Chunks before the
     // first erring one completed cleanly, so their line counts are exact
     // and prefix-summing them yields the global line number.
-    let mut line_base = 0usize;
-    for chunk in &parsed {
-        if let Some((local_line, message)) = &chunk.error {
-            return Err(GraphError::Parse {
-                line: line_base + local_line,
-                message: message.clone(),
-            });
+    let mut states = Vec::with_capacity(scanned.len());
+    let mut lines = 0usize;
+    for chunk in scanned {
+        match chunk {
+            Ok((state, chunk_lines)) => {
+                states.push(state);
+                lines += chunk_lines;
+            }
+            Err((local_line, message)) => {
+                return Err(GraphError::Parse {
+                    line: lines + local_line,
+                    message,
+                })
+            }
         }
-        line_base += chunk.lines;
     }
-    let lines = line_base;
+    Ok((states, lines))
+}
+
+/// Loads a delimited transaction log from memory into an amount-summed
+/// weighted bipartite graph. See the module docs for the determinism
+/// argument; ids and weights are identical for every `options.workers`.
+///
+/// # Errors
+///
+/// As [`scan_records`], or a graph-construction error.
+pub fn load_transactions(data: &[u8], options: &LoadOptions) -> Result<LoadedLog, GraphError> {
+    // Each chunk interns into a *local* dictionary and keeps local-id
+    // records: no shared state, no locks.
+    let (parsed, lines) = scan_records(
+        data,
+        options.delimiter,
+        options.workers,
+        |chunk: &mut ParsedChunk, user, merchant, amount| {
+            let u = chunk.interner.user(user);
+            let v = chunk.interner.merchant(merchant);
+            chunk.records.push(LocalRecord {
+                user: u.0,
+                merchant: v.0,
+                amount,
+            });
+        },
+    )?;
 
     // Sequential merge: intern each chunk's dictionary in first-appearance
     // order (chunk order = file order), building local→global remaps.

@@ -3,11 +3,11 @@
 //!
 //! The ingest path and the scan path never contend:
 //!
-//! * `POST /v1/transactions` maps keys through a sharded, internally
-//!   synchronized [`ConcurrentTransactionInterner`] (no service-wide
-//!   interner mutex) and appends to a sharded [`IngestBuffer`] — it never
-//!   waits on a running scan, and concurrent ingest requests interning
-//!   disjoint keys never wait on each other.
+//! * `POST /v1/transactions` parses its batch without any lock, maps the
+//!   keys through the [`ConcurrentTransactionInterner`] under one lock
+//!   taken once per batch, and appends to a sharded [`IngestBuffer`] — it
+//!   never waits on a running scan, only on another batch's interning or
+//!   a scan's brief flagged-key translation.
 //! * `POST /v1/scans` pins the freshest epoch-versioned snapshot
 //!   (compaction builds the graph outside every ingest lock), enqueues a
 //!   job on the bounded [`JobStore`], and returns `202` immediately. One
@@ -17,10 +17,11 @@
 
 use crate::http::{Request, Response};
 use crate::jobs::{EnqueueError, JobLookup, JobState, JobStore, JobView, ScanResultView, ScanSpec};
+use ensemfdet::ensemble::effective_workers;
 use ensemfdet::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
 use ensemfdet::{EnsemFdet, EnsemFdetConfig, IncrementalPolicy, MonitorConfig, ScoringConfig};
-use ensemfdet_graph::loader::{parse_csv_record, split_line_chunks};
-use ensemfdet_graph::{ConcurrentTransactionInterner, GraphStats};
+use ensemfdet_graph::loader::scan_records;
+use ensemfdet_graph::{ConcurrentTransactionInterner, GraphError, GraphStats};
 use ensemfdet_telemetry::{IngestFormat, ServiceMetrics, Side, PROMETHEUS_CONTENT_TYPE};
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,10 +29,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Locks a mutex, recovering from poisoning. Every value the service
-/// guards (interner, alert ledger, job bookkeeping) stays structurally
-/// valid if a panicking thread unwound through an update, so serving
-/// slightly stale data beats wedging every subsequent request with a
-/// panic — which is what expecting the lock result did here once.
+/// guards (alert ledger, job bookkeeping) stays structurally valid if a
+/// panicking thread unwound through an update, so serving slightly stale
+/// data beats wedging every subsequent request with a panic — which is
+/// what expecting the lock result did here once. The interner's lock
+/// recovers the same way ([`ConcurrentTransactionInterner::lock`]).
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -116,8 +118,9 @@ pub fn route_label(_method: &str, path: &str) -> &'static str {
 
 /// Everything the request handlers and the scan executor share. No
 /// single big lock: the buffer is sharded, the snapshot store swaps
-/// `Arc`s, the interner shards its own locks internally, and the one
-/// remaining mutex (the alert ledger) is held only by the executor.
+/// `Arc`s, the interner's lock is held once per ingest batch and once per
+/// scan's key translation, and the alert ledger's mutex is held only by
+/// the executor.
 pub(crate) struct Engine {
     pub(crate) config: ApiConfig,
     pub(crate) buffer: IngestBuffer,
@@ -316,75 +319,53 @@ impl Api {
     /// a bad batch is rejected whole and ingests nothing.
     fn transactions(&self, request: &Request) -> Response {
         let started = std::time::Instant::now();
-        if request.content_type == "text/csv" {
-            return self.transactions_csv(&request.body, started);
+        let body = &request.body;
+        match request.content_type.as_str() {
+            "text/csv" => {
+                let workers = effective_workers(self.engine.config.ingest_workers);
+                self.finish_ingest(parse_csv_pairs(body, workers), IngestFormat::Csv, started)
+            }
+            "application/x-ndjson" => {
+                self.finish_ingest(parse_ndjson_records(body), IngestFormat::Ndjson, started)
+            }
+            _ => self.finish_ingest(parse_json_records(body), IngestFormat::Json, started),
         }
-        let ndjson = request.content_type == "application/x-ndjson";
-        let format = if ndjson {
-            IngestFormat::Ndjson
-        } else {
-            IngestFormat::Json
-        };
-        let keys = if ndjson {
-            parse_ndjson_records(&request.body)
-        } else {
-            parse_json_records(&request.body)
-        };
-        self.engine.metrics.ingest_parse[format].observe_duration(started.elapsed());
-        let keys = match keys {
-            Ok(keys) => keys,
-            Err(resp) => return resp,
-        };
-
-        let e = &self.engine;
-        let ids: Vec<_> = keys
-            .iter()
-            .map(|(u, v)| (e.interner.user(u), e.interner.merchant(v)))
-            .collect();
-        self.finish_ingest(ids, format, started)
     }
 
-    /// The `text/csv` arm of bulk ingest: chunk-parallel validation, then
-    /// sequential file-order interning.
-    fn transactions_csv(&self, body: &[u8], started: std::time::Instant) -> Response {
-        let e = &self.engine;
-        let workers = match e.config.ingest_workers {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        let parse_started = std::time::Instant::now();
-        let pairs = parse_csv_pairs(body, workers);
-        e.metrics.ingest_parse[IngestFormat::Csv].observe_duration(parse_started.elapsed());
-        let pairs = match pairs {
-            Ok(pairs) => pairs,
-            Err(resp) => return resp,
-        };
-        // Interning stays strictly in file order: parallel validation must
-        // not perturb id assignment (ids feed sampling downstream).
-        let ids: Vec<_> = pairs
-            .iter()
-            .map(|&(u, v)| (e.interner.user(u), e.interner.merchant(v)))
-            .collect();
-        self.finish_ingest(ids, IngestFormat::Csv, started)
-    }
-
-    /// Shared tail of every ingest format: append, count, publish the
-    /// load-duration, interner and snapshot-lag gauges, maybe autoscan.
-    fn finish_ingest(
+    /// Shared tail of every ingest format: record the parse time, intern,
+    /// append, count, publish the load-duration, interner and
+    /// snapshot-lag gauges, maybe autoscan.
+    fn finish_ingest<K: AsRef<str>>(
         &self,
-        ids: Vec<(ensemfdet_graph::UserId, ensemfdet_graph::MerchantId)>,
+        parsed: Result<Vec<(K, K)>, Response>,
         format: IngestFormat,
         started: std::time::Instant,
     ) -> Response {
         let e = &self.engine;
+        let m = &e.metrics;
+        m.ingest_parse[format].observe_duration(started.elapsed());
+        let pairs = match parsed {
+            Ok(pairs) => pairs,
+            Err(resp) => return resp,
+        };
+        // The service's one interning site: one lock per batch, records in
+        // file order, so ids never depend on how parsing was chunked (ids
+        // feed sampling downstream).
+        let ids: Vec<_> = {
+            let mut interner = e.interner.lock();
+            let ids = pairs
+                .iter()
+                .map(|(u, v)| (interner.user(u.as_ref()), interner.merchant(v.as_ref())))
+                .collect();
+            m.interner_keys[Side::User].set(interner.num_users() as i64);
+            m.interner_keys[Side::Merchant].set(interner.num_merchants() as i64);
+            m.interner_arena_bytes.set(interner.arena_bytes() as i64);
+            ids
+        };
         let ingested = ids.len();
         e.buffer.append_batch(ids);
-        let m = &e.metrics;
         m.transactions_ingested.add(ingested as u64);
         m.ingest_load[format].observe_duration(started.elapsed());
-        m.interner_keys[Side::User].set(e.interner.num_users() as i64);
-        m.interner_keys[Side::Merchant].set(e.interner.num_merchants() as i64);
-        m.interner_arena_bytes.set(e.interner.arena_bytes() as i64);
         m.snapshot_lag.set(e.snapshots.lag(&e.buffer) as i64);
         e.since_scan.fetch_add(ingested, Ordering::Relaxed);
         let scan_job = self.maybe_autoscan();
@@ -847,79 +828,39 @@ fn parse_ndjson_records(body: &[u8]) -> Result<Vec<(String, String)>, Response> 
         if line.iter().all(u8::is_ascii_whitespace) {
             continue;
         }
-        let n = i + 1;
         match serde_json::from_slice::<(String, String)>(line) {
             Ok(pair) => keys.push(pair),
             Err(e) => {
-                return Err(Response::json(
-                    400,
-                    &json!({
-                        "error": {
-                            "code": "invalid_record",
-                            "message": format!(
-                                "line {n}: expected [\"user\", \"merchant\"]: {e}"
-                            ),
-                            "line": n,
-                        }
-                    }),
-                ));
+                let message = format!("expected [\"user\", \"merchant\"]: {e}");
+                return Err(invalid_line(i + 1, &message));
             }
         }
     }
     Ok(keys)
 }
 
-/// One chunk's validation output for [`parse_csv_pairs`].
-struct CsvChunk<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
-    /// Lines scanned (exact when `error` is `None`).
-    lines: usize,
-    /// First malformed line: (line offset within the chunk, message).
-    error: Option<(usize, String)>,
-}
-
-/// Validates one line-aligned chunk of a `text/csv` ingest body. Amounts
-/// are validated (the format authority is the graph crate's
-/// `parse_csv_record`) but discarded — the monitoring pipeline
-/// deduplicates edges binarily.
-fn scan_csv_chunk(chunk: &[u8]) -> CsvChunk<'_> {
-    let mut pairs = Vec::new();
-    let mut lines = 0usize;
-    let mut error = None;
-    for raw in chunk.split(|&b| b == b'\n') {
-        lines += 1;
-        let text = match std::str::from_utf8(raw) {
-            Ok(t) => t,
-            Err(_) => {
-                error = Some((lines, "line is not valid UTF-8".to_string()));
-                break;
+/// The `400 invalid_record` answer to a batch whose 1-based line `n` is
+/// malformed, with the line number also in the error object.
+fn invalid_line(n: usize, message: &str) -> Response {
+    Response::json(
+        400,
+        &json!({
+            "error": {
+                "code": "invalid_record",
+                "message": format!("line {n}: {message}"),
+                "line": n,
             }
-        };
-        match parse_csv_record(text, ',') {
-            Ok(None) => {}
-            Ok(Some((user, merchant, _amount))) => pairs.push((user, merchant)),
-            Err(message) => {
-                error = Some((lines, message));
-                break;
-            }
-        }
-    }
-    // The trailing empty piece after a `\n`-terminated chunk is not a line.
-    if error.is_none() && chunk.last() == Some(&b'\n') {
-        lines -= 1;
-    }
-    CsvChunk {
-        pairs,
-        lines,
-        error,
-    }
+        }),
+    )
 }
 
 /// Parses a `text/csv` ingest body: one `user,merchant[,amount]` record
-/// per line, `#` comments and blank lines skipped. Chunks are validated
-/// in parallel (`workers` line-aligned chunks under `std::thread::scope`)
-/// but the returned pairs are in exact file order, so the caller's
+/// per line, `#` comments and blank lines skipped. The graph crate's
+/// [`scan_records`] validates `workers` line-aligned chunks in parallel;
+/// the returned pairs are in exact file order, so the caller's
 /// sequential interning assigns the same ids for every worker count.
+/// Amounts are validated but discarded: the monitoring pipeline
+/// deduplicates edges binarily.
 ///
 /// A bad line fails the whole batch with `400 invalid_record` carrying
 /// the 1-based `"line"` number in the error object — the same contract
@@ -929,41 +870,14 @@ fn scan_csv_chunk(chunk: &[u8]) -> CsvChunk<'_> {
 /// (`crates/bench/src/bin/benchmark/replay.rs`) times this parser as its
 /// `ingest` span, without socket noise.
 pub fn parse_csv_pairs(body: &[u8], workers: usize) -> Result<Vec<(&str, &str)>, Response> {
-    let chunks = split_line_chunks(body, workers.max(1));
-    let scanned: Vec<CsvChunk<'_>> = if chunks.len() <= 1 {
-        chunks.into_iter().map(scan_csv_chunk).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| scope.spawn(move || scan_csv_chunk(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("csv parse worker panicked"))
-                .collect()
-        })
-    };
-    // Chunks before the first erring one completed cleanly, so their line
-    // counts prefix-sum to the global 1-based line number.
-    let mut line_base = 0usize;
-    for chunk in &scanned {
-        if let Some((local_line, message)) = &chunk.error {
-            let n = line_base + local_line;
-            return Err(Response::json(
-                400,
-                &json!({
-                    "error": {
-                        "code": "invalid_record",
-                        "message": format!("line {n}: {message}"),
-                        "line": n,
-                    }
-                }),
-            ));
-        }
-        line_base += chunk.lines;
-    }
-    Ok(scanned.into_iter().flat_map(|c| c.pairs).collect())
+    scan_records(body, ',', workers, |pairs: &mut Vec<_>, user, merchant, _amount| {
+        pairs.push((user, merchant))
+    })
+    .map(|(chunks, _lines)| chunks.concat())
+    .map_err(|e| match e {
+        GraphError::Parse { line, message } => invalid_line(line, &message),
+        other => Response::error(400, "invalid_record", other.to_string()),
+    })
 }
 
 #[cfg(test)]
@@ -1825,9 +1739,8 @@ mod tests {
     fn poisoned_locks_recover_instead_of_wedging() {
         let api = quick_api();
         post(&api, "/v1/transactions", json!({ "records": [["a", "x"]] }));
-        // Poison the alert-ledger mutex: panic while holding it. (The
-        // interner is no longer a service-level mutex — it recovers from
-        // poisoned shard locks internally.)
+        // Poison the alert-ledger mutex and the interner's lock: panic
+        // while holding each.
         let engine = Arc::clone(&api.engine);
         let _ = std::thread::spawn(move || {
             let _runner = lock_recover(&engine.runner);
@@ -1835,16 +1748,68 @@ mod tests {
         })
         .join();
         assert!(api.engine.runner.is_poisoned());
-        // Every path that takes that lock still serves.
+        let engine = Arc::clone(&api.engine);
+        let _ = std::thread::spawn(move || {
+            let mut interner = engine.interner.lock();
+            interner.user("mid-batch");
+            panic!("poison the interner");
+        })
+        .join();
+        // Every path that takes those locks still serves.
         let (status, body) = get(&api, "/v1/health");
         assert_eq!(status, 200, "{body}");
         let (status, body) = post(&api, "/v1/transactions", json!({ "records": [["b", "y"]] }));
         assert_eq!(status, 200, "{body}");
         assert_eq!(body["transactions"], 2);
+        let (status, body) = post_csv(&api, "/v1/transactions", "c,z,1.5\n");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body["transactions"], 3);
+        let (status, body) = get(&api, "/v1/stats");
+        assert_eq!(status, 200, "{body}");
+        // The user interned by the panicking holder stays interned.
+        assert_eq!(body["users"], 4, "{body}");
+        assert_eq!(body["merchants"], 3, "{body}");
         let (status, body) = post(&api, "/v1/scans", Value::Null);
         assert_eq!(status, 202, "{body}");
         let done = wait_done(&api, body["job_id"].as_u64().unwrap());
         assert_eq!(done["status"], "done", "{done}");
+    }
+
+    #[test]
+    fn concurrent_csv_ingest_interns_each_key_once() {
+        let api = quick_api();
+        // Overlapping bodies: every thread shares half its users and all
+        // of its merchants with the others.
+        let body = |t: usize| -> String {
+            (0..200)
+                .map(|i| format!("u{},m{},1\n", (i + 100 * t) % 500, i % 37))
+                .collect()
+        };
+        let api = Arc::new(api);
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let posters: Vec<_> = (0..4)
+            .map(|t| {
+                let (api, start, body) = (Arc::clone(&api), Arc::clone(&start), body(t));
+                std::thread::spawn(move || {
+                    start.wait();
+                    post_csv(&api, "/v1/transactions", &body)
+                })
+            })
+            .collect();
+        for poster in posters {
+            let (status, resp) = poster.join().unwrap();
+            assert_eq!(status, 200, "{resp}");
+        }
+        let (_, stats) = get(&api, "/v1/stats");
+        assert_eq!(stats["users"], 500, "{stats}");
+        assert_eq!(stats["merchants"], 37, "{stats}");
+        // Ids are dense 0..n and map back to distinct keys.
+        let interner = &api.engine.interner;
+        let keys: std::collections::HashSet<String> =
+            (0..500).map(|u| interner.user_key(ensemfdet_graph::UserId(u))).collect();
+        let expected: std::collections::HashSet<String> =
+            (0..500).map(|u| format!("u{u}")).collect();
+        assert_eq!(keys, expected);
     }
 
     #[test]

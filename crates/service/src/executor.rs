@@ -50,12 +50,12 @@ fn executor_loop(engine: &Engine) {
         match outcome {
             Ok(outcome) => {
                 let (flagged, new_alerts, scoring) = {
-                    // The concurrent interner is internally synchronized;
-                    // key translation takes only shard read locks.
-                    let interner = &engine.interner;
+                    // One interner lock for the whole translation: ingest
+                    // waits at most for these few key copies.
+                    let interner = engine.interner.lock();
                     let to_keys = |ids: &[ensemfdet_graph::UserId]| {
                         ids.iter()
-                            .map(|&u| interner.user_key(u))
+                            .map(|&u| interner.user_key(u).to_string())
                             .collect::<Vec<String>>()
                     };
                     let scoring = outcome.scoring.as_ref().map(|s| {
@@ -74,7 +74,7 @@ fn executor_loop(engine: &Engine) {
                             .map(|u| {
                                 let i = u.index();
                                 (
-                                    interner.user_key(u),
+                                    interner.user_key(u).to_string(),
                                     [s.vote[i], s.spectral[i], s.kcore[i], s.hybrid[i]],
                                 )
                             })

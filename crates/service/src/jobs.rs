@@ -9,18 +9,12 @@
 //! bookkeeping, never detection work, so holding the lock is always
 //! brief.
 
+use crate::api::lock_recover;
 use ensemfdet::pipeline::Snapshot;
 use ensemfdet::{EnsemFdetConfig, ReuseStats, ScoringConfig};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Locks the store's mutex, recovering from poisoning: job bookkeeping
-/// stays structurally valid even if a panic interrupted an update, and a
-/// wedged job store would take the whole scan pipeline down with it.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// What a queued scan job should run: the pinned snapshot (so the epoch
 /// reported at enqueue time is exactly the epoch scanned), the effective
