@@ -8,10 +8,16 @@
 //! edges, so detected node sets may overlap. Its operating points are the
 //! cumulative detected-user sets after 1, 2, …, K blocks: a coarse,
 //! uncontrollable polyline (the paper's Figures 3–4 diamonds).
+//!
+//! It runs on the production bucket-queue peel through the same FDET loop
+//! as EnsemFDet ([`FdetEngine::run_edge_disjoint`]); the only difference
+//! is the retirement rule — FDET retires every edge *incident* to a block,
+//! Fraudar only the block's *internal* edges — so Table III times both
+//! methods on one engine. `tests/tests/engine_equivalence.rs` gates it
+//! bit for bit against the original loop over the naive reference peel.
 
 use ensemfdet::metric::MetricKind;
-use ensemfdet::peel::peel_densest;
-use ensemfdet::Block;
+use ensemfdet::{Block, FdetEngine};
 use ensemfdet_graph::BipartiteGraph;
 use serde::{Deserialize, Serialize};
 
@@ -79,21 +85,7 @@ impl Fraudar {
     /// Runs the iterated greedy on the full graph (no sampling — this is
     /// the sequential baseline the ensemble is compared against).
     pub fn run(&self, g: &BipartiteGraph) -> FraudarResult {
-        let mut edge_alive = vec![true; g.num_edges()];
-        let mut blocks = Vec::new();
-        while blocks.len() < self.config.k {
-            let Some(block) = peel_densest(g, &self.config.metric, &edge_alive) else {
-                break;
-            };
-            for &e in &block.edges {
-                edge_alive[e] = false;
-            }
-            if block.edges.is_empty() {
-                blocks.push(block);
-                break;
-            }
-            blocks.push(block);
-        }
+        let blocks = FdetEngine::new().run_edge_disjoint(g, &self.config.metric, self.config.k);
         FraudarResult { blocks }
     }
 }

@@ -82,31 +82,6 @@ impl Spoken {
             })
             .collect()
     }
-
-    /// Scores every merchant analogously via the right singular vectors.
-    pub fn score_merchants(&self, g: &BipartiteGraph) -> Vec<f64> {
-        let a = adjacency_matrix(g);
-        let k = self.config.components.min(g.num_users()).min(g.num_merchants());
-        if k == 0 || g.num_edges() == 0 {
-            return vec![0.0; g.num_merchants()];
-        }
-        let svd = randomized_svd(
-            &a,
-            k,
-            SvdOptions {
-                power_iters: self.config.power_iters,
-                seed: self.config.seed,
-                ..Default::default()
-            },
-        );
-        (0..g.num_merchants())
-            .map(|v| {
-                (0..svd.rank())
-                    .map(|i| svd.v[(v, i)].abs())
-                    .fold(0.0f64, f64::max)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -148,20 +123,6 @@ mod tests {
             block_min > bg_max,
             "block min {block_min} vs background max {bg_max}"
         );
-    }
-
-    #[test]
-    fn block_merchants_outscore_background() {
-        let g = planted();
-        // See block_users_outscore_background for the components: 1 choice.
-        let scores = Spoken::new(SpokenConfig {
-            components: 1,
-            ..Default::default()
-        })
-        .score_merchants(&g);
-        let block_min = (0..4).map(|v| scores[v]).fold(f64::INFINITY, f64::min);
-        let bg_max = (4..33).map(|v| scores[v]).fold(0.0f64, f64::max);
-        assert!(block_min > bg_max);
     }
 
     #[test]

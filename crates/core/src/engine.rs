@@ -28,6 +28,17 @@
 //! relative edge order, so every floating-point accumulation happens over
 //! the same values in the same sequence — same blocks, same scores, same
 //! edge lists, bit for bit.
+//!
+//! **Retirement rules.** One FDET loop (`fdet::iterate_blocks`)
+//! serves two callers that differ only in which edges a detected block
+//! retires before the next peel:
+//!
+//! - *incident* (FDET, [`FdetEngine::run`] / [`FdetEngine::run_spec`]):
+//!   every edge with an endpoint in the block dies, so the detected node
+//!   sets are disjoint (Eq. 1);
+//! - *internal* (Fraudar, [`FdetEngine::run_edge_disjoint`]): only the
+//!   block's own edges die, so blocks are edge-disjoint but may share
+//!   nodes — the multi-block Fraudar of the paper's Table III baseline.
 
 use crate::block::Block;
 use crate::bucket::BucketQueue;
@@ -51,6 +62,16 @@ pub enum Engine {
     /// reusable scratch: O(E) per peel.
     #[default]
     Bucket,
+}
+
+/// Which edges a detected block retires before the next peel (see the
+/// module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Retire {
+    /// Every edge with an endpoint in the block (FDET).
+    Incident,
+    /// Only the block's internal edges (Fraudar).
+    Internal,
 }
 
 /// Per-node working memory of the bucket peel.
@@ -301,7 +322,7 @@ impl FdetEngine {
         self.view
             .rebuild_from_spec(parent, spec, &mut self.resolver, maps);
         let sample_edges = self.view.num_edges();
-        (self.run_view(metric, truncation), sample_edges)
+        (self.run_view(metric, truncation, Retire::Incident), sample_edges)
     }
 
     /// Runs FDET on `g` with the chosen engine. See [`crate::fdet::fdet`]
@@ -318,15 +339,36 @@ impl FdetEngine {
             Engine::Naive => fdet_naive(g, metric, truncation),
             Engine::Bucket => {
                 self.view.rebuild_sharded(g, self.build_workers);
-                self.run_view(metric, truncation)
+                self.run_view(metric, truncation, Retire::Incident)
             }
         }
+    }
+
+    /// Iterated Fraudar on `g`: up to `k` blocks (fewer if the graph
+    /// empties), each peeled by the bucket engine, retiring only the
+    /// block's internal edges, so blocks may share nodes. Like FDET under
+    /// [`Truncation::FixedK`], a degenerate (edgeless) block is reported
+    /// and ends the run.
+    pub fn run_edge_disjoint(
+        &mut self,
+        g: &BipartiteGraph,
+        metric: &dyn DensityMetric,
+        k: usize,
+    ) -> Vec<Block> {
+        self.view.rebuild_sharded(g, self.build_workers);
+        self.run_view(metric, Truncation::FixedK(k), Retire::Internal)
+            .blocks
     }
 
     /// The FDET iterations over the freshly built view: every edge starts
     /// alive, and each later iteration shrinks the previous snapshot
     /// ([`CsrView::refilter`]) instead of re-scanning dead edges.
-    fn run_view(&mut self, metric: &dyn DensityMetric, truncation: Truncation) -> FdetResult {
+    fn run_view(
+        &mut self,
+        metric: &dyn DensityMetric,
+        truncation: Truncation,
+        retire: Retire,
+    ) -> FdetResult {
         let FdetEngine {
             view,
             scratch,
@@ -342,6 +384,12 @@ impl FdetEngine {
                 view.refilter(edge_alive);
             }
             let block = peel_seq(view, metric, scratch)?;
+            if retire == Retire::Internal {
+                for &e in &block.edges {
+                    edge_alive[e] = false;
+                }
+                return Some(block);
+            }
             // One pass over the view's alive edges retires every edge with
             // an endpoint in the block (dead edges stay dead, so the view's
             // canonical arrays are sufficient).

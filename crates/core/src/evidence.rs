@@ -100,11 +100,6 @@ impl EvidenceTally {
     pub fn user_scores(&self) -> &[f64] {
         &self.user_evidence
     }
-
-    /// Largest accumulated user evidence.
-    pub fn max_user_evidence(&self) -> f64 {
-        self.user_evidence.iter().cloned().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -168,11 +163,5 @@ mod tests {
     fn negative_score_rejected() {
         let mut t = EvidenceTally::new(1, 1);
         t.add_sample([(UserId(0), -1.0)], []);
-    }
-
-    #[test]
-    fn max_evidence() {
-        assert!((tally().max_user_evidence() - 2.4).abs() < 1e-12);
-        assert_eq!(EvidenceTally::new(2, 2).max_user_evidence(), 0.0);
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! Two bit-identical peeling engines back the loop (see [`crate::engine`]):
 //! the O(E) bucket-queue peel over CSR snapshots (default) and the naive
-//! reference path; [`fdet_with_engine`] selects one explicitly.
+//! reference path; [`fdet_with_engine`] selects one explicitly. The same
+//! loop runs iterated Fraudar, which retires only each block's internal
+//! edges ([`FdetEngine::run_edge_disjoint`]).
 
 use crate::block::Block;
 use crate::engine::{Engine, FdetEngine};
@@ -147,10 +149,11 @@ pub fn fdet_with_engine(
 }
 
 /// The FDET iteration loop every engine shares: `peel_next(first)` peels
-/// the densest block of the current graph and retires its nodes' edges
-/// (`first` is true on the first call, while every edge is alive), or
-/// returns `None` once no edge is left. Blocks are collected until the
-/// truncation rule stops the loop.
+/// the densest block of the current graph and retires its edges under the
+/// caller's rule — its nodes' edges for FDET, its internal edges for
+/// Fraudar (`first` is true on the first call, while every edge is
+/// alive) — or returns `None` once no edge is left. Blocks are collected
+/// until the truncation rule stops the loop.
 pub(crate) fn iterate_blocks(
     truncation: Truncation,
     mut peel_next: impl FnMut(bool) -> Option<Block>,

@@ -86,7 +86,6 @@ pub use incremental::{
 };
 pub use metric::{AverageDegreeMetric, DensityMetric, LogWeightedMetric, MetricKind};
 pub use monitor::MonitorConfig;
-pub use peel::peel_densest;
 pub use pipeline::{
     IngestBuffer, ScanOutcome, ScanRunner, Snapshot, SnapshotStore, DELTA_HISTORY,
 };

@@ -144,32 +144,6 @@ impl PrCurve {
         }
         auc
     }
-
-    /// Linear interpolation of precision at a given recall (for comparing
-    /// curves at matched recall, as the Figure 3 discussion does).
-    pub fn precision_at_recall(&self, recall: f64) -> Option<f64> {
-        let mut pts: Vec<(f64, f64)> = self
-            .points
-            .iter()
-            .map(|p| (p.recall, p.precision))
-            .collect();
-        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("recall is finite"));
-        if pts.is_empty() || recall > pts.last().expect("nonempty").0 {
-            return None;
-        }
-        let mut prev = pts[0];
-        if recall <= prev.0 {
-            return Some(prev.1);
-        }
-        for &(r, p) in &pts[1..] {
-            if recall <= r {
-                let t = (recall - prev.0) / (r - prev.0).max(f64::MIN_POSITIVE);
-                return Some(prev.1 + t * (p - prev.1));
-            }
-            prev = (r, p);
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -249,17 +223,6 @@ mod tests {
         assert_eq!(PrCurve::default().auc_pr(), 0.0);
         assert_eq!(PrCurve::default().best_f1(), 0.0);
         assert!(PrCurve::default().best_point().is_none());
-    }
-
-    #[test]
-    fn precision_at_recall_interpolates() {
-        let labels = vec![true, true, false, false];
-        let scores = vec![0.9, 0.6, 0.7, 0.1];
-        let c = PrCurve::from_scores(&scores, &labels);
-        // At recall 0.5: precision 1.0 (first point).
-        assert!((c.precision_at_recall(0.5).unwrap() - 1.0).abs() < 1e-12);
-        // Beyond max recall: None.
-        assert!(c.precision_at_recall(1.1).is_none());
     }
 
     #[test]

@@ -46,12 +46,6 @@ impl<'a> NeighborSlices<'a> {
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
     }
-
-    /// Raw ids of the opposite-side endpoints, in slice order.
-    #[inline]
-    pub fn neighbor_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.pairs.iter().map(|&(n, _)| n)
-    }
 }
 
 /// An immutable flat-CSR snapshot of the alive subgraph of a
@@ -720,8 +714,12 @@ mod tests {
         for v in 0..3u32 {
             let from_graph: Vec<u32> =
                 g.users_of(MerchantId(v)).map(|(u, _, _)| u.0).collect();
-            let from_view: Vec<u32> =
-                view.merchant_neighbors(MerchantId(v)).neighbor_ids().collect();
+            let from_view: Vec<u32> = view
+                .merchant_neighbors(MerchantId(v))
+                .pairs
+                .iter()
+                .map(|&(u, _)| u)
+                .collect();
             assert_eq!(from_view, from_graph, "merchant {v}");
         }
     }
@@ -966,10 +964,7 @@ mod tests {
     fn multi_edges_preserved() {
         let g = BipartiteGraph::from_edges(1, 1, vec![(0, 0), (0, 0)]).unwrap();
         let view = CsrView::from_graph(&g);
-        assert_eq!(
-            view.user_neighbors(UserId(0)).neighbor_ids().collect::<Vec<_>>(),
-            vec![0, 0]
-        );
+        assert_eq!(view.user_neighbors(UserId(0)).pairs, &[(0, 1.0), (0, 1.0)]);
         assert_eq!(view.edge_ids(), &[0, 1]);
         assert_eq!(view.merchant_degree(MerchantId(0)), 2);
     }

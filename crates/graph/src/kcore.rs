@@ -33,16 +33,6 @@ impl CoreDecomposition {
     pub fn of_merchant(&self, v: MerchantId) -> u32 {
         self.merchant_core[v.index()]
     }
-
-    /// Users whose core number is at least `k`.
-    pub fn users_in_core(&self, k: u32) -> Vec<UserId> {
-        self.user_core
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= k)
-            .map(|(i, _)| UserId(i as u32))
-            .collect()
-    }
 }
 
 /// Computes the core decomposition by bucketed min-degree peeling.
@@ -236,7 +226,6 @@ mod tests {
             assert_eq!(c.of_user(UserId(u)), 3);
         }
         assert!(c.of_user(UserId(4)) <= 1);
-        assert_eq!(c.users_in_core(3).len(), 4);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //!   ([`loader::scan_records`]), and chunked parallel log loading on top of
 //!   it with worker-count-invariant ids and amount-summed edge weights.
 //! - [`stats`]: the dataset statistics reported in Table I of the paper.
-//! - [`components`]: connected components, used by tests and diagnostics.
 //!
 //! # Example
 //!
@@ -49,7 +48,6 @@
 
 pub mod arena;
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod delta;
 pub mod error;

@@ -54,17 +54,6 @@ impl GraphStats {
     }
 }
 
-/// Histogram of node degrees: `histogram[q] = f_D(q)`, the number of nodes of
-/// degree `q` (Eq. 3 of the paper uses this as `fD(q)`).
-pub fn degree_histogram(degrees: &[usize]) -> Vec<usize> {
-    let max = degrees.iter().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for &d in degrees {
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,12 +87,6 @@ mod tests {
         assert_eq!(s.num_edges, 0);
         assert_eq!(s.max_user_degree, 0);
         assert_eq!(s.density, 0.0);
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        assert_eq!(degree_histogram(&[0, 1, 1, 3]), vec![1, 2, 0, 1]);
-        assert_eq!(degree_histogram(&[]), vec![0]);
     }
 
     #[test]

@@ -98,15 +98,4 @@ proptest! {
             prop_assert!(k as usize <= g.merchant_degree(MerchantId(v as u32)));
         }
     }
-
-    #[test]
-    fn users_in_core_is_monotone(g in arb_graph()) {
-        let c = core_decomposition(&g);
-        let mut prev = usize::MAX;
-        for k in 1..=c.degeneracy.max(1) {
-            let n = c.users_in_core(k).len();
-            prop_assert!(n <= prev);
-            prev = n;
-        }
-    }
 }

@@ -1,9 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use ensemfdet_graph::{
-    components::connected_components, io, stats::degree_histogram, BipartiteGraph, GraphBuilder,
-    MerchantId, SampledGraph, UserId,
-};
+use ensemfdet_graph::{io, BipartiteGraph, GraphBuilder, MerchantId, SampledGraph, UserId};
 use proptest::prelude::*;
 
 /// Strategy: a random edge list over up to `nu × nv` node grid.
@@ -75,31 +72,5 @@ proptest! {
             prop_assert_eq!(pu, eu);
             prop_assert_eq!(pv, ev);
         }
-    }
-
-    #[test]
-    fn components_partition_all_nodes((nu, nv, edges) in arb_edges(16, 60)) {
-        let g = BipartiteGraph::from_edges(nu as usize, nv as usize, edges).unwrap();
-        let c = connected_components(&g);
-        // Every node labelled, labels dense in 0..count.
-        for &l in c.user_comp.iter().chain(c.merchant_comp.iter()) {
-            prop_assert!(l < c.count);
-        }
-        let sizes = c.sizes();
-        let users: usize = sizes.iter().map(|s| s.0).sum();
-        let merchants: usize = sizes.iter().map(|s| s.1).sum();
-        prop_assert_eq!(users, g.num_users());
-        prop_assert_eq!(merchants, g.num_merchants());
-        // Edges never cross components.
-        for (_, u, v, _) in g.edges() {
-            prop_assert_eq!(c.of_user(u), c.of_merchant(v));
-        }
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_node_count((nu, nv, edges) in arb_edges(16, 60)) {
-        let g = BipartiteGraph::from_edges(nu as usize, nv as usize, edges).unwrap();
-        let h = degree_histogram(&g.user_degrees());
-        prop_assert_eq!(h.iter().sum::<usize>(), g.num_users());
     }
 }

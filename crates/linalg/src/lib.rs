@@ -26,7 +26,6 @@
 
 pub mod dense;
 pub mod eigen;
-pub mod lanczos;
 pub mod power;
 pub mod qr;
 pub mod sparse;
@@ -34,6 +33,5 @@ pub mod svd;
 pub mod vector;
 
 pub use dense::Matrix;
-pub use lanczos::lanczos_svd;
 pub use sparse::CsrMatrix;
 pub use svd::{randomized_svd, svd_small, Svd, SvdOptions};

@@ -196,18 +196,6 @@ impl CsrMatrix {
         }
         m
     }
-
-    /// Squared Euclidean norm of each row — FBox needs `‖aᵢ‖²` per user.
-    pub fn row_sq_norms(&self) -> Vec<f64> {
-        (0..self.rows)
-            .map(|r| self.row(r).map(|(_, v)| v * v).sum())
-            .collect()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -288,13 +276,6 @@ mod tests {
         assert_eq!(d[(0, 1)], 1.0);
         assert_eq!(d[(1, 0)], 1.0);
         assert_eq!(d[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn row_sq_norms_and_frobenius() {
-        let a = sample();
-        assert_eq!(a.row_sq_norms(), vec![5.0, 9.0]);
-        assert!((a.frobenius_norm() - 14.0f64.sqrt()).abs() < 1e-14);
     }
 
     #[test]

@@ -54,12 +54,6 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     }
 }
 
-/// Maximum absolute entry (∞-norm); 0.0 for empty input.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,11 +98,5 @@ mod tests {
         let mut x = vec![0.0, 0.0];
         assert_eq!(normalize(&mut x), 0.0);
         assert_eq!(x, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn inf_norm() {
-        assert_eq!(norm_inf(&[1.0, -7.0, 3.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 }

@@ -1,7 +1,9 @@
 //! The bucket engine must be a drop-in replacement for the naive reference
 //! path: identical blocks, identical scores, identical `k̂`, identical
 //! ensemble votes — not merely statistically similar. The naive engine
-//! survives only as the oracle these gates compare against.
+//! survives only as the oracle these gates compare against. Fraudar runs
+//! on the bucket engine too, and is gated against its original loop over
+//! the naive peel.
 //!
 //! The final test cross-checks the three priority-queue implementations
 //! themselves ([`IndexedMinHeap`], [`LazyMinHeap`], [`BucketQueue`])
@@ -11,7 +13,11 @@
 
 use ensemfdet::fdet::Truncation;
 use ensemfdet::heap::{IndexedMinHeap, LazyMinHeap};
-use ensemfdet::{fdet_with_engine, BucketQueue, Engine, EnsemFdet, EnsemFdetConfig, MetricKind};
+use ensemfdet::peel::peel_densest;
+use ensemfdet::{
+    fdet_with_engine, Block, BucketQueue, Engine, EnsemFdet, EnsemFdetConfig, MetricKind,
+};
+use ensemfdet_baselines::{Fraudar, FraudarConfig};
 use ensemfdet_datagen::generate;
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_graph::BipartiteGraph;
@@ -88,20 +94,71 @@ fn ensemble_votes_identical_across_engines() {
     }
 }
 
-/// Weighted graphs exercise the non-unit-weight relax path.
-#[test]
-fn weighted_graph_identical_across_engines() {
+/// A weighted graph: exercises the non-unit-weight relax path.
+fn weighted_graph() -> BipartiteGraph {
     let edges: Vec<(u32, u32)> = (0..200u32)
         .map(|i| (i % 37, (i * 7 + 3) % 11))
         .chain((0..40u32).map(|i| (40 + i % 8, i % 5)))
         .collect();
     let weights: Vec<f64> = (0..edges.len()).map(|i| 0.25 + (i % 7) as f64 * 0.5).collect();
-    let g = BipartiteGraph::from_weighted_edges(48, 11, edges, weights).unwrap();
+    BipartiteGraph::from_weighted_edges(48, 11, edges, weights).unwrap()
+}
+
+#[test]
+fn weighted_graph_identical_across_engines() {
+    let g = weighted_graph();
     let run = |e| fdet_with_engine(&g, &MetricKind::default(), Truncation::KeepAll { k_max: 10 }, e);
     let (naive, bucket) = (run(Engine::Naive), run(Engine::Bucket));
     assert_eq!(bucket.blocks, naive.blocks, "blocks");
     assert_eq!(bucket.scores, naive.scores, "scores");
     assert_eq!(bucket.k_hat, naive.k_hat, "k_hat");
+}
+
+/// The iterated-Fraudar loop as it ran over the naive mask peel before
+/// Fraudar moved onto the bucket engine: peel, retire the block's
+/// internal edges only, stop after `k` blocks or after a degenerate one.
+fn fraudar_naive_loop(g: &BipartiteGraph, metric: &MetricKind, k: usize) -> Vec<Block> {
+    let mut edge_alive = vec![true; g.num_edges()];
+    let mut blocks = Vec::new();
+    while blocks.len() < k {
+        let Some(block) = peel_densest(g, metric, &edge_alive) else {
+            break;
+        };
+        for &e in &block.edges {
+            edge_alive[e] = false;
+        }
+        if block.edges.is_empty() {
+            blocks.push(block);
+            break;
+        }
+        blocks.push(block);
+    }
+    blocks
+}
+
+#[test]
+fn fraudar_identical_to_naive_loop() {
+    let graphs = [JdDataset::Jd1, JdDataset::Jd2, JdDataset::Jd3]
+        .into_iter()
+        .flat_map(|which| {
+            SEEDS.map(|seed| (format!("{which:?}, seed {seed}"), preset_graph(which, seed)))
+        })
+        .chain([
+            ("planted 1k".to_string(), planted_graph(1_000)),
+            ("weighted".to_string(), weighted_graph()),
+        ]);
+    for (name, g) in graphs {
+        let config = FraudarConfig {
+            k: 30,
+            ..Default::default()
+        };
+        let oracle = fraudar_naive_loop(&g, &config.metric, config.k);
+        let got = Fraudar::new(config).run(&g).blocks;
+        assert_eq!(got.len(), oracle.len(), "block count diverged ({name})");
+        assert_eq!(got, oracle, "blocks diverged ({name})");
+        let bits = |b: &[Block]| b.iter().map(|b| b.score.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&oracle), "score bits diverged ({name})");
+    }
 }
 
 /// Splitmix-style deterministic RNG — no external crates in the tests.
