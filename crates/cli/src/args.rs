@@ -86,13 +86,6 @@ impl Args {
         }
     }
 
-    /// Required typed option.
-    pub fn require_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
-        let raw = self.require(name)?;
-        raw.parse()
-            .map_err(|_| format!("option --{name}: cannot parse `{raw}`"))
-    }
-
     /// Rejects any option the command did not consume — catches typos like
     /// `--sample` for `--samples`.
     pub fn finish(&self) -> Result<(), String> {
@@ -124,7 +117,7 @@ mod tests {
         let a = parse(&["--graph", "g.edges", "--verbose", "--k", "30"]);
         assert_eq!(a.require("graph").unwrap(), "g.edges");
         assert!(a.flag("verbose"));
-        assert_eq!(a.require_parsed::<usize>("k").unwrap(), 30);
+        assert_eq!(a.get_or::<usize>("k", 0).unwrap(), 30);
         assert!(a.finish().is_ok());
     }
 
@@ -178,7 +171,7 @@ mod tests {
     fn flag_followed_by_option() {
         let a = parse(&["--quiet", "--k", "3"]);
         assert!(a.flag("quiet"));
-        assert_eq!(a.require_parsed::<u32>("k").unwrap(), 3);
+        assert_eq!(a.get_or::<u32>("k", 0).unwrap(), 3);
         assert!(a.finish().is_ok());
     }
 }

@@ -366,11 +366,6 @@ impl EnsemFdet {
         &self.config
     }
 
-    /// The configured worker-pool size (`0` = auto).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs Algorithm 2 on `g`: sample `N` subgraphs, run FDET on each in
     /// parallel, and tally votes in the parent id space.
     ///

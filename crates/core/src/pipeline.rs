@@ -10,11 +10,12 @@
 //! pieces, mirroring the paper's own separation of graph accumulation
 //! from the embarrassingly parallel detection pass:
 //!
-//! * [`IngestBuffer`] — a sharded, append-only transaction log. An append
-//!   takes one shard mutex for a single `Vec::push`; it is never held
+//! * [`IngestBuffer`] — the log of records no snapshot covers yet. An
+//!   append takes its one mutex for a `Vec` extend; it is never held
 //!   across graph construction or detection.
 //! * [`SnapshotStore`] — epoch-versioned, immutable
-//!   [`BipartiteGraph`] snapshots built by compacting the buffer at a
+//!   [`BipartiteGraph`] snapshots. Each compaction takes the buffer's
+//!   pending records and merges them into the previous snapshot, at a
 //!   configurable cadence. Publication is an `Arc` swap, so readers never
 //!   wait on a build in progress and a snapshot, once obtained, can be
 //!   scanned for minutes without blocking anyone.
@@ -34,8 +35,7 @@ use crate::detector::DetectContext;
 use crate::ensemble::{EnsemFdet, EnsemFdetConfig, EnsembleOutcome, StageTimings};
 use crate::incremental::{FallbackReason, IncrementalPolicy, ReuseStats, ScanCache};
 use crate::scoring::{hybrid_scan_scores, HybridScanScores};
-use ensemfdet_graph::builder::DuplicatePolicy;
-use ensemfdet_graph::{BipartiteGraph, GraphBuilder, GraphDelta, GraphDims, MerchantId, UserId};
+use ensemfdet_graph::{BipartiteGraph, GraphDelta, GraphDims, MerchantId, UserId};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -48,75 +48,53 @@ use std::time::Duration;
 /// re-peel.
 pub const DELTA_HISTORY: usize = 64;
 
-/// Number of append shards an [`IngestBuffer`] uses by default. Appends
-/// pick shards round-robin, so concurrent writers rarely collide on the
-/// same mutex.
-pub const DEFAULT_INGEST_SHARDS: usize = 8;
-
 /// Locks a mutex, recovering from poisoning instead of propagating the
-/// panic. The protected data here (append logs, alert sets, snapshot
+/// panic. The protected data here (pending records, alert sets, snapshot
 /// pointers) stays structurally valid even if a panic interrupted an
 /// update, so serving slightly-stale state beats wedging every caller.
 fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A sharded, append-only log of `(user, merchant)` purchase records.
+/// The log of `(user, merchant)` purchase records that no snapshot
+/// covers yet.
 ///
-/// The write path takes exactly one shard mutex for one push; the read
-/// path ([`collect_edges`](Self::collect_edges)) locks each shard just
-/// long enough to clone it. Nothing ever holds a shard lock across graph
-/// construction or detection, so ingest throughput is independent of
-/// scan activity.
-#[derive(Debug)]
+/// Appends extend one `Vec` under one mutex. [`SnapshotStore::compact`]
+/// takes the whole `Vec`, so the buffer never holds a record a published
+/// snapshot already has. Nothing holds the lock across graph construction
+/// or detection, so ingest throughput is independent of scan activity.
+///
+/// Compaction consumes what it takes, so one buffer feeds one
+/// [`SnapshotStore`].
+#[derive(Debug, Default)]
 pub struct IngestBuffer {
-    shards: Vec<Mutex<Vec<(u32, u32)>>>,
-    next_shard: AtomicUsize,
+    /// Records appended since the last compaction took them.
+    pending: Mutex<Vec<(u32, u32)>>,
+    /// Records appended ever. Bumped under `pending`'s lock, so a
+    /// compaction never takes a record this count does not include.
     total: AtomicUsize,
 }
 
 impl IngestBuffer {
-    /// An empty buffer with [`DEFAULT_INGEST_SHARDS`] shards.
+    /// An empty buffer.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_INGEST_SHARDS)
-    }
-
-    /// An empty buffer with an explicit shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_shards(shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        IngestBuffer {
-            shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-            next_shard: AtomicUsize::new(0),
-            total: AtomicUsize::new(0),
-        }
+        Self::default()
     }
 
     /// Appends one purchase record.
     pub fn append(&self, u: UserId, v: MerchantId) {
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        lock_recover(&self.shards[shard]).push((u.0, v.0));
-        self.total.fetch_add(1, Ordering::Release);
+        self.append_batch([(u, v)]);
     }
 
-    /// Appends a batch of records through a single shard lock.
+    /// Appends a batch of records under one lock.
     pub fn append_batch(&self, it: impl IntoIterator<Item = (UserId, MerchantId)>) {
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut n = 0usize;
-        {
-            let mut guard = lock_recover(&self.shards[shard]);
-            for (u, v) in it {
-                guard.push((u.0, v.0));
-                n += 1;
-            }
-        }
-        self.total.fetch_add(n, Ordering::Release);
+        let mut pending = lock_recover(&self.pending);
+        let before = pending.len();
+        pending.extend(it.into_iter().map(|(u, v)| (u.0, v.0)));
+        self.total.fetch_add(pending.len() - before, Ordering::Release);
     }
 
-    /// Records appended so far.
+    /// Records appended so far, including those compaction already took.
     pub fn len(&self) -> usize {
         self.total.load(Ordering::Acquire)
     }
@@ -126,35 +104,9 @@ impl IngestBuffer {
         self.len() == 0
     }
 
-    /// Clones out every shard's records, in shard order. The per-shard
-    /// locks are each held only for a `Vec` clone; concurrent appends
-    /// landing mid-collection simply make it into the next compaction.
-    pub fn collect_edges(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            out.extend_from_slice(&lock_recover(shard));
-        }
-        out
-    }
-}
-
-impl Default for IngestBuffer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for IngestBuffer {
-    fn clone(&self) -> Self {
-        IngestBuffer {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| Mutex::new(lock_recover(s).clone()))
-                .collect(),
-            next_shard: AtomicUsize::new(self.next_shard.load(Ordering::Relaxed)),
-            total: AtomicUsize::new(self.total.load(Ordering::Acquire)),
-        }
+    /// Takes every pending record, leaving the log empty.
+    pub(crate) fn take(&self) -> Vec<(u32, u32)> {
+        std::mem::take(&mut *lock_recover(&self.pending))
     }
 }
 
@@ -202,21 +154,6 @@ impl Snapshot {
     }
 }
 
-/// Per-buffer progress of incremental compaction, held under the
-/// compaction mutex.
-///
-/// `consumed[i]` is how many records of shard `i` previous compactions
-/// already folded into the published snapshot; a compaction drains only
-/// the suffix beyond it. `buffer_id` is the address of the buffer the
-/// offsets describe — a different (or cloned) buffer resets the state and
-/// the next compaction takes the full-rebuild recovery path, which is
-/// always correct: it recollects everything and rebuilds from scratch.
-#[derive(Debug, Default)]
-struct CompactState {
-    buffer_id: usize,
-    consumed: Vec<usize>,
-}
-
 /// Epoch-versioned snapshot publication.
 ///
 /// `latest()` is a brief read-lock + `Arc` clone — readers never wait on
@@ -224,22 +161,23 @@ struct CompactState {
 /// and swapped in atomically. Compactions themselves serialize on an
 /// internal mutex so epochs stay strictly increasing.
 ///
-/// Compaction is **incremental**: per-shard consumed offsets mean each
-/// epoch drains only the records appended since the last one, duplicate
-/// purchases dedup against the previous snapshot's sorted edge list by
-/// binary search, and genuinely new edges sorted-merge into it — cost
-/// scales with the delta, not the graph, and the result is bit-identical
-/// to a from-scratch rebuild (gated by a unit test below). Each publish
-/// also records a [`GraphDelta`] so scanners can ask
+/// Compaction is **incremental**: each epoch takes only the records
+/// appended since the last one, duplicate purchases dedup against the
+/// previous snapshot's sorted edge list by binary search, and genuinely
+/// new edges sorted-merge into it — cost scales with the batch, not the
+/// graph. Each publish also records a [`GraphDelta`] so scanners can ask
 /// [`delta_since`](Self::delta_since) what changed across any recent
 /// epoch span.
+///
+/// Compaction drains the buffer it reads, so a store must be the only
+/// one compacting its [`IngestBuffer`].
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RwLock<Arc<Snapshot>>,
-    /// Serializes compactions (graph builds happen outside `current`'s
-    /// lock, so two racing compactions could otherwise publish out of
-    /// epoch order) and carries the incremental drain offsets.
-    compacting: Mutex<CompactState>,
+    /// Serializes compactions: graphs are built outside `current`'s lock,
+    /// so two racing compactions could otherwise publish out of epoch
+    /// order.
+    compacting: Mutex<()>,
     /// The last [`DELTA_HISTORY`] published deltas, oldest first, with
     /// consecutive epoch spans.
     deltas: Mutex<VecDeque<GraphDelta>>,
@@ -259,15 +197,10 @@ impl SnapshotStore {
         assert!(compaction_interval > 0, "compaction_interval must be positive");
         SnapshotStore {
             current: RwLock::new(Arc::new(Snapshot::empty())),
-            compacting: Mutex::new(CompactState::default()),
+            compacting: Mutex::new(()),
             deltas: Mutex::new(VecDeque::new()),
             compaction_interval,
         }
-    }
-
-    /// The configured compaction cadence, in transactions.
-    pub fn compaction_interval(&self) -> usize {
-        self.compaction_interval
     }
 
     /// The latest published snapshot (wait-free with respect to
@@ -308,73 +241,24 @@ impl SnapshotStore {
         }
     }
 
-    /// Builds and publishes a new snapshot from the buffer's current
-    /// contents, bumping the epoch. If nothing was appended since the
-    /// previous compaction, that snapshot is returned unchanged (no epoch
-    /// bump).
+    /// Takes the buffer's pending records, merges them into the latest
+    /// snapshot and publishes the result as the next epoch. If nothing
+    /// was appended since the previous compaction, that snapshot is
+    /// returned unchanged (no epoch bump).
     ///
-    /// When this store has been compacting this same buffer all along,
-    /// the work is incremental: drain each shard's new suffix, dedup the
-    /// batch against the previous snapshot's sorted edge list, and merge
-    /// the genuinely new edges — O(delta + log-factor lookups) instead of
-    /// O(graph). A buffer the store has not seen before (first
-    /// compaction, or after either side was cloned) takes the
-    /// full-rebuild recovery path. Both paths publish the same snapshot
-    /// bit for bit and record the epoch's [`GraphDelta`].
+    /// The batch is sorted and deduplicated, edges the previous snapshot
+    /// already has are dropped by binary search, and the rest
+    /// sorted-merge into its edge list: O(batch log graph + graph)
+    /// instead of a rebuild. A store's first compaction merges into the
+    /// empty epoch-0 graph along the same code. Every publish records the
+    /// epoch's [`GraphDelta`].
+    ///
+    /// The records taken are consumed: `buffer` must feed this store
+    /// only.
     pub fn compact(&self, buffer: &IngestBuffer) -> Arc<Snapshot> {
-        let mut state = lock_recover(&self.compacting);
+        let _serial = lock_recover(&self.compacting);
         let previous = self.latest();
-        let buffer_id = buffer as *const IngestBuffer as usize;
-        let tracked = state.buffer_id == buffer_id
-            && state.consumed.len() == buffer.shards.len()
-            // Shards only grow; a shorter shard means this is not the
-            // buffer (or not the state) we thought it was.
-            && state
-                .consumed
-                .iter()
-                .zip(&buffer.shards)
-                .all(|(&c, s)| c <= lock_recover(s).len());
-
-        if !tracked {
-            // Recovery / first-contact path: recollect everything and
-            // rebuild from scratch, then adopt the buffer for future
-            // incremental compactions.
-            let mut consumed = vec![0usize; buffer.shards.len()];
-            let mut edges = Vec::with_capacity(buffer.len());
-            for (c, shard) in consumed.iter_mut().zip(&buffer.shards) {
-                let guard = lock_recover(shard);
-                edges.extend_from_slice(&guard);
-                *c = guard.len();
-            }
-            let transactions = edges.len();
-            if transactions <= previous.transactions && previous.epoch > 0 {
-                // Nothing beyond what the snapshot already covers; adopt
-                // the buffer without publishing.
-                *state = CompactState { buffer_id, consumed };
-                return previous;
-            }
-            let mut builder = GraphBuilder::new();
-            builder.extend_edges(edges.into_iter().map(|(u, v)| (UserId(u), MerchantId(v))));
-            let graph = Arc::new(builder.build_with(DuplicatePolicy::MergeBinary));
-            // The delta vs the previous snapshot: both edge lists are
-            // sorted unique, and edges are append-only, so the new list's
-            // extras are exactly the set difference.
-            let fresh: Vec<(u32, u32)> = diff_sorted(graph.edge_pairs(), previous.graph.edge_pairs());
-            let snapshot = self.publish(&previous, transactions, graph, &fresh);
-            *state = CompactState { buffer_id, consumed };
-            return snapshot;
-        }
-
-        // Incremental path: drain only the per-shard suffixes appended
-        // since the last compaction.
-        let mut batch = Vec::new();
-        let mut consumed = std::mem::take(&mut state.consumed);
-        for (c, shard) in consumed.iter_mut().zip(&buffer.shards) {
-            let guard = lock_recover(shard);
-            batch.extend_from_slice(&guard[*c..]);
-            *c = guard.len();
-        }
-        state.consumed = consumed;
+        let mut batch = buffer.take();
         if batch.is_empty() {
             return previous;
         }
@@ -384,11 +268,11 @@ impl SnapshotStore {
         let prev_edges = previous.graph.edge_pairs();
         batch.retain(|e| prev_edges.binary_search(e).is_err());
 
-        let (graph, fresh) = if batch.is_empty() {
-            // Every drained record was a repeat purchase: the graph is
+        let graph = if batch.is_empty() {
+            // Every taken record was a repeat purchase: the graph is
             // unchanged, share it. (The epoch still bumps — transaction
             // counts are part of the snapshot.)
-            (previous.graph.clone(), Vec::new())
+            previous.graph.clone()
         } else {
             let mut merged = Vec::with_capacity(prev_edges.len() + batch.len());
             let (mut i, mut j) = (0, 0);
@@ -408,13 +292,12 @@ impl SnapshotStore {
             let (pu, pv, _) = previous.dims();
             let nu = pu.max(batch.iter().map(|&(u, _)| u as usize + 1).max().unwrap_or(0));
             let nv = pv.max(batch.iter().map(|&(_, v)| v as usize + 1).max().unwrap_or(0));
-            let graph = Arc::new(
+            Arc::new(
                 BipartiteGraph::from_edges(nu, nv, merged)
                     .expect("merged sorted-unique edge list is valid"),
-            );
-            (graph, batch)
+            )
         };
-        self.publish(&previous, transactions, graph, &fresh)
+        self.publish(&previous, transactions, graph, &batch)
     }
 
     /// Publishes `graph` as the next epoch and records its delta.
@@ -479,35 +362,6 @@ impl SnapshotStore {
             }
         }
         None
-    }
-}
-
-/// Elements of sorted-unique `a` not present in sorted-unique `b`.
-fn diff_sorted(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut j = 0;
-    for &e in a {
-        while j < b.len() && b[j] < e {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != e {
-            out.push(e);
-        }
-    }
-    out
-}
-
-impl Clone for SnapshotStore {
-    fn clone(&self) -> Self {
-        SnapshotStore {
-            current: RwLock::new(self.latest()),
-            // Drain offsets describe a (store, buffer) pairing; a clone
-            // starts untracked and recovers via the full-rebuild path on
-            // its first compaction.
-            compacting: Mutex::new(CompactState::default()),
-            deltas: Mutex::new(lock_recover(&self.deltas).clone()),
-            compaction_interval: self.compaction_interval,
-        }
     }
 }
 
@@ -585,11 +439,6 @@ impl ScanRunner {
     /// invariant, so the cache stays valid.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers;
-    }
-
-    /// The configured sample-pool worker count (`0` = auto).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Runs one full ensemble pass over `snapshot`.
@@ -702,13 +551,6 @@ impl ScanRunner {
         self.cache.as_ref().map(|c| c.base_epoch)
     }
 
-    /// Drops the incremental cache; the next
-    /// [`run_incremental`](Self::run_incremental) takes the
-    /// [`FallbackReason::ColdCache`] full-scan path.
-    pub fn invalidate_cache(&mut self) {
-        self.cache = None;
-    }
-
     /// Converts an ensemble outcome into a [`ScanOutcome`], updating the
     /// alert-once set. When the config enables hybrid scoring, the
     /// component passes run here, on the parent snapshot — the one place
@@ -765,6 +607,9 @@ impl ScanRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ensemfdet_graph::builder::DuplicatePolicy;
+    use ensemfdet_graph::GraphBuilder;
+    use std::sync::atomic::AtomicBool;
 
     fn ring_and_background(buffer: &IngestBuffer) {
         for u in 0..8u32 {
@@ -788,31 +633,15 @@ mod tests {
 
     #[test]
     fn buffer_appends_are_counted_and_collected() {
-        let b = IngestBuffer::with_shards(3);
+        let b = IngestBuffer::new();
         assert!(b.is_empty());
         b.append(UserId(0), MerchantId(1));
         b.append_batch([(UserId(1), MerchantId(2)), (UserId(2), MerchantId(0))]);
         assert_eq!(b.len(), 3);
-        let mut edges = b.collect_edges();
-        edges.sort_unstable();
-        assert_eq!(edges, vec![(0, 1), (1, 2), (2, 0)]);
-    }
-
-    #[test]
-    fn buffer_shard_order_does_not_change_the_graph() {
-        // Same records through different shard counts build the same
-        // deduplicated graph (MergeBinary sorts edges).
-        let graphs: Vec<_> = [1usize, 4, 7]
-            .into_iter()
-            .map(|shards| {
-                let b = IngestBuffer::with_shards(shards);
-                ring_and_background(&b);
-                let store = SnapshotStore::new(1);
-                store.compact(&b).graph.edge_slice().to_vec()
-            })
-            .collect();
-        assert_eq!(graphs[0], graphs[1]);
-        assert_eq!(graphs[1], graphs[2]);
+        assert_eq!(b.take(), vec![(0, 1), (1, 2), (2, 0)]);
+        // Taking drains the log but not the count of records ever appended.
+        assert!(b.take().is_empty());
+        assert_eq!(b.len(), 3);
     }
 
     #[test]
@@ -832,7 +661,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(b.len(), 2000);
-        assert_eq!(b.collect_edges().len(), 2000);
+        assert_eq!(b.take().len(), 2000);
     }
 
     #[test]
@@ -957,49 +786,135 @@ mod tests {
         assert!(staged <= total);
     }
 
-    /// The incremental compaction path (per-shard drains, binary-search
-    /// dedup, sorted merge) must publish the exact graph a from-scratch
-    /// rebuild of the same buffer would.
+    /// The from-scratch oracle: every record ever appended, deduplicated
+    /// by the graph builder.
+    fn rebuilt(records: &[(u32, u32)]) -> BipartiteGraph {
+        let mut builder = GraphBuilder::new();
+        builder.extend_edges(records.iter().map(|&(u, v)| (UserId(u), MerchantId(v))));
+        builder.build_with(DuplicatePolicy::MergeBinary)
+    }
+
+    fn dims_of(g: &BipartiteGraph) -> GraphDims {
+        (g.num_users(), g.num_merchants(), g.num_edges())
+    }
+
+    /// Compaction (take, binary-search dedup, sorted merge) must publish
+    /// the exact graph a from-scratch build of every record appended so
+    /// far would, from the first epoch on, and each epoch's delta must
+    /// name exactly the edges that epoch added.
     #[test]
     fn incremental_compaction_matches_full_rebuild() {
-        let b = IngestBuffer::with_shards(4);
-        let store = SnapshotStore::new(1);
-        ring_and_background(&b);
-        store.compact(&b);
-        // Several epochs of mixed traffic: new edges, repeat purchases,
-        // and a batch that is duplicates only.
-        for round in 0..4u32 {
-            match round {
-                0 => {
-                    for i in 0..50u32 {
-                        b.append(UserId(200 + i), MerchantId(i % 9));
-                    }
-                }
-                1 => {
-                    // Repeat purchases only — dedup to nothing.
-                    for _ in 0..30 {
-                        b.append(UserId(0), MerchantId(0));
-                    }
-                }
-                _ => {
-                    for i in 0..20u32 {
-                        b.append(UserId(i), MerchantId(100 + round + i % 3));
-                    }
-                }
+        let stores: Vec<Vec<Vec<(u32, u32)>>> = vec![
+            vec![
+                // Epoch 1: a dense ring plus background traffic.
+                (0..8u32)
+                    .flat_map(|u| (0..5u32).map(move |v| (u, v)))
+                    .chain((0..200u32).map(|i| (20 + i % 90, 10 + i % 40)))
+                    .collect(),
+                (0..50u32).map(|i| (200 + i, i % 9)).collect(),
+                // Repeat purchases only — dedup to nothing.
+                vec![(0, 0); 30],
+                (0..20u32).map(|i| (i, 102 + i % 3)).collect(),
+                (0..20u32).map(|i| (i, 103 + i % 3)).collect(),
+            ],
+            // A first batch of one purchase repeated, then more repeats.
+            vec![vec![(4, 2); 5], vec![(4, 2); 3], (0..6u32).map(|i| (i, 2)).collect()],
+        ];
+        for rounds in &stores {
+            let b = IngestBuffer::new();
+            let store = SnapshotStore::new(1);
+            let mut log: Vec<(u32, u32)> = Vec::new();
+            let mut before = rebuilt(&log);
+            for (round, records) in rounds.iter().enumerate() {
+                b.append_batch(records.iter().map(|&(u, v)| (UserId(u), MerchantId(v))));
+                log.extend_from_slice(records);
+                let snap = store.compact(&b);
+                let full = rebuilt(&log);
+                assert_eq!(snap.epoch, round as u64 + 1);
+                assert_eq!(snap.graph.edge_pairs(), full.edge_pairs(), "round {round}");
+                assert_eq!(snap.dims(), dims_of(&full));
+                assert_eq!(snap.transactions, log.len());
+                let fresh: Vec<(u32, u32)> = full
+                    .edge_pairs()
+                    .iter()
+                    .copied()
+                    .filter(|e| before.edge_pairs().binary_search(e).is_err())
+                    .collect();
+                let delta = GraphDelta::from_new_edges(
+                    snap.epoch - 1,
+                    snap.epoch,
+                    dims_of(&before),
+                    dims_of(&full),
+                    &fresh,
+                );
+                assert_eq!(snap.delta.as_ref(), Some(&delta), "round {round}");
+                before = full;
             }
-            let inc = store.compact(&b);
-            // An untracked store takes the full-rebuild path over the
-            // same buffer.
-            let full = SnapshotStore::new(1).compact(&b);
-            assert_eq!(
-                inc.graph.edge_pairs(),
-                full.graph.edge_pairs(),
-                "round {round}"
-            );
-            assert_eq!(inc.graph.num_users(), full.graph.num_users());
-            assert_eq!(inc.graph.num_merchants(), full.graph.num_merchants());
-            assert_eq!(inc.transactions, full.transactions);
         }
+    }
+
+    /// Writers appending while a compactor loops lose no record and count
+    /// none twice: after a final compaction the snapshot holds every
+    /// record once, and epochs only ever grew.
+    #[test]
+    fn compaction_racing_appends_loses_nothing() {
+        const WRITERS: u32 = 4;
+        const BATCHES: u32 = 150;
+        // Writers share merchants and repeat their own purchases, so
+        // batches dedup both within and across compactions.
+        let batch = |t: u32, i: u32| -> Vec<(UserId, MerchantId)> {
+            (0..8u32)
+                .map(|k| (UserId(t * 100 + (i + k) % 97), MerchantId((i * 7 + k) % 41)))
+                .collect()
+        };
+        let b = Arc::new(IngestBuffer::new());
+        let store = Arc::new(SnapshotStore::new(1));
+        let done = Arc::new(AtomicBool::new(false));
+        let compactor = {
+            let (b, store, done) = (Arc::clone(&b), Arc::clone(&store), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut last = store.latest();
+                while !done.load(Ordering::Acquire) {
+                    let snap = store.compact(&b);
+                    if !Arc::ptr_eq(&snap, &last) {
+                        assert_eq!(snap.epoch, last.epoch + 1);
+                        assert!(snap.transactions > last.transactions);
+                        last = snap;
+                    }
+                }
+                last
+            })
+        };
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|t| {
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || {
+                    for i in 0..BATCHES {
+                        b.append_batch(batch(t, i));
+                        // Give the compactor a chance between batches.
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        let raced = compactor.join().unwrap();
+
+        let last = store.compact(&b);
+        assert!(last.epoch >= raced.epoch && last.epoch <= raced.epoch + 1);
+        let log: Vec<(u32, u32)> = (0..WRITERS)
+            .flat_map(|t| (0..BATCHES).flat_map(move |i| batch(t, i)))
+            .map(|(u, v)| (u.0, v.0))
+            .collect();
+        assert_eq!(b.len(), log.len());
+        assert_eq!(last.transactions, b.len());
+        assert_eq!(store.lag(&b), 0);
+        let full = rebuilt(&log);
+        assert_eq!(last.graph.edge_pairs(), full.edge_pairs());
+        assert_eq!(last.dims(), dims_of(&full));
     }
 
     #[test]
@@ -1107,12 +1022,6 @@ mod tests {
             out.flagged,
             ScanRunner::new().run(&snap2, &other, 6).flagged
         );
-
-        // Explicit invalidation goes back to the cold path.
-        runner.invalidate_cache();
-        assert_eq!(runner.cached_epoch(), None);
-        let out = runner.run_incremental(&snap2, &store, &other, 6, &IncrementalPolicy::default());
-        assert_eq!(out.reuse.fallback, Some(FallbackReason::ColdCache));
     }
 
     /// Hybrid scoring is computed on the parent snapshot after the
@@ -1178,15 +1087,21 @@ mod tests {
 
     #[test]
     fn poisoned_shard_recovers() {
-        let b = Arc::new(IngestBuffer::with_shards(1));
+        let b = Arc::new(IngestBuffer::new());
         let poisoner = Arc::clone(&b);
+        // A batch whose iterator panics does so holding the log's mutex,
+        // which poisons it.
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.shards[0].lock().unwrap();
-            panic!("poison the shard");
+            poisoner.append_batch(std::iter::from_fn(|| -> Option<(UserId, MerchantId)> {
+                panic!("poison the log")
+            }));
         })
         .join();
-        // Appends and reads still work.
+        assert!(b.pending.is_poisoned());
+        // Appends, reads and compaction still work.
         b.append(UserId(1), MerchantId(1));
-        assert_eq!(b.collect_edges().len(), 1);
+        assert_eq!(b.len(), 1);
+        let snap = SnapshotStore::new(1).compact(&b);
+        assert_eq!((snap.transactions, snap.graph.num_edges()), (1, 1));
     }
 }

@@ -30,12 +30,6 @@ impl Table {
         self
     }
 
-    /// Convenience for string-literal rows.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -91,11 +85,6 @@ pub fn write_json<T: Serialize>(value: &T, path: impl AsRef<Path>) -> std::io::R
     std::fs::write(path, json)
 }
 
-/// Formats a float with the given precision — table-cell helper.
-pub fn fmt_f(v: f64, decimals: usize) -> String {
-    format!("{v:.decimals$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,8 +92,8 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new(&["name", "value"]);
-        t.row_strs(&["alpha", "1"]);
-        t.row_strs(&["b", "23456"]);
+        t.row(&["alpha".into(), "1".into()]);
+        t.row(&["b".into(), "23456".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -128,8 +117,8 @@ mod tests {
     #[test]
     fn short_rows_are_padded_long_rows_truncated() {
         let mut t = Table::new(&["a", "b"]);
-        t.row_strs(&["only"]);
-        t.row_strs(&["x", "y", "z"]);
+        t.row(&["only".into()]);
+        t.row(&["x".into(), "y".into(), "z".into()]);
         let s = t.render();
         assert_eq!(t.len(), 2);
         assert!(!s.contains('z'));
@@ -169,11 +158,5 @@ mod tests {
         let back: Row = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, row);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fmt_f_precision() {
-        assert_eq!(fmt_f(1.23456, 3), "1.235");
-        assert_eq!(fmt_f(2.0, 1), "2.0");
     }
 }

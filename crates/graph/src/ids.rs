@@ -40,32 +40,6 @@ impl MerchantId {
     }
 }
 
-impl NodeRef {
-    /// `true` when this refers to a user-side node.
-    #[inline]
-    pub fn is_user(self) -> bool {
-        matches!(self, NodeRef::User(_))
-    }
-
-    /// The user id, if this is a user node.
-    #[inline]
-    pub fn as_user(self) -> Option<UserId> {
-        match self {
-            NodeRef::User(u) => Some(u),
-            NodeRef::Merchant(_) => None,
-        }
-    }
-
-    /// The merchant id, if this is a merchant node.
-    #[inline]
-    pub fn as_merchant(self) -> Option<MerchantId> {
-        match self {
-            NodeRef::User(_) => None,
-            NodeRef::Merchant(v) => Some(v),
-        }
-    }
-}
-
 impl fmt::Debug for UserId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "u{}", self.0)
@@ -113,18 +87,6 @@ mod tests {
         assert_eq!(format!("{:?}", UserId(7)), "u7");
         assert_eq!(format!("{:?}", MerchantId(3)), "m3");
         assert_eq!(format!("{}", UserId(7)), "7");
-    }
-
-    #[test]
-    fn node_ref_accessors() {
-        let u: NodeRef = UserId(1).into();
-        let v: NodeRef = MerchantId(2).into();
-        assert!(u.is_user());
-        assert!(!v.is_user());
-        assert_eq!(u.as_user(), Some(UserId(1)));
-        assert_eq!(u.as_merchant(), None);
-        assert_eq!(v.as_merchant(), Some(MerchantId(2)));
-        assert_eq!(v.as_user(), None);
     }
 
     #[test]

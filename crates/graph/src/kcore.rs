@@ -21,20 +21,6 @@ pub struct CoreDecomposition {
     pub degeneracy: u32,
 }
 
-impl CoreDecomposition {
-    /// Core number of user `u`.
-    #[inline]
-    pub fn of_user(&self, u: UserId) -> u32 {
-        self.user_core[u.index()]
-    }
-
-    /// Core number of merchant `v`.
-    #[inline]
-    pub fn of_merchant(&self, v: MerchantId) -> u32 {
-        self.merchant_core[v.index()]
-    }
-}
-
 /// Computes the core decomposition by bucketed min-degree peeling.
 pub fn core_decomposition(g: &BipartiteGraph) -> CoreDecomposition {
     let nu = g.num_users();
@@ -223,9 +209,9 @@ mod tests {
         let g = planted();
         let c = core_decomposition(&g);
         for u in 0..4 {
-            assert_eq!(c.of_user(UserId(u)), 3);
+            assert_eq!(c.user_core[u], 3);
         }
-        assert!(c.of_user(UserId(4)) <= 1);
+        assert!(c.user_core[4] <= 1);
     }
 
     #[test]

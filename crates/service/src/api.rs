@@ -5,7 +5,7 @@
 //!
 //! * `POST /v1/transactions` parses its batch without any lock, maps the
 //!   keys through the [`ConcurrentTransactionInterner`] under one lock
-//!   taken once per batch, and appends to a sharded [`IngestBuffer`] — it
+//!   taken once per batch, and appends to the [`IngestBuffer`] log — it
 //!   never waits on a running scan, only on another batch's interning or
 //!   a scan's brief flagged-key translation.
 //! * `POST /v1/scans` pins the freshest epoch-versioned snapshot
@@ -117,10 +117,11 @@ pub fn route_label(_method: &str, path: &str) -> &'static str {
 }
 
 /// Everything the request handlers and the scan executor share. No
-/// single big lock: the buffer is sharded, the snapshot store swaps
-/// `Arc`s, the interner's lock is held once per ingest batch and once per
-/// scan's key translation, and the alert ledger's mutex is held only by
-/// the executor.
+/// single big lock: the buffer's lock is held once per ingest batch and
+/// once per compaction's take, the snapshot store swaps `Arc`s, the
+/// interner's lock is held once per ingest batch and once per scan's key
+/// translation, and the alert ledger's mutex is held only by the
+/// executor.
 pub(crate) struct Engine {
     pub(crate) config: ApiConfig,
     pub(crate) buffer: IngestBuffer,

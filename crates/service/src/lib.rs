@@ -18,7 +18,7 @@
 //! | `GET /v1/config`         | —                                      | effective service configuration |
 //! | `GET /metrics`           | —                                      | Prometheus text metrics |
 //!
-//! **Ingest and scans never contend.** Ingestion appends to a sharded
+//! **Ingest and scans never contend.** Ingestion appends to a pending
 //! log ([`ensemfdet::pipeline::IngestBuffer`]); scans run on immutable
 //! epoch-versioned snapshots compacted from that log
 //! ([`ensemfdet::pipeline::SnapshotStore`]) by a single background

@@ -48,14 +48,6 @@ impl Chart {
         }
     }
 
-    /// Overrides the canvas size (defaults 560×400).
-    pub fn with_size(mut self, width: f64, height: f64) -> Self {
-        assert!(width > 100.0 && height > 100.0, "canvas too small");
-        self.width = width;
-        self.height = height;
-        self
-    }
-
     /// Adds a series.
     pub fn with_series(mut self, series: Series) -> Self {
         self.series.push(series);
@@ -305,11 +297,5 @@ mod tests {
             assert!((0.0..=560.0).contains(&x));
             assert!((0.0..=400.0).contains(&y));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "canvas too small")]
-    fn tiny_canvas_rejected() {
-        let _ = Chart::new("t", "x", "y").with_size(50.0, 50.0);
     }
 }
