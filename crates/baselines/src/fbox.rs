@@ -15,7 +15,7 @@
 //! factor keeps trivial one-purchase users (whose rows are never well
 //! reconstructed) from flooding the top of the ranking.
 
-use crate::adjacency_matrix;
+use ensemfdet::adjacency_matrix;
 use ensemfdet_graph::{BipartiteGraph, UserId};
 use ensemfdet_linalg::{randomized_svd, CsrMatrix, SvdOptions};
 use serde::{Deserialize, Serialize};

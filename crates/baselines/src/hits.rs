@@ -192,7 +192,7 @@ mod tests {
             ..Default::default()
         })
         .run(&g);
-        let a = crate::adjacency_matrix(&g);
+        let a = ensemfdet::adjacency_matrix(&g);
         let triplet = ensemfdet_linalg::power::power_iteration(&a, 1000, 1e-13);
         // Hub vector ≈ dominant left singular vector (up to sign; both are
         // nonnegative here).

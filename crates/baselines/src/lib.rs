@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! The comparison methods of the paper's evaluation (Section V-B2):
@@ -37,37 +38,3 @@ pub use fraudar::{Fraudar, FraudarConfig, FraudarResult};
 pub use hits::{Hits, HitsConfig, HitsScores};
 pub use kcore::KCoreBaseline;
 pub use spoken::{Spoken, SpokenConfig};
-
-/// Assembles the sparse user×merchant adjacency matrix of a bipartite
-/// graph (binary on unweighted graphs, weighted otherwise).
-pub fn adjacency_matrix(g: &ensemfdet_graph::BipartiteGraph) -> ensemfdet_linalg::CsrMatrix {
-    let triplets: Vec<(u32, u32, f64)> = g.edges().map(|(_, u, v, w)| (u.0, v.0, w)).collect();
-    ensemfdet_linalg::CsrMatrix::from_triplets(g.num_users(), g.num_merchants(), &triplets)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ensemfdet_graph::BipartiteGraph;
-
-    #[test]
-    fn adjacency_matches_graph() {
-        let g = BipartiteGraph::from_edges(3, 2, vec![(0, 0), (1, 1), (2, 0)]).unwrap();
-        let a = adjacency_matrix(&g);
-        assert_eq!(a.rows(), 3);
-        assert_eq!(a.cols(), 2);
-        assert_eq!(a.nnz(), 3);
-        let d = a.to_dense();
-        assert_eq!(d[(0, 0)], 1.0);
-        assert_eq!(d[(1, 1)], 1.0);
-        assert_eq!(d[(2, 0)], 1.0);
-        assert_eq!(d[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn weighted_graph_adjacency_keeps_weights() {
-        let g = BipartiteGraph::from_weighted_edges(1, 1, vec![(0, 0)], vec![2.5]).unwrap();
-        let a = adjacency_matrix(&g);
-        assert_eq!(a.to_dense()[(0, 0)], 2.5);
-    }
-}

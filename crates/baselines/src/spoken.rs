@@ -10,7 +10,7 @@
 //! the top-k left singular vectors. Nodes on a spoke score high; background
 //! nodes, whose mass is spread thinly, score near zero.
 
-use crate::adjacency_matrix;
+use ensemfdet::adjacency_matrix;
 use ensemfdet_graph::BipartiteGraph;
 use ensemfdet_linalg::{randomized_svd, CsrMatrix, SvdOptions};
 use serde::{Deserialize, Serialize};

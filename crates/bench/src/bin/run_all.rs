@@ -1,4 +1,5 @@
-//! Runs every experiment binary in paper order, forwarding `--scale`.
+//! Runs every experiment binary in paper order, forwarding `--scale`, then
+//! renders the figures from their artifacts.
 //!
 //! ```text
 //! cargo run --release -p ensemfdet-bench --bin run_all [-- --scale 40]
@@ -41,13 +42,13 @@ fn main() {
             failures.push(*name);
         }
     }
-    // Figures, if the viz renderer was built alongside (best-effort).
-    let renderer = exe_dir.join("render_figures");
-    if renderer.exists() {
-        println!("\n════════════════════════════════════════════════════════");
-        println!("  render_figures");
-        println!("════════════════════════════════════════════════════════");
-        let _ = Command::new(renderer).status();
+    // Figures from the artifacts just written (best-effort).
+    println!("\n════════════════════════════════════════════════════════");
+    println!("  figures");
+    println!("════════════════════════════════════════════════════════");
+    match ensemfdet_viz::figures::render_all(&ensemfdet_bench::output::results_dir()) {
+        Ok(written) => written.iter().for_each(|f| println!("wrote {f}")),
+        Err(e) => eprintln!("render failed: {e}"),
     }
 
     if failures.is_empty() {

@@ -18,20 +18,8 @@ pub fn run_ensemfdet(g: &BipartiteGraph, cfg: EnsemFdetConfig) -> EnsembleOutcom
 
 /// The ensemble's `T`-sweep PR curve from a finished outcome.
 pub fn ensemfdet_curve(outcome: &EnsembleOutcome, labels: &[bool]) -> PrCurve {
-    let sets: Vec<(f64, Vec<u32>)> = (1..=outcome.votes.max_user_votes())
-        .map(|t| {
-            (
-                t as f64,
-                outcome
-                    .votes
-                    .detected_users(t)
-                    .into_iter()
-                    .map(|u| u.0)
-                    .collect(),
-            )
-        })
-        .collect();
-    PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t, d.as_slice())), labels)
+    let sets = outcome.votes.user_threshold_sets();
+    PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), labels)
 }
 
 /// Fraudar's cumulative-block polyline (thresholds are block counts `k`).

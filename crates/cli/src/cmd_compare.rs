@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use crate::cmd_detect::{ensemfdet_config, score_users};
+use crate::cmd_sweep::load_label_mask;
 use ensemfdet::EnsemFdet;
 use ensemfdet_baselines::{Fraudar, FraudarConfig};
 use ensemfdet_eval::{time_it, PrCurve, RocCurve, Table};
@@ -33,15 +34,7 @@ pub fn run(args: &Args) -> Result<String, String> {
 
     let g = io::load_edge_list(&graph_path)
         .map_err(|e| format!("cannot read {graph_path}: {e}"))?;
-    let blacklist =
-        io::load_labels(&labels_path).map_err(|e| format!("cannot read {labels_path}: {e}"))?;
-    let mut labels = vec![false; g.num_users()];
-    for &u in &blacklist {
-        *labels
-            .get_mut(u as usize)
-            .ok_or_else(|| format!("label id {u} exceeds the graph's {} users", g.num_users()))? =
-            true;
-    }
+    let labels = load_label_mask(&labels_path, g.num_users())?;
 
     let mut rows: Vec<serde_json::Value> = Vec::new();
     let mut table = Table::new(&["method", "best F1", "AUC-PR", "AUC-ROC", "max TPR jump", "time"]);
@@ -54,22 +47,16 @@ pub fn run(args: &Args) -> Result<String, String> {
     };
     let ((pr, roc), dt) = time_it(|| {
         let outcome = EnsemFdet::new(cfg).detect(&g);
-        let sets: Vec<(f64, Vec<u32>)> = (1..=outcome.votes.max_user_votes())
-            .map(|t| {
-                (
-                    t as f64,
-                    outcome
-                        .votes
-                        .detected_users(t)
-                        .into_iter()
-                        .map(|u| u.0)
-                        .collect(),
-                )
-            })
-            .collect();
+        let sets = outcome.votes.user_threshold_sets();
         (
-            PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t, d.as_slice())), &labels),
-            RocCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t, d.as_slice())), &labels),
+            PrCurve::from_threshold_sets(
+                sets.iter().map(|(t, d)| (*t as f64, d.as_slice())),
+                &labels,
+            ),
+            RocCurve::from_threshold_sets(
+                sets.iter().map(|(t, d)| (*t as f64, d.as_slice())),
+                &labels,
+            ),
         )
     });
     push(&mut table, &mut rows, "ensemfdet", &pr, &roc, dt);

@@ -67,8 +67,9 @@ pub(crate) fn score_users(
     }
 }
 
-pub(crate) fn sampling_method(args: &Args) -> Result<SamplingMethodConfig, String> {
-    match args.get("sampling").as_deref().unwrap_or("res") {
+/// Parses `--sampling`, falling back to `default` when it is absent.
+pub(crate) fn sampling_method(args: &Args, default: &str) -> Result<SamplingMethodConfig, String> {
+    match args.get("sampling").as_deref().unwrap_or(default) {
         "res" => Ok(SamplingMethodConfig::RandomEdge),
         "ons-user" => Ok(SamplingMethodConfig::OneSideUser),
         "ons-merchant" => Ok(SamplingMethodConfig::OneSideMerchant),
@@ -121,7 +122,7 @@ pub(crate) fn ensemfdet_config(args: &Args) -> Result<EnsemFdetConfig, String> {
     Ok(EnsemFdetConfig {
         num_samples: args.get_or("samples", 80)?,
         sample_ratio: args.get_or("ratio", 0.1)?,
-        method: sampling_method(args)?,
+        method: sampling_method(args, "res")?,
         seed: args.get_or("seed", 42)?,
         scoring: args
             .get("scoring")

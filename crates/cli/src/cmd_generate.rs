@@ -23,6 +23,16 @@ OPTIONS:
     --camouflage-uniform  target camouflage uniformly instead of by popularity
 ";
 
+/// Parses a `--preset` value: one of the paper's Table I datasets.
+pub(crate) fn jd_dataset(name: &str) -> Result<JdDataset, String> {
+    match name {
+        "jd1" => Ok(JdDataset::Jd1),
+        "jd2" => Ok(JdDataset::Jd2),
+        "jd3" => Ok(JdDataset::Jd3),
+        other => Err(format!("unknown preset `{other}` (jd1|jd2|jd3)")),
+    }
+}
+
 /// Runs the command.
 pub fn run(args: &Args) -> Result<String, String> {
     if args.flag("help") {
@@ -33,14 +43,8 @@ pub fn run(args: &Args) -> Result<String, String> {
 
     let cfg: GeneratorConfig = match args.get("preset") {
         Some(preset) => {
-            let which = match preset.as_str() {
-                "jd1" => JdDataset::Jd1,
-                "jd2" => JdDataset::Jd2,
-                "jd3" => JdDataset::Jd3,
-                other => return Err(format!("unknown preset `{other}` (jd1|jd2|jd3)")),
-            };
             let scale: u32 = args.get_or("scale", 100)?;
-            jd_preset(which, scale, seed)
+            jd_preset(jd_dataset(&preset)?, scale, seed)
         }
         None => {
             let groups: usize = args.get_or("groups", 6)?;

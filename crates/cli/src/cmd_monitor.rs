@@ -2,9 +2,11 @@
 //! pipeline, scanning after every epoch.
 
 use crate::args::Args;
+use crate::cmd_detect::sampling_method;
+use crate::cmd_generate::jd_dataset;
 use ensemfdet::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
-use ensemfdet::{EnsemFdetConfig, IncrementalPolicy, SamplingMethodConfig};
-use ensemfdet_datagen::presets::{jd_preset, JdDataset};
+use ensemfdet::{EnsemFdetConfig, IncrementalPolicy};
+use ensemfdet_datagen::presets::jd_preset;
 use ensemfdet_datagen::ramp_timeline;
 use ensemfdet_graph::{MerchantId, UserId};
 
@@ -48,13 +50,7 @@ pub fn run(args: &Args) -> Result<String, String> {
     if args.flag("help") {
         return Ok(HELP.to_string());
     }
-    let preset = args.get("preset").unwrap_or_else(|| "jd1".into());
-    let which = match preset.as_str() {
-        "jd1" => JdDataset::Jd1,
-        "jd2" => JdDataset::Jd2,
-        "jd3" => JdDataset::Jd3,
-        other => return Err(format!("unknown preset `{other}` (jd1|jd2|jd3)")),
-    };
+    let which = jd_dataset(args.get("preset").as_deref().unwrap_or("jd1"))?;
     let scale: u32 = args.get_or("scale", 200)?;
     let epochs: usize = args.get_or("epochs", 6)?;
     if epochs == 0 {
@@ -64,17 +60,7 @@ pub fn run(args: &Args) -> Result<String, String> {
     let policy = IncrementalPolicy {
         max_touched_fraction: args.get_or("max-touched", 0.1)?,
     };
-    let sampling = match args.get("sampling").as_deref().unwrap_or("ons-user") {
-        "res" => SamplingMethodConfig::RandomEdge,
-        "ons-user" => SamplingMethodConfig::OneSideUser,
-        "ons-merchant" => SamplingMethodConfig::OneSideMerchant,
-        "tns" => SamplingMethodConfig::TwoSide,
-        other => {
-            return Err(format!(
-                "unknown sampling `{other}` (res|ons-user|ons-merchant|tns)"
-            ))
-        }
-    };
+    let sampling = sampling_method(args, "ons-user")?;
     let cfg = EnsemFdetConfig {
         num_samples: args.get_or("samples", 20)?,
         sample_ratio: args.get_or("ratio", 0.2)?,

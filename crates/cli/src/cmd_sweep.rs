@@ -28,6 +28,19 @@ OPTIONS:
     --components N        SVD rank [default: 25]
 ";
 
+/// Reads a blacklist file into a per-user label mask over `num_users`
+/// users.
+pub(crate) fn load_label_mask(path: &str, num_users: usize) -> Result<Vec<bool>, String> {
+    let blacklist = io::load_labels(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut labels = vec![false; num_users];
+    for &u in &blacklist {
+        *labels
+            .get_mut(u as usize)
+            .ok_or_else(|| format!("label id {u} exceeds the graph's {num_users} users"))? = true;
+    }
+    Ok(labels)
+}
+
 /// Runs the command.
 pub fn run(args: &Args) -> Result<String, String> {
     if args.flag("help") {
@@ -40,15 +53,7 @@ pub fn run(args: &Args) -> Result<String, String> {
 
     let g = io::load_edge_list(&graph_path)
         .map_err(|e| format!("cannot read {graph_path}: {e}"))?;
-    let blacklist =
-        io::load_labels(&labels_path).map_err(|e| format!("cannot read {labels_path}: {e}"))?;
-    let mut labels = vec![false; g.num_users()];
-    for &u in &blacklist {
-        *labels
-            .get_mut(u as usize)
-            .ok_or_else(|| format!("label id {u} exceeds the graph's {} users", g.num_users()))? =
-            true;
-    }
+    let labels = load_label_mask(&labels_path, g.num_users())?;
 
     let mut timing_note: Option<String> = None;
     let mut hybrid_note: Option<String> = None;
@@ -71,26 +76,14 @@ pub fn run(args: &Args) -> Result<String, String> {
                     RocCurve::from_scores(&hybrid.hybrid, &labels),
                 )
             } else {
-                let sets: Vec<(f64, Vec<u32>)> = (1..=outcome.votes.max_user_votes())
-                    .map(|t| {
-                        (
-                            t as f64,
-                            outcome
-                                .votes
-                                .detected_users(t)
-                                .into_iter()
-                                .map(|u| u.0)
-                                .collect(),
-                        )
-                    })
-                    .collect();
+                let sets = outcome.votes.user_threshold_sets();
                 (
                     PrCurve::from_threshold_sets(
-                        sets.iter().map(|(t, d)| (*t, d.as_slice())),
+                        sets.iter().map(|(t, d)| (*t as f64, d.as_slice())),
                         &labels,
                     ),
                     RocCurve::from_threshold_sets(
-                        sets.iter().map(|(t, d)| (*t, d.as_slice())),
+                        sets.iter().map(|(t, d)| (*t as f64, d.as_slice())),
                         &labels,
                     ),
                 )

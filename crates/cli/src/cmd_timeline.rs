@@ -1,7 +1,8 @@
 //! `ensemfdet timeline` — generate a multi-period drifting campaign.
 
 use crate::args::Args;
-use ensemfdet_datagen::presets::{jd_preset, JdDataset};
+use crate::cmd_generate::jd_dataset;
+use ensemfdet_datagen::presets::jd_preset;
 use ensemfdet_datagen::{generate_timeline, BehaviorDrift, TimelineConfig};
 
 const HELP: &str = "\
@@ -27,13 +28,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         return Ok(HELP.to_string());
     }
     let out = args.require("out")?;
-    let preset = args.get("preset").unwrap_or_else(|| "jd1".into());
-    let which = match preset.as_str() {
-        "jd1" => JdDataset::Jd1,
-        "jd2" => JdDataset::Jd2,
-        "jd3" => JdDataset::Jd3,
-        other => return Err(format!("unknown preset `{other}` (jd1|jd2|jd3)")),
-    };
+    let which = jd_dataset(args.get("preset").as_deref().unwrap_or("jd1"))?;
     let scale: u32 = args.get_or("scale", 200)?;
     let periods: usize = args.get_or("periods", 4)?;
     let cfg = TimelineConfig {

@@ -129,6 +129,15 @@ impl VoteTally {
         out
     }
 
+    /// The ensemble's operating points: `(T, accepted user ids)` for
+    /// every threshold `T = 1..=max` — the sets a precision–recall or ROC
+    /// sweep over `T` consumes.
+    pub fn user_threshold_sets(&self) -> Vec<(u32, Vec<u32>)> {
+        (1..=self.max_user_votes())
+            .map(|t| (t, self.detected_users(t).into_iter().map(|u| u.0).collect()))
+            .collect()
+    }
+
     /// Vote counts as fraud scores in `[0, 1]` (votes / N) — lets the
     /// ensemble plug into score-based evaluation like the SVD baselines.
     pub fn user_scores(&self) -> Vec<f64> {
@@ -213,6 +222,12 @@ mod tests {
         assert_eq!(curve.len(), t.max_user_votes() as usize);
         for (i, &c) in curve.iter().enumerate() {
             assert_eq!(c, t.detected_users(i as u32 + 1).len());
+        }
+        let sets = t.user_threshold_sets();
+        assert_eq!(sets.len(), curve.len());
+        for (i, (threshold, users)) in sets.iter().enumerate() {
+            assert_eq!(*threshold, i as u32 + 1);
+            assert_eq!(users.len(), curve[i]);
         }
     }
 

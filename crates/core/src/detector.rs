@@ -57,19 +57,15 @@ impl<'a> DetectContext<'a> {
     /// the graph), assembled on first call and shared by every
     /// subsequent one.
     pub fn adjacency(&self) -> &CsrMatrix {
-        self.adjacency.get_or_init(|| {
-            let triplets: Vec<(u32, u32, f64)> = self
-                .graph
-                .edges()
-                .map(|(_, u, v, w)| (u.0, v.0, w))
-                .collect();
-            CsrMatrix::from_triplets(
-                self.graph.num_users(),
-                self.graph.num_merchants(),
-                &triplets,
-            )
-        })
+        self.adjacency.get_or_init(|| adjacency_matrix(self.graph))
     }
+}
+
+/// Assembles the sparse user×merchant adjacency matrix of a bipartite
+/// graph (binary on unweighted graphs, weighted otherwise).
+pub fn adjacency_matrix(g: &BipartiteGraph) -> CsrMatrix {
+    let triplets: Vec<(u32, u32, f64)> = g.edges().map(|(_, u, v, w)| (u.0, v.0, w)).collect();
+    CsrMatrix::from_triplets(g.num_users(), g.num_merchants(), &triplets)
 }
 
 /// What a detector reports for one graph.
@@ -158,6 +154,27 @@ mod tests {
         assert_eq!(a, b, "second call must return the cached matrix");
         assert_eq!(ctx.adjacency().rows(), g.num_users());
         assert_eq!(ctx.adjacency().cols(), g.num_merchants());
+    }
+
+    #[test]
+    fn adjacency_matches_graph() {
+        let g = BipartiteGraph::from_edges(3, 2, vec![(0, 0), (1, 1), (2, 0)]).unwrap();
+        let a = adjacency_matrix(&g);
+        assert_eq!(a.rows(), 3);
+        assert_eq!(a.cols(), 2);
+        assert_eq!(a.nnz(), 3);
+        let d = a.to_dense();
+        assert_eq!(d[(0, 0)], 1.0);
+        assert_eq!(d[(1, 1)], 1.0);
+        assert_eq!(d[(2, 0)], 1.0);
+        assert_eq!(d[(0, 1)], 0.0);
+    }
+
+    #[test]
+    fn weighted_graph_adjacency_keeps_weights() {
+        let g = BipartiteGraph::from_weighted_edges(1, 1, vec![(0, 0)], vec![2.5]).unwrap();
+        let a = adjacency_matrix(&g);
+        assert_eq!(a.to_dense()[(0, 0)], 2.5);
     }
 
     #[test]

@@ -236,14 +236,6 @@ pub struct FdetEngine {
     in_block: Vec<bool>,
     /// Epoch-stamped intern scratch for [`FdetEngine::run_spec`].
     resolver: SpecResolver,
-    /// Threads for the first-iteration full-graph view build
-    /// ([`CsrView::rebuild_sharded`]); `0`/`1` = sequential. Never
-    /// affects results — the sharded build is bit-identical — so it
-    /// lives outside every equality/config surface. Defaults to
-    /// sequential: ensemble samples are small and already run on a pool;
-    /// direct full-parent peels (benches, full-ratio runs) opt in via
-    /// [`set_build_workers`](Self::set_build_workers).
-    build_workers: usize,
 }
 
 thread_local! {
@@ -260,13 +252,6 @@ impl FdetEngine {
     /// A fresh engine with empty (unallocated) scratch.
     pub fn new() -> Self {
         FdetEngine::default()
-    }
-
-    /// Sets the thread count for the first-iteration full-graph view
-    /// build (see the `build_workers` field). A pure throughput knob:
-    /// any value peels bit-identically.
-    pub fn set_build_workers(&mut self, workers: usize) {
-        self.build_workers = workers;
     }
 
     /// Runs FDET through this thread's cached engine, recycling the view
@@ -338,7 +323,7 @@ impl FdetEngine {
         match engine {
             Engine::Naive => fdet_naive(g, metric, truncation),
             Engine::Bucket => {
-                self.view.rebuild_sharded(g, self.build_workers);
+                self.view.rebuild(g);
                 self.run_view(metric, truncation, Retire::Incident)
             }
         }
@@ -355,7 +340,7 @@ impl FdetEngine {
         metric: &dyn DensityMetric,
         k: usize,
     ) -> Vec<Block> {
-        self.view.rebuild_sharded(g, self.build_workers);
+        self.view.rebuild(g);
         self.run_view(metric, Truncation::FixedK(k), Retire::Internal)
             .blocks
     }
@@ -668,7 +653,8 @@ mod tests {
         let g = BipartiteGraph::from_edges(3, 3, vec![]).unwrap();
         assert!(peel_csr_full(&g, &AverageDegreeMetric).is_none());
         let g = planted_graph();
-        let view = CsrView::from_graph_filtered(&g, &vec![false; g.num_edges()]);
+        let mut view = CsrView::from_graph(&g);
+        view.refilter(&vec![false; g.num_edges()]);
         assert!(peel_seq(&view, &AverageDegreeMetric, &mut PeelScratch::default()).is_none());
     }
 
@@ -687,7 +673,7 @@ mod tests {
         let mut scratch = PeelScratch::default();
         let mut view = CsrView::new();
         for g in [&g1, &g2, &g1] {
-            view.rebuild(g, None);
+            view.rebuild(g);
             let reused = peel_seq(&view, &AverageDegreeMetric, &mut scratch);
             let fresh = peel_csr_full(g, &AverageDegreeMetric);
             assert_eq!(reused, fresh);

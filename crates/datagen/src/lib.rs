@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Synthetic *who-buys-from-where* transaction graphs with planted fraud.

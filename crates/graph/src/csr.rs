@@ -12,11 +12,11 @@
 //! plus a canonical alive-edge array in ascending edge-id order. Every
 //! neighborhood is then an O(1) triple of slices streamed sequentially.
 //!
-//! The view is immutable and cheap to (re)build: construction is two
-//! counting sorts over the surviving edges, and [`CsrView::rebuild`]
-//! reuses the previous allocation, which is what lets FDET rebuild the
-//! view after removing each detected block instead of re-scanning every
-//! dead edge of the parent graph.
+//! The view is cheap to (re)build: construction is two counting sorts
+//! over the surviving edges, every build reuses the previous allocation,
+//! and [`CsrView::refilter`] shrinks the view in place, which is what
+//! lets FDET drop each detected block's edges instead of re-scanning
+//! every dead edge of the parent graph.
 
 use crate::graph::{BipartiteGraph, EdgeId};
 use crate::ids::{MerchantId, UserId};
@@ -60,12 +60,12 @@ impl<'a> NeighborSlices<'a> {
 /// use ensemfdet_graph::{BipartiteGraph, CsrView, UserId};
 ///
 /// let g = BipartiteGraph::from_edges(2, 2, vec![(0, 0), (0, 1), (1, 1)]).unwrap();
-/// let view = CsrView::from_graph(&g);
+/// let mut view = CsrView::from_graph(&g);
 /// let n = view.user_neighbors(UserId(0));
 /// assert_eq!(n.pairs, &[(0, 1.0), (1, 1.0)]);
 ///
 /// // Filtered view: drop edge 1, keeping parent node and edge ids.
-/// let view = CsrView::from_graph_filtered(&g, &[true, false, true]);
+/// view.refilter(&[true, false, true]);
 /// assert_eq!(view.num_edges(), 2);
 /// assert_eq!(view.edge_ids(), &[0, 2]);
 /// assert_eq!(view.user_neighbors(UserId(0)).pairs, &[(0, 1.0)]);
@@ -99,40 +99,18 @@ impl CsrView {
     /// Builds the view of the whole graph.
     pub fn from_graph(g: &BipartiteGraph) -> Self {
         let mut view = CsrView::new();
-        view.rebuild(g, None);
+        view.rebuild(g);
         view
     }
 
-    /// Builds the view of the subgraph spanned by edges with
-    /// `edge_alive[e] == true`.
+    /// Re-fills the view in place (reusing allocations) with every edge
+    /// of `g`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `edge_alive.len() != g.num_edges()`.
-    pub fn from_graph_filtered(g: &BipartiteGraph, edge_alive: &[bool]) -> Self {
-        let mut view = CsrView::new();
-        view.rebuild(g, Some(edge_alive));
-        view
-    }
-
-    /// Re-fills the view in place (reusing allocations) from `g`, keeping
-    /// only edges where `edge_alive` is true (`None` ⇒ all edges).
-    ///
-    /// Relative edge order is preserved, so the canonical arrays stay in
-    /// ascending global edge id and each CSR row lists its edges in the
-    /// same relative order as the parent graph's adjacency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mask is given and `edge_alive.len() != g.num_edges()`.
-    pub fn rebuild(&mut self, g: &BipartiteGraph, edge_alive: Option<&[bool]>) {
-        if let Some(mask) = edge_alive {
-            assert_eq!(
-                mask.len(),
-                g.num_edges(),
-                "edge_alive mask must cover every edge"
-            );
-        }
+    /// The canonical arrays hold the edges in ascending edge id, and each
+    /// CSR row lists its edges in the same relative order as the parent
+    /// graph's adjacency. Drop edges afterwards with
+    /// [`refilter`](Self::refilter).
+    pub fn rebuild(&mut self, g: &BipartiteGraph) {
         self.num_users = g.num_users();
         self.num_merchants = g.num_merchants();
 
@@ -141,120 +119,14 @@ impl CsrView {
         self.e_v.clear();
         self.e_w.clear();
         let pairs = g.edge_pairs();
-        match edge_alive {
-            None => {
-                self.e_id.extend(0..pairs.len() as u32);
-                self.e_u.extend(pairs.iter().map(|&(u, _)| u));
-                self.e_v.extend(pairs.iter().map(|&(_, v)| v));
-                match g.weight_values() {
-                    Some(w) => self.e_w.extend_from_slice(w),
-                    None => self.e_w.resize(pairs.len(), 1.0),
-                }
-            }
-            Some(mask) => {
-                for (e, &(u, v)) in pairs.iter().enumerate() {
-                    if mask[e] {
-                        self.e_id.push(e as u32);
-                        self.e_u.push(u);
-                        self.e_v.push(v);
-                    }
-                }
-                match g.weight_values() {
-                    Some(w) => self.e_w.extend(self.e_id.iter().map(|&e| w[e as usize])),
-                    None => self.e_w.resize(self.e_id.len(), 1.0),
-                }
-            }
+        self.e_id.extend(0..pairs.len() as u32);
+        self.e_u.extend(pairs.iter().map(|&(u, _)| u));
+        self.e_v.extend(pairs.iter().map(|&(_, v)| v));
+        match g.weight_values() {
+            Some(w) => self.e_w.extend_from_slice(w),
+            None => self.e_w.resize(pairs.len(), 1.0),
         }
         self.fill_sides();
-    }
-
-    /// Full-graph [`rebuild`](Self::rebuild) sharded over `workers`
-    /// scoped threads — the parent-snapshot build for full-JD-scale
-    /// scans, where the two counting sorts dominate.
-    ///
-    /// Each stage parallelizes over contiguous edge ranges: the canonical
-    /// arrays are copied in disjoint chunks, per-shard degree counts feed
-    /// one sequential prefix sum that assigns every shard a per-node write
-    /// cursor, and the scatter then writes each shard's edge range through
-    /// its own cursors. Because shard `s` covers edges `[s·c, (s+1)·c)`
-    /// and its cursor for a node starts after all earlier shards'
-    /// occurrences of that node, the output order per CSR row is exactly
-    /// ascending edge index — the same stable counting sort
-    /// [`rebuild`](Self::rebuild) runs sequentially, so the result is
-    /// **bit-identical** for any worker count (gated by
-    /// `sharded_build_matches_sequential_bit_for_bit`).
-    ///
-    /// `workers == 0` or `1` (or an edgeless graph) falls back to the
-    /// sequential builder. Transient cost: one `num_nodes`-sized count
-    /// array per shard per unsorted side.
-    pub fn rebuild_sharded(&mut self, g: &BipartiteGraph, workers: usize) {
-        let m = g.num_edges();
-        let workers = workers.clamp(1, m.max(1));
-        if workers == 1 {
-            self.rebuild(g, None);
-            return;
-        }
-        self.num_users = g.num_users();
-        self.num_merchants = g.num_merchants();
-
-        let pairs = g.edge_pairs();
-        let chunk = m.div_ceil(workers);
-        self.e_id.clear();
-        self.e_id.resize(m, 0);
-        self.e_u.clear();
-        self.e_u.resize(m, 0);
-        self.e_v.clear();
-        self.e_v.resize(m, 0);
-        self.e_w.clear();
-        self.e_w.resize(m, 1.0);
-        let weights = g.weight_values();
-        std::thread::scope(|sc| {
-            let shards = self
-                .e_id
-                .chunks_mut(chunk)
-                .zip(self.e_u.chunks_mut(chunk))
-                .zip(self.e_v.chunks_mut(chunk))
-                .zip(self.e_w.chunks_mut(chunk))
-                .enumerate();
-            for (s, (((ids, us), vs), ws)) in shards {
-                let base = s * chunk;
-                let src = &pairs[base..base + ids.len()];
-                let w_src = weights.map(|w| &w[base..base + ids.len()]);
-                sc.spawn(move || {
-                    for (j, (id, ((u, v), &(pu, pv)))) in ids
-                        .iter_mut()
-                        .zip(us.iter_mut().zip(vs.iter_mut()).zip(src))
-                        .enumerate()
-                    {
-                        *id = (base + j) as u32;
-                        *u = pu;
-                        *v = pv;
-                    }
-                    if let Some(w_src) = w_src {
-                        ws.copy_from_slice(w_src);
-                    }
-                });
-            }
-        });
-
-        fill_side_sharded(
-            &mut self.u_off,
-            &mut self.u_adj,
-            self.num_users,
-            &self.e_u,
-            &self.e_v,
-            &self.e_w,
-            workers,
-        );
-        fill_side_sharded(
-            &mut self.v_off,
-            &mut self.v_adj,
-            self.num_merchants,
-            &self.e_v,
-            &self.e_u,
-            &self.e_w,
-            workers,
-        );
     }
 
     /// Re-fills the view in place directly from a sampler's
@@ -388,11 +260,10 @@ impl CsrView {
     /// Shrinks the view in place to the edges whose *global* id is still
     /// alive, then rebuilds both adjacency sides.
     ///
-    /// Equivalent to `rebuild(g, Some(edge_alive))` whenever the view
-    /// already holds a superset of the alive edges (masks only ever turn
-    /// edges off during FDET), but touches `O(view edges)` instead of
-    /// re-scanning the parent graph's full edge list — which is what keeps
-    /// later FDET iterations proportional to the surviving subgraph.
+    /// Relative edge order is preserved, and the scan touches
+    /// `O(view edges)` instead of the parent graph's full edge list —
+    /// which is what keeps later FDET iterations proportional to the
+    /// surviving subgraph.
     ///
     /// # Panics
     ///
@@ -564,128 +435,6 @@ fn fill_side(
     off[0] = 0;
 }
 
-/// A raw pointer that may cross scoped-thread boundaries. Used for the
-/// sharded scatter, where disjointness of the writes is established by
-/// the cursor construction rather than by slice splitting (each shard's
-/// write set is interleaved across the whole adjacency array).
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Sharded [`fill_side`]: parallel per-shard degree counts over edge
-/// ranges, one sequential prefix sum handing every `(shard, node)` pair
-/// its write cursor, then a parallel scatter of each shard's edge range.
-///
-/// Output is bit-identical to the sequential stable counting sort: a
-/// shard's cursor for node `n` starts at `off[n]` plus all earlier
-/// shards' occurrences of `n`, and within a shard edges are visited in
-/// ascending index, so every CSR row lists its edges in global edge
-/// order — exactly what stability means.
-fn fill_side_sharded(
-    off: &mut Vec<u32>,
-    adj: &mut Vec<(u32, f64)>,
-    num_nodes: usize,
-    own: &[u32],
-    other: &[u32],
-    weights: &[f64],
-    workers: usize,
-) {
-    let m = own.len();
-    let workers = workers.clamp(1, m.max(1));
-    if workers == 1 {
-        fill_side(off, adj, num_nodes, own, other, weights);
-        return;
-    }
-    let chunk = m.div_ceil(workers);
-
-    // Stage 1: per-shard degree counts, each over its own edge range.
-    let mut counts: Vec<Vec<u32>> = std::thread::scope(|sc| {
-        let handles: Vec<_> = own
-            .chunks(chunk)
-            .map(|range| {
-                sc.spawn(move || {
-                    let mut cnt = vec![0u32; num_nodes];
-                    for &n in range {
-                        cnt[n as usize] += 1;
-                    }
-                    cnt
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("csr degree-count shard panicked"))
-            .collect()
-    });
-
-    // Stage 2: prefix sum. `off[n]` becomes node n's row start; each
-    // shard's count entry becomes its write cursor for that node (row
-    // start advanced past every earlier shard's occurrences).
-    off.clear();
-    off.resize(num_nodes + 1, 0);
-    let mut total = 0u32;
-    for n in 0..num_nodes {
-        off[n] = total;
-        for cnt in counts.iter_mut() {
-            let deg = cnt[n];
-            cnt[n] = total;
-            total += deg;
-        }
-    }
-    off[num_nodes] = total;
-
-    adj.clear();
-    // Same fast path as the sequential builder: sorted endpoints make the
-    // stable sort the identity, so the adjacency is a chunked parallel
-    // copy of the canonical arrays.
-    if own.is_sorted() {
-        adj.resize(m, (0, 0.0));
-        std::thread::scope(|sc| {
-            for ((dst, o), w) in adj
-                .chunks_mut(chunk)
-                .zip(other.chunks(chunk))
-                .zip(weights.chunks(chunk))
-            {
-                sc.spawn(move || {
-                    for (d, (&o, &w)) in dst.iter_mut().zip(o.iter().zip(w)) {
-                        *d = (o, w);
-                    }
-                });
-            }
-        });
-        return;
-    }
-
-    // Stage 3: scatter. Each shard writes its edge range through its own
-    // cursors. SAFETY: the cursor construction above partitions `0..m`
-    // exactly — slot `cursor_s[n] + k` is claimed by precisely one
-    // `(shard, node, occurrence)` triple — so all writes are disjoint and
-    // every slot is written exactly once before the scope joins.
-    adj.resize(m, (0, 0.0));
-    let adj_ptr = SendPtr(adj.as_mut_ptr());
-    std::thread::scope(|sc| {
-        for (s, (own_c, (other_c, w_c))) in own
-            .chunks(chunk)
-            .zip(other.chunks(chunk).zip(weights.chunks(chunk)))
-            .enumerate()
-        {
-            let mut cursor = std::mem::take(&mut counts[s]);
-            sc.spawn(move || {
-                let adj_ptr = adj_ptr;
-                for i in 0..own_c.len() {
-                    let n = own_c[i] as usize;
-                    let slot = cursor[n] as usize;
-                    unsafe {
-                        *adj_ptr.0.add(slot) = (other_c[i], w_c[i]);
-                    }
-                    cursor[n] += 1;
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,8 +489,8 @@ mod tests {
     #[test]
     fn filtered_view_drops_edges_keeps_ids() {
         let g = sample_graph();
-        let mask = [true, false, true, false, true];
-        let view = CsrView::from_graph_filtered(&g, &mask);
+        let mut view = CsrView::from_graph(&g);
+        view.refilter(&[true, false, true, false, true]);
         assert_eq!(view.num_edges(), 3);
         assert_eq!(view.edge_ids(), &[0, 2, 4]);
         // Node population is unchanged; only adjacency shrinks.
@@ -756,10 +505,10 @@ mod tests {
     fn rebuild_reuses_and_replaces() {
         let g = sample_graph();
         let mut view = CsrView::from_graph(&g);
-        view.rebuild(&g, Some(&[false, false, true, true, false]));
+        view.refilter(&[false, false, true, true, false]);
         assert_eq!(view.num_edges(), 2);
         assert_eq!(view.edge_ids(), &[2, 3]);
-        view.rebuild(&g, None);
+        view.rebuild(&g);
         assert_eq!(view.num_edges(), 5);
     }
 
@@ -785,10 +534,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "edge_alive mask")]
+    #[should_panic(expected = "index out of bounds")]
     fn wrong_mask_length_panics() {
         let g = sample_graph();
-        CsrView::from_graph_filtered(&g, &[true]);
+        CsrView::from_graph(&g).refilter(&[true]);
     }
 
     /// Field-by-field equality, including the private CSR internals —
@@ -921,43 +670,35 @@ mod tests {
         }
     }
 
-    /// The sharded build is the same stable counting sort — every private
-    /// field bit-identical to the sequential builder, for any worker
-    /// count, graph shape, and weighting.
+    /// Unsorted endpoints on both sides drive the scatter: every CSR row
+    /// must list the graph's own adjacency, in order.
     #[test]
-    fn sharded_build_matches_sequential_bit_for_bit() {
-        let graphs = [
+    fn scrambled_views_match_graph_adjacency() {
+        for g in [
             scrambled_graph(97, 41, 1_123, false),
             scrambled_graph(97, 41, 1_123, true),
             scrambled_graph(5, 400, 777, true),
-            sample_graph(),
-            BipartiteGraph::from_edges(3, 3, vec![]).unwrap(),
-            BipartiteGraph::from_edges(0, 0, vec![]).unwrap(),
-            BipartiteGraph::from_edges(1, 1, vec![(0, 0), (0, 0)]).unwrap(),
-        ];
-        for (gi, g) in graphs.iter().enumerate() {
-            let sequential = CsrView::from_graph(g);
-            for workers in [0, 1, 2, 3, 5, 16] {
-                let mut sharded = CsrView::new();
-                sharded.rebuild_sharded(g, workers);
-                assert_views_identical(&sharded, &sequential);
-                let _ = (gi, workers); // context on failure via panic site
+        ] {
+            let view = CsrView::from_graph(&g);
+            for u in 0..g.num_users() as u32 {
+                let from_graph: Vec<(u32, f64)> = g
+                    .merchants_of(UserId(u))
+                    .map(|(v, _, w)| (v.0, w))
+                    .collect();
+                assert_eq!(view.user_neighbors(UserId(u)).pairs, from_graph, "user {u}");
+            }
+            for v in 0..g.num_merchants() as u32 {
+                let from_graph: Vec<(u32, f64)> = g
+                    .users_of(MerchantId(v))
+                    .map(|(u, _, w)| (u.0, w))
+                    .collect();
+                assert_eq!(
+                    view.merchant_neighbors(MerchantId(v)).pairs,
+                    from_graph,
+                    "merchant {v}"
+                );
             }
         }
-    }
-
-    /// `rebuild_sharded` reuses a dirty view's allocations without
-    /// leaking state from the previous fill.
-    #[test]
-    fn sharded_rebuild_reuses_dirty_view() {
-        let big = scrambled_graph(60, 30, 500, true);
-        let small = sample_graph();
-        let mut view = CsrView::new();
-        view.rebuild_sharded(&big, 4);
-        view.rebuild_sharded(&small, 4);
-        assert_views_identical(&view, &CsrView::from_graph(&small));
-        view.rebuild_sharded(&big, 3);
-        assert_views_identical(&view, &CsrView::from_graph(&big));
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Bipartite graph substrate for the EnsemFDet fraud-detection system.

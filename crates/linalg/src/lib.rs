@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Minimal dense/sparse linear-algebra substrate for the SVD-based fraud

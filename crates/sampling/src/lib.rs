@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Structural sampling methods for bipartite graphs (Section IV-A of the

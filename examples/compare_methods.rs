@@ -36,20 +36,8 @@ fn main() {
             ..Default::default()
         })
         .detect(g);
-        let sets: Vec<(f64, Vec<u32>)> = (1..=outcome.votes.max_user_votes())
-            .map(|t| {
-                (
-                    t as f64,
-                    outcome
-                        .votes
-                        .detected_users(t)
-                        .into_iter()
-                        .map(|u| u.0)
-                        .collect(),
-                )
-            })
-            .collect();
-        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t, d.as_slice())), &labels)
+        let sets = outcome.votes.user_threshold_sets();
+        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels)
     });
     push_row(&mut table, "EnsemFDet", &ens_curve, ens_time);
 

@@ -25,16 +25,9 @@ fn evidence_aggregation_matches_vote_quality() {
     let (ds, out) = setup();
     let labels = ds.labels();
 
-    let vote_sets: Vec<(f64, Vec<u32>)> = (1..=out.votes.max_user_votes())
-        .map(|t| {
-            (
-                t as f64,
-                out.votes.detected_users(t).into_iter().map(|u| u.0).collect(),
-            )
-        })
-        .collect();
+    let vote_sets = out.votes.user_threshold_sets();
     let vote_curve =
-        PrCurve::from_threshold_sets(vote_sets.iter().map(|(t, d)| (*t, d.as_slice())), &labels);
+        PrCurve::from_threshold_sets(vote_sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels);
 
     let evidence_curve = PrCurve::from_scores(out.evidence.user_scores(), &labels);
 
@@ -64,16 +57,9 @@ fn ensemfdet_roc_is_smoother_than_fraudar() {
     let (ds, out) = setup();
     let labels = ds.labels();
 
-    let vote_sets: Vec<(f64, Vec<u32>)> = (1..=out.votes.max_user_votes())
-        .map(|t| {
-            (
-                t as f64,
-                out.votes.detected_users(t).into_iter().map(|u| u.0).collect(),
-            )
-        })
-        .collect();
+    let vote_sets = out.votes.user_threshold_sets();
     let ens_roc =
-        RocCurve::from_threshold_sets(vote_sets.iter().map(|(t, d)| (*t, d.as_slice())), &labels);
+        RocCurve::from_threshold_sets(vote_sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels);
 
     let fraudar_result = Fraudar::default().run(&ds.graph);
     let points = fraudar_result.operating_points();

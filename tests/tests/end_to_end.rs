@@ -21,16 +21,9 @@ fn detect(cfg_seed: u64) -> (ensemfdet_datagen::Dataset, ensemfdet::EnsembleOutc
 fn ensemble_beats_chance_decisively() {
     let (ds, out) = detect(1);
     let labels = ds.labels();
-    let sets: Vec<(f64, Vec<u32>)> = (1..=out.votes.max_user_votes())
-        .map(|t| {
-            (
-                t as f64,
-                out.votes.detected_users(t).into_iter().map(|u| u.0).collect(),
-            )
-        })
-        .collect();
+    let sets = out.votes.user_threshold_sets();
     let curve =
-        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t, d.as_slice())), &labels);
+        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels);
     let prevalence = ds.blacklist.len() as f64 / ds.graph.num_users() as f64;
     assert!(
         curve.best_f1() > 5.0 * prevalence,

@@ -19,15 +19,8 @@ fn curves() -> (f64, f64, f64, f64) {
         ..Default::default()
     })
     .detect(&ds.graph);
-    let sets: Vec<(f64, Vec<u32>)> = (1..=out.votes.max_user_votes())
-        .map(|t| {
-            (
-                t as f64,
-                out.votes.detected_users(t).into_iter().map(|u| u.0).collect(),
-            )
-        })
-        .collect();
-    let ens = PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t, d.as_slice())), &labels)
+    let sets = out.votes.user_threshold_sets();
+    let ens = PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels)
         .best_f1();
 
     let fraudar_result = Fraudar::default().run(&ds.graph);

@@ -18,16 +18,9 @@ fn best_f1_and_blocks(truncation: Truncation) -> (f64, f64) {
         ..Default::default()
     })
     .detect(&ds.graph);
-    let sets: Vec<(f64, Vec<u32>)> = (1..=out.votes.max_user_votes())
-        .map(|t| {
-            (
-                t as f64,
-                out.votes.detected_users(t).into_iter().map(|u| u.0).collect(),
-            )
-        })
-        .collect();
+    let sets = out.votes.user_threshold_sets();
     let curve =
-        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t, d.as_slice())), &labels);
+        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels);
     let avg_k_hat = out.samples.iter().map(|s| s.k_hat as f64).sum::<f64>()
         / out.samples.len() as f64;
     (curve.best_f1(), avg_k_hat)
