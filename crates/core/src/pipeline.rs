@@ -126,10 +126,6 @@ pub struct Snapshot {
     /// edge order — the property the whole incremental machinery rests
     /// on (see [`GraphDelta`]).
     pub graph: Arc<BipartiteGraph>,
-    /// The delta-CSR leading here from the *previous* epoch: which
-    /// adjacency runs changed, in O(touched) space. `None` only for the
-    /// primordial epoch-0 snapshot.
-    pub delta: Option<GraphDelta>,
 }
 
 impl Snapshot {
@@ -140,7 +136,6 @@ impl Snapshot {
             graph: Arc::new(
                 BipartiteGraph::from_edges(0, 0, vec![]).expect("empty graph is valid"),
             ),
-            delta: None,
         }
     }
 
@@ -319,7 +314,7 @@ impl SnapshotStore {
         };
         {
             let mut deltas = lock_recover(&self.deltas);
-            deltas.push_back(delta.clone());
+            deltas.push_back(delta);
             while deltas.len() > DELTA_HISTORY {
                 deltas.pop_front();
             }
@@ -328,7 +323,6 @@ impl SnapshotStore {
             epoch,
             transactions,
             graph,
-            delta: Some(delta),
         });
         *self
             .current
@@ -847,7 +841,11 @@ mod tests {
                     dims_of(&full),
                     &fresh,
                 );
-                assert_eq!(snap.delta.as_ref(), Some(&delta), "round {round}");
+                assert_eq!(
+                    store.delta_since(snap.epoch - 1, snap.epoch),
+                    Some(delta),
+                    "round {round}"
+                );
                 before = full;
             }
         }
@@ -923,7 +921,7 @@ mod tests {
         let store = SnapshotStore::new(1);
         b.append(UserId(3), MerchantId(1));
         let s1 = store.compact(&b);
-        let d1 = s1.delta.as_ref().expect("epoch 1 has a delta");
+        let d1 = store.delta_since(0, 1).expect("epoch 1 has a delta");
         assert_eq!((d1.from_epoch, d1.to_epoch), (0, 1));
         assert_eq!(d1.touched_users, vec![3]);
 
@@ -932,12 +930,12 @@ mod tests {
         let s2 = store.compact(&b);
         assert_eq!(s2.epoch, 2);
         assert!(Arc::ptr_eq(&s2.graph, &s1.graph));
-        assert!(s2.delta.as_ref().unwrap().graph_unchanged());
+        assert!(store.delta_since(1, 2).unwrap().graph_unchanged());
         assert_eq!(s2.transactions, 2);
 
         b.append(UserId(5), MerchantId(2));
         let s3 = store.compact(&b);
-        let d3 = s3.delta.as_ref().unwrap();
+        let d3 = store.delta_since(2, 3).unwrap();
         assert_eq!(d3.touched_users, vec![5]);
         assert_eq!(d3.touched_merchants, vec![2]);
 

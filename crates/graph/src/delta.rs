@@ -78,7 +78,8 @@ impl GraphDelta {
     ///
     /// The touched sets are exactly the endpoints of those edges: in an
     /// append-only deduplicated graph an adjacency run changes iff a new
-    /// unique edge lands on it.
+    /// unique edge lands on it. Both are returned at exact capacity, not
+    /// the capacity of `new_edges`, since a snapshot history keeps them.
     pub fn from_new_edges(
         from_epoch: u64,
         to_epoch: u64,
@@ -92,6 +93,8 @@ impl GraphDelta {
         touched_users.dedup();
         touched_merchants.sort_unstable();
         touched_merchants.dedup();
+        touched_users.shrink_to_fit();
+        touched_merchants.shrink_to_fit();
         GraphDelta {
             from_epoch,
             to_epoch,

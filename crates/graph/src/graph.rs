@@ -28,11 +28,13 @@ pub struct BipartiteGraph {
     /// Optional per-edge weights aligned with `edges`. `None` ⇒ all 1.0.
     weights: Option<Vec<f64>>,
     /// CSR offsets for the user side; `u_offsets.len() == num_users + 1`.
-    u_offsets: Vec<usize>,
+    /// `u32` like the edge ids: [`Self::from_edges`] caps edges at
+    /// `u32::MAX`.
+    u_offsets: Vec<u32>,
     /// Edge ids incident to each user, grouped by `u_offsets`.
     u_edges: Vec<u32>,
     /// CSR offsets for the merchant side.
-    v_offsets: Vec<usize>,
+    v_offsets: Vec<u32>,
     /// Edge ids incident to each merchant, grouped by `v_offsets`.
     v_edges: Vec<u32>,
 }
@@ -105,8 +107,8 @@ impl BipartiteGraph {
             }
         }
 
-        let u_csr = build_csr(num_users, edges.iter().map(|&(u, _)| u as usize));
-        let v_csr = build_csr(num_merchants, edges.iter().map(|&(_, v)| v as usize));
+        let u_csr = build_csr(num_users, edges.iter().map(|&(u, _)| u));
+        let v_csr = build_csr(num_merchants, edges.iter().map(|&(_, v)| v));
 
         Ok(BipartiteGraph {
             edges,
@@ -166,13 +168,13 @@ impl BipartiteGraph {
     /// Degree of user `u` (number of incident edges).
     #[inline]
     pub fn user_degree(&self, u: UserId) -> usize {
-        self.u_offsets[u.index() + 1] - self.u_offsets[u.index()]
+        run(&self.u_offsets, u.index()).len()
     }
 
     /// Degree of merchant `v`.
     #[inline]
     pub fn merchant_degree(&self, v: MerchantId) -> usize {
-        self.v_offsets[v.index() + 1] - self.v_offsets[v.index()]
+        run(&self.v_offsets, v.index()).len()
     }
 
     /// Endpoints of edge `e` as `(user, merchant)`.
@@ -198,10 +200,9 @@ impl BipartiteGraph {
     /// Iterates the merchants adjacent to user `u`, with the connecting edge.
     #[inline]
     pub fn merchants_of(&self, u: UserId) -> NeighborIter<'_, MerchantSide> {
-        let range = self.u_offsets[u.index()]..self.u_offsets[u.index() + 1];
         NeighborIter {
             graph: self,
-            edge_ids: &self.u_edges[range],
+            edge_ids: &self.u_edges[run(&self.u_offsets, u.index())],
             pos: 0,
             _side: std::marker::PhantomData,
         }
@@ -210,10 +211,9 @@ impl BipartiteGraph {
     /// Iterates the users adjacent to merchant `v`, with the connecting edge.
     #[inline]
     pub fn users_of(&self, v: MerchantId) -> NeighborIter<'_, UserSide> {
-        let range = self.v_offsets[v.index()]..self.v_offsets[v.index() + 1];
         NeighborIter {
             graph: self,
-            edge_ids: &self.v_edges[range],
+            edge_ids: &self.v_edges[run(&self.v_offsets, v.index())],
             pos: 0,
             _side: std::marker::PhantomData,
         }
@@ -222,7 +222,7 @@ impl BipartiteGraph {
     /// Edge ids incident to user `u`.
     #[inline]
     pub fn user_edge_ids(&self, u: UserId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.u_edges[self.u_offsets[u.index()]..self.u_offsets[u.index() + 1]]
+        self.u_edges[run(&self.u_offsets, u.index())]
             .iter()
             .map(|&e| e as EdgeId)
     }
@@ -230,7 +230,7 @@ impl BipartiteGraph {
     /// Edge ids incident to merchant `v`.
     #[inline]
     pub fn merchant_edge_ids(&self, v: MerchantId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.v_edges[self.v_offsets[v.index()]..self.v_offsets[v.index() + 1]]
+        self.v_edges[run(&self.v_offsets, v.index())]
             .iter()
             .map(|&e| e as EdgeId)
     }
@@ -281,12 +281,12 @@ impl BipartiteGraph {
 
     /// All user-side degrees as a vector.
     pub fn user_degrees(&self) -> Vec<usize> {
-        self.u_offsets.windows(2).map(|w| w[1] - w[0]).collect()
+        self.u_offsets.windows(2).map(|w| (w[1] - w[0]) as usize).collect()
     }
 
     /// All merchant-side degrees as a vector.
     pub fn merchant_degrees(&self) -> Vec<usize> {
-        self.v_offsets.windows(2).map(|w| w[1] - w[0]).collect()
+        self.v_offsets.windows(2).map(|w| (w[1] - w[0]) as usize).collect()
     }
 }
 
@@ -341,22 +341,32 @@ impl<'g> Iterator for NeighborIter<'g, UserSide> {
 impl<'g> ExactSizeIterator for NeighborIter<'g, MerchantSide> {}
 impl<'g> ExactSizeIterator for NeighborIter<'g, UserSide> {}
 
-/// Counting-sort CSR construction: one pass to count, one to place.
-fn build_csr(num_nodes: usize, endpoints: impl Iterator<Item = usize> + Clone) -> (Vec<usize>, Vec<u32>) {
-    let mut offsets = vec![0usize; num_nodes + 1];
-    let mut total = 0usize;
+/// The edge-id run of node `i` in a CSR index.
+#[inline]
+fn run(offsets: &[u32], i: usize) -> std::ops::Range<usize> {
+    offsets[i] as usize..offsets[i + 1] as usize
+}
+
+/// Counting-sort CSR construction: one pass to count, one to place, and
+/// no cursor copy. Counts become end offsets; walking the edges in
+/// reverse, each edge decrements its node's offset and lands there, so
+/// every run holds ascending edge ids and the offsets end as the starts.
+fn build_csr<I>(num_nodes: usize, endpoints: I) -> (Vec<u32>, Vec<u32>)
+where
+    I: DoubleEndedIterator<Item = u32> + ExactSizeIterator + Clone,
+{
+    let mut offsets = vec![0u32; num_nodes + 1];
     for n in endpoints.clone() {
-        offsets[n + 1] += 1;
-        total += 1;
+        offsets[n as usize] += 1;
     }
-    for i in 0..num_nodes {
-        offsets[i + 1] += offsets[i];
+    for i in 1..=num_nodes {
+        offsets[i] += offsets[i - 1];
     }
-    let mut adj = vec![0u32; total];
-    let mut cursor = offsets.clone();
-    for (e, n) in endpoints.enumerate() {
-        adj[cursor[n]] = e as u32;
-        cursor[n] += 1;
+    let mut adj = vec![0u32; endpoints.len()];
+    for (e, n) in endpoints.enumerate().rev() {
+        let at = &mut offsets[n as usize];
+        *at -= 1;
+        adj[*at as usize] = e as u32;
     }
     (offsets, adj)
 }

@@ -22,8 +22,9 @@
 //!   [`CsrView::rebuild_from_spec`], with [`SampleMaps`] carrying the
 //!   local↔parent id maps and no intermediate graph copy.
 //! - [`io`]: plain-text edge-list and label-file round-trips.
-//! - [`arena`]: allocation-lean string interning — [`ArenaInterner`] (byte
-//!   arena + spans), one implementation shared by the loader and the
+//! - [`arena`]: allocation-lean string interning — [`ArenaInterner`] (an
+//!   arena of `[id][len][bytes]` records probed through a table of hash
+//!   tags, fed pre-hashed [`Key`]s or plain `&str`), one implementation shared by the loader and the
 //!   service, which wraps it in one mutex as
 //!   [`ConcurrentTransactionInterner`] and locks it once per ingest batch.
 //! - [`loader`]: the one chunk scanner for `user,merchant[,amount]` logs
@@ -61,7 +62,7 @@ pub mod sampled;
 pub mod spec;
 pub mod stats;
 
-pub use arena::{ArenaInterner, ArenaTransactionInterner, ConcurrentTransactionInterner};
+pub use arena::{key_hash, ArenaInterner, ArenaTransactionInterner, ConcurrentTransactionInterner, Key};
 pub use builder::GraphBuilder;
 pub use csr::{CsrView, NeighborSlices};
 pub use delta::{GraphDelta, GraphDims};

@@ -202,7 +202,12 @@ where
                 .into_iter()
                 .map(|chunk| scope.spawn(move || scan(chunk)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("parse worker panicked")).collect()
+            // A worker's panic resumes on the calling thread with its own
+            // payload, so a caller that catches panics sees the real one.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
         })
     };
 

@@ -77,7 +77,8 @@ fn arena_interner_allocates_amortized_not_per_key() {
         }
     });
 
-    // Arena + span vector + probe table each double O(log N) times; no
+    // Arena + offset vector + tagged probe table each double O(log N)
+    // times (the table is re-placed from its stored tags); no
     // per-key allocation at all. Allow generous slack — the point is the
     // asymptotic gap to a one-alloc-per-key interner.
     assert!(

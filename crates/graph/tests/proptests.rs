@@ -34,6 +34,19 @@ proptest! {
     }
 
     #[test]
+    fn csr_runs_list_each_nodes_edges_in_ascending_id_order((nu, nv, edges) in arb_edges(16, 80)) {
+        let g = BipartiteGraph::from_edges(nu as usize, nv as usize, edges.clone()).unwrap();
+        for u in 0..nu {
+            let expected: Vec<usize> = (0..edges.len()).filter(|&e| edges[e].0 == u).collect();
+            prop_assert_eq!(g.user_edge_ids(UserId(u)).collect::<Vec<_>>(), expected);
+        }
+        for v in 0..nv {
+            let expected: Vec<usize> = (0..edges.len()).filter(|&e| edges[e].1 == v).collect();
+            prop_assert_eq!(g.merchant_edge_ids(MerchantId(v)).collect::<Vec<_>>(), expected);
+        }
+    }
+
+    #[test]
     fn edge_list_io_round_trip((nu, nv, edges) in arb_edges(16, 60)) {
         let g = BipartiteGraph::from_edges(nu as usize, nv as usize, edges).unwrap();
         let mut buf = Vec::new();

@@ -21,7 +21,7 @@ use ensemfdet::ensemble::effective_workers;
 use ensemfdet::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
 use ensemfdet::{EnsemFdet, EnsemFdetConfig, IncrementalPolicy, MonitorConfig, ScoringConfig};
 use ensemfdet_graph::loader::scan_records;
-use ensemfdet_graph::{ConcurrentTransactionInterner, GraphError, GraphStats};
+use ensemfdet_graph::{ConcurrentTransactionInterner, GraphError, GraphStats, Key};
 use ensemfdet_telemetry::{IngestFormat, ServiceMetrics, Side, PROMETHEUS_CONTENT_TYPE};
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -336,7 +336,7 @@ impl Api {
     /// Shared tail of every ingest format: record the parse time, intern,
     /// append, count, publish the load-duration, interner and
     /// snapshot-lag gauges, maybe autoscan.
-    fn finish_ingest<K: AsRef<str>>(
+    fn finish_ingest<K: RecordKey>(
         &self,
         parsed: Result<Vec<(K, K)>, Response>,
         format: IngestFormat,
@@ -356,7 +356,7 @@ impl Api {
             let mut interner = e.interner.lock();
             let ids = pairs
                 .iter()
-                .map(|(u, v)| (interner.user(u.as_ref()), interner.merchant(v.as_ref())))
+                .map(|(u, v)| (interner.user(u.key()), interner.merchant(v.key())))
                 .collect();
             m.interner_keys[Side::User].set(interner.num_users() as i64);
             m.interner_keys[Side::Merchant].set(interner.num_merchants() as i64);
@@ -785,6 +785,25 @@ fn result_json(r: &ScanResultView) -> Value {
     Value::Object(body)
 }
 
+/// A parsed record key as the interner takes it: CSV keys arrive hashed
+/// by the parse workers, JSON and NDJSON keys are hashed as they are
+/// interned.
+trait RecordKey {
+    fn key(&self) -> Key<'_>;
+}
+
+impl RecordKey for Key<'_> {
+    fn key(&self) -> Key<'_> {
+        *self
+    }
+}
+
+impl RecordKey for String {
+    fn key(&self) -> Key<'_> {
+        Key::new(self)
+    }
+}
+
 /// Parses the legacy JSON-array ingest shape
 /// `{"records": [[user, merchant], …]}` into owned key pairs,
 /// validating every record up front.
@@ -857,9 +876,10 @@ fn invalid_line(n: usize, message: &str) -> Response {
 
 /// Parses a `text/csv` ingest body: one `user,merchant[,amount]` record
 /// per line, `#` comments and blank lines skipped. The graph crate's
-/// [`scan_records`] validates `workers` line-aligned chunks in parallel;
-/// the returned pairs are in exact file order, so the caller's
-/// sequential interning assigns the same ids for every worker count.
+/// [`scan_records`] validates `workers` line-aligned chunks in parallel
+/// and hashes every key there, so the caller's serial interning section
+/// only probes and inserts. The returned pairs are in exact file order,
+/// so that interning assigns the same ids for every worker count.
 /// Amounts are validated but discarded: the monitoring pipeline
 /// deduplicates edges binarily.
 ///
@@ -870,9 +890,9 @@ fn invalid_line(n: usize, message: &str) -> Response {
 /// Public because the pinned benchmark's per-layer replay
 /// (`crates/bench/src/bin/benchmark/replay.rs`) times this parser as its
 /// `ingest` span, without socket noise.
-pub fn parse_csv_pairs(body: &[u8], workers: usize) -> Result<Vec<(&str, &str)>, Response> {
+pub fn parse_csv_pairs(body: &[u8], workers: usize) -> Result<Vec<(Key<'_>, Key<'_>)>, Response> {
     scan_records(body, ',', workers, |pairs: &mut Vec<_>, user, merchant, _amount| {
-        pairs.push((user, merchant))
+        pairs.push((Key::new(user), Key::new(merchant)))
     })
     .map(|(chunks, _lines)| chunks.concat())
     .map_err(|e| match e {

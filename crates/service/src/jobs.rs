@@ -387,7 +387,6 @@ mod tests {
                 epoch,
                 transactions: 0,
                 graph: Arc::new(BipartiteGraph::from_edges(0, 0, vec![]).unwrap()),
-                delta: None,
             }),
             config: EnsemFdetConfig::default(),
             threshold: 1,

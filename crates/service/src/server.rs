@@ -15,12 +15,17 @@
 //!   worker. [`Server::start`] returns a [`ServerHandle`] whose
 //!   [`shutdown`](ServerHandle::shutdown) drains queued connections,
 //!   stops the accept loop, and joins every thread.
+//!
+//! A request whose handling panics costs that request a `500 internal`
+//! and nothing else: the worker catches the unwind and serves the next
+//! connection, where the panic used to end the worker thread for good.
 
 use crate::api::{lock_recover, route_label, Api};
-use crate::http::{read_request, write_response, Response};
+use crate::http::{read_request, write_response, Request, Response};
 use ensemfdet_telemetry::ServiceMetrics;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -120,6 +125,13 @@ impl Server {
     ///
     /// Propagates `local_addr` failures.
     pub fn start(self) -> std::io::Result<ServerHandle> {
+        let api = Arc::clone(&self.api);
+        self.start_with(Arc::new(move |request: &Request| api.handle(request)))
+    }
+
+    /// [`Self::start`] with the request handler given: the API's router in
+    /// production, a panicking one in the tests.
+    fn start_with(self, handler: Arc<Handler>) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
@@ -133,11 +145,12 @@ impl Server {
         let workers: Vec<JoinHandle<()>> = (0..self.config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let api = Arc::clone(&self.api);
+                let metrics = Arc::clone(&metrics);
+                let handler = Arc::clone(&handler);
                 let config = self.config;
                 std::thread::Builder::new()
                     .name(format!("ensemfdet-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &api, &config))
+                    .spawn(move || worker_loop(&shared, &metrics, &*handler, &config))
                     .expect("spawn worker")
             })
             .collect();
@@ -285,8 +298,15 @@ fn shed(stream: TcpStream, metrics: &ServiceMetrics, config: &ServerConfig) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-fn worker_loop(shared: &Shared, api: &Api, config: &ServerConfig) {
-    let metrics = api.metrics();
+/// What a worker calls to answer a parsed request.
+type Handler = dyn Fn(&Request) -> Response + Send + Sync;
+
+fn worker_loop(
+    shared: &Shared,
+    metrics: &ServiceMetrics,
+    handler: &Handler,
+    config: &ServerConfig,
+) {
     loop {
         let stream = {
             let mut state = lock_recover(&shared.state);
@@ -306,20 +326,28 @@ fn worker_loop(shared: &Shared, api: &Api, config: &ServerConfig) {
         };
         let Some(stream) = stream else { return };
         metrics.workers_busy.inc();
-        handle_connection(&stream, api, config);
+        handle_connection(&stream, metrics, handler, config);
         metrics.workers_busy.dec();
     }
 }
 
-fn handle_connection(stream: &TcpStream, api: &Api, config: &ServerConfig) {
-    let metrics = api.metrics();
+fn handle_connection(
+    stream: &TcpStream,
+    metrics: &ServiceMetrics,
+    handler: &Handler,
+    config: &ServerConfig,
+) {
     let start = Instant::now();
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let (route, response) = match read_request(stream) {
+        // Unwind safety: every lock the API takes recovers from
+        // poisoning, so state a panic unwound through stays usable.
         Ok(request) => (
             route_label(&request.method, &request.path),
-            api.handle(&request),
+            catch_unwind(AssertUnwindSafe(|| handler(&request))).unwrap_or_else(|_| {
+                Response::error(500, "internal", "the request handler panicked")
+            }),
         ),
         Err(e) => ("invalid", e.to_response()),
     };
@@ -422,6 +450,33 @@ mod tests {
 
         let resp = roundtrip(addr, "GET /v1/stats HTTP/1.1\r\n\r\n");
         assert!(resp.contains("\"users\":46"), "{resp}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_request_costs_one_500_not_the_worker() {
+        let server = Server::bind_with(
+            "127.0.0.1:0",
+            quick_api(),
+            ServerConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        )
+        .expect("bind");
+        let api = Arc::clone(&server.api);
+        let server = server
+            .start_with(Arc::new(move |request: &Request| {
+                assert_ne!(request.path, "/v1/boom", "handler panic");
+                api.handle(request)
+            }))
+            .expect("start");
+        let resp = roundtrip(server.addr(), "GET /v1/boom HTTP/1.1\r\n\r\n");
+        assert!(resp.starts_with("HTTP/1.1 500"), "{resp}");
+        assert!(resp.contains("\"internal\""), "{resp}");
+        // The one worker survived and serves the next request.
+        let resp = roundtrip(server.addr(), "GET /v1/health HTTP/1.1\r\n\r\n");
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         server.shutdown();
     }
 

@@ -606,7 +606,7 @@ service_metrics! {
         => "ensemfdet_interner_keys_total", "Distinct keys the transaction interner holds, by side.";
     /// All shards included.
     interner_arena_bytes: Gauge
-        => "ensemfdet_interner_arena_bytes", "Bytes held by the interner's key arenas (both sides).";
+        => "ensemfdet_interner_arena_bytes", "Bytes held by the interner's arenas (both sides): every key's bytes plus an 8-byte record header per key.";
     scans_hybrid: Counter
         => "ensemfdet_scans_hybrid_total", "Scans that ran the hybrid scoring fusion.";
     /// The vote component covers only the vote-fraction conversion; the
