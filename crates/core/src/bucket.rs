@@ -75,8 +75,10 @@ fn bucket_of(key: f64) -> usize {
     (key.to_bits() >> BUCKET_SHIFT) as usize
 }
 
+/// Packs `(key, element)` into one word whose integer order is the queue's
+/// pop order.
 #[inline]
-fn pack(element: u32, key: f64) -> u128 {
+pub(crate) fn pack(element: u32, key: f64) -> u128 {
     debug_assert!(
         key >= 0.0 && key.is_sign_positive(),
         "BucketQueue requires non-negative keys (got {key} for element {element})"
@@ -313,14 +315,14 @@ impl BucketQueue {
         }
     }
 
-    /// The element the next [`pop`](Self::pop) will return (possibly
-    /// stale), or `None` if empty. O(1): the frontier heap is non-empty
-    /// whenever the queue is, and its front is the global minimum. Lets
-    /// callers warm per-element state before committing to the pop,
-    /// mirroring the heap's API.
+    /// The `(key, element)` entry the next [`pop`](Self::pop) will return
+    /// (possibly stale), or `None` if empty. O(1): the frontier heap is
+    /// non-empty whenever the queue is, and its front is the global
+    /// minimum. Lets callers inspect the minimum before committing to the
+    /// pop, mirroring the heap's API.
     #[inline]
-    pub fn peek_element(&self) -> Option<u32> {
-        self.low.peek_element()
+    pub fn peek(&self) -> Option<(f64, u32)> {
+        self.low.peek()
     }
 
     /// Removes and returns the smallest `(key, element)` entry, stale or
@@ -421,9 +423,8 @@ mod tests {
     fn peek_matches_next_pop() {
         let mut q = BucketQueue::new();
         q.fill([(2, 4.0), (8, 0.25), (5, 0.25)]);
-        while let Some(e) = q.peek_element() {
-            let (_, popped) = q.pop().expect("peek implies non-empty");
-            assert_eq!(e, popped);
+        while let Some(e) = q.peek() {
+            assert_eq!(Some(e), q.pop());
         }
     }
 
@@ -471,7 +472,7 @@ mod tests {
         assert_eq!(q.pop(), None);
         // Above the frontier: the log absorption must re-arm peek/pop.
         q.push(1, 8.0);
-        assert_eq!(q.peek_element(), Some(1));
+        assert_eq!(q.peek(), Some((8.0, 1)));
         assert_eq!(q.pop(), Some((8.0, 1)));
         assert_eq!(q.pop(), None);
     }

@@ -3,8 +3,7 @@
 //!
 //! Both run the same algorithm — Charikar-style greedy peeling iterated
 //! into disjoint blocks ([`crate::fdet()`]) — and return bit-identical
-//! results, enforced by `tests/tests/engine_equivalence.rs` and re-checked
-//! by the benchmark suite before it times anything:
+//! results, enforced by `tests/tests/engine_equivalence.rs`:
 //!
 //! - [`Engine::Bucket`] (the default) peels a flat [`CsrView`] of the
 //!   *surviving* subgraph, rebuilt after each detected block (two counting
@@ -29,6 +28,29 @@
 //! the same values in the same sequence — same blocks, same scores, same
 //! edge lists, bit for bit.
 //!
+//! **Replayed peels.** After the first peel of a view, each FDET
+//! iteration replays the previous iteration's pop sequence `(node, key)`
+//! instead of re-peeling from scratch. The retired block seeds the
+//! *dirty* nodes: both endpoints of every retired edge, and every merchant
+//! whose column weight changed bitwise together with its alive users.
+//! Every other participating node is *clean*: its edges, their weights
+//! and its priority are unchanged, so as long as each of its neighbours
+//! pops at its old slot, its key trajectory is the old one. A clean node
+//! therefore never enters the queue; it pops at its old slot with its old
+//! key, read off the sequence, unless a dirty node's `(key, id)` is
+//! smaller. A dirty node that pops anywhere but its own slot, or misses
+//! its slot, dirties its clean unpopped neighbours, whose keys are then
+//! replayed exactly: the priority less each popped neighbour's `w·cw` in
+//! pop order, with the peel's clamp. The replay pops the same nodes in
+//! the same order with the same key bits as a from-scratch peel, so every
+//! `f`/φ update is the same arithmetic in the same order: same blocks,
+//! same scores. When the seeds (retired endpoints plus the summed degrees
+//! of the reweighted merchants) exceed half the participating nodes, the
+//! peel seeds everything instead, which is the plain peel: the first peel
+//! of a view is the replay of an empty sequence. The crate-private
+//! proptest `replay_matches_a_from_scratch_peel` gates the replay with the
+//! selection rule off.
+//!
 //! **Retirement rules.** One FDET loop (`fdet::iterate_blocks`)
 //! serves two callers that differ only in which edges a detected block
 //! retires before the next peel:
@@ -41,7 +63,7 @@
 //!   nodes — the multi-block Fraudar of the paper's Table III baseline.
 
 use crate::block::Block;
-use crate::bucket::BucketQueue;
+use crate::bucket::{pack, BucketQueue};
 use crate::fdet::{iterate_blocks, FdetResult, Truncation};
 use crate::metric::DensityMetric;
 use crate::peel::fdet_naive;
@@ -74,6 +96,21 @@ enum Retire {
     Internal,
 }
 
+/// Key sentinel of a removed node: popped, or not participating. Live keys
+/// are non-negative, so one load answers both "is it alive?" and "what is
+/// its key?" in the hot loop.
+const REMOVED: f64 = -1.0;
+
+/// Key sentinel of a *clean* node in a replayed peel (see the module docs):
+/// it pops at its old slot with its old key and holds no queue entry.
+/// Negative like [`REMOVED`], so a relax skips it.
+const CLEAN: f64 = -2.0;
+
+/// Rank of a node not removed yet that is *flagged* in a replayed peel: a
+/// neighbour is dirty, so its pop must relax its row. Above every step, so
+/// it reads as "not removed" wherever `u32::MAX` does.
+const FLAGGED: u32 = u32::MAX - 1;
+
 /// Per-node working memory of the bucket peel.
 ///
 /// Sized on first use and grown on demand. The per-node arrays are *not*
@@ -87,21 +124,26 @@ struct NodeScratch {
     vdeg: Vec<f64>,
     /// Fixed column weights `cw(d_v)` for this peel.
     cw: Vec<f64>,
+    /// The previous peel's column weights: a replay seeds the merchants
+    /// whose weight changed.
+    prev_cw: Vec<f64>,
     /// Initial node priorities (kept for block-membership filtering).
     /// Valid only where `stamp == epoch`.
     priority: Vec<f64>,
-    /// Current node keys (decreased as neighbors are removed). `-1.0` is
-    /// the *removed* sentinel — live keys are non-negative, so one load
-    /// answers both "is it alive?" and "what is its key?" in the hot loop.
-    /// Valid only where `stamp == epoch`.
+    /// Current node keys (decreased as neighbors are removed), or the
+    /// [`REMOVED`] / [`CLEAN`] sentinel. Valid only where `stamp == epoch`.
     key: Vec<f64>,
-    /// Removal step per node (1-based; `u32::MAX` = survived / absent).
-    /// Valid only where `stamp == epoch`.
+    /// Removal step per node (1-based), or `u32::MAX` / [`FLAGGED`] while
+    /// not removed (survived / absent). Valid only where `stamp == epoch`;
+    /// one array with the flag, so a clean pop touches one line for both.
     rank: Vec<u32>,
     /// Per-pop relax staging: `(neighbor, new_key)` pairs collected before
     /// they are handed to the queue in one run, so bucket routing can
     /// prefetch its headers (see [`BucketQueue::push_all`]).
     relax: Vec<(u32, f64)>,
+    /// Key replay staging: `(rank, row index)` of a dirtied node's popped
+    /// neighbours.
+    history: Vec<(u32, u32)>,
     /// Peel id that last initialized each node's `priority`/`key`/`rank`.
     stamp: Vec<u32>,
     /// Current peel id (increments every peel; never 0 after the first).
@@ -130,6 +172,7 @@ impl NodeScratch {
         for (&v, &w) in e_v.iter().zip(e_w) {
             self.vdeg[v as usize] += w;
         }
+        std::mem::swap(&mut self.cw, &mut self.prev_cw);
         self.cw.clear();
         self.cw.extend(self.vdeg.iter().map(|&d| metric.column_weight(d)));
 
@@ -139,7 +182,7 @@ impl NodeScratch {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.priority.resize(n, 0.0);
-            self.key.resize(n, -1.0);
+            self.key.resize(n, REMOVED);
             self.rank.resize(n, u32::MAX);
         }
         if self.epoch == u32::MAX {
@@ -182,7 +225,7 @@ impl NodeScratch {
                 participating += 1;
                 self.key[node] = p;
             } else {
-                self.key[node] = -1.0;
+                self.key[node] = REMOVED;
             }
         }
         if participating == 0 {
@@ -190,14 +233,111 @@ impl NodeScratch {
         }
         Some((f, participating))
     }
+
+    /// `true` when this peel's column weight of merchant `v` differs
+    /// bitwise from the previous peel's.
+    fn reweighted(&self, v: usize) -> bool {
+        self.cw[v].to_bits() != self.prev_cw[v].to_bits()
+    }
+
+    /// Turns the clean `node` dirty: flags its unremoved neighbours, whose
+    /// pops must now relax it, and replays its exact key from its priority,
+    /// less each neighbour popped at rank `<= upto`, in pop order (row
+    /// order within one neighbour's parallel edges), with the peel's clamp.
+    /// Returns the key; the caller queues it.
+    fn dirty(&mut self, view: &CsrView, node: usize, upto: u32) -> f64 {
+        let (pairs, side, merchant) = row(view, node);
+        self.history.clear();
+        for (i, &(o, _)) in pairs.iter().enumerate() {
+            let other = side + o as usize;
+            let r = self.rank[other];
+            if r == u32::MAX {
+                self.rank[other] = FLAGGED;
+            } else if r <= upto {
+                self.history.push((r, i as u32));
+            }
+        }
+        self.history.sort_unstable();
+        let mut k = self.priority[node];
+        for &(_, i) in &self.history {
+            let (o, w) = pairs[i as usize];
+            k = (k - w * self.cw[merchant.unwrap_or(o as usize)]).max(0.0);
+        }
+        self.key[node] = k;
+        k
+    }
 }
 
-/// Reusable per-peel working memory: the per-node arrays and the bucket
-/// queue, both recycled across peels.
+/// Reusable per-peel working memory: the per-node arrays, the bucket
+/// queue and the replay state, all recycled across peels.
 #[derive(Clone, Debug, Default)]
 struct PeelScratch {
     nodes: NodeScratch,
     queue: BucketQueue,
+    /// The pops `(node, key)` of the peel whose block was retired last,
+    /// in pop order: the sequence the next peel replays. Empty before a
+    /// view's first peel, and after every peel.
+    seq: Vec<(u32, f64)>,
+    /// The last peel's pops, moved into `seq` when its block is retired.
+    next_seq: Vec<(u32, f64)>,
+    /// Endpoints of the edges retired since the previous peel, each once.
+    retired: Vec<u32>,
+    /// Membership marks for `retired` (users then merchants).
+    retired_mark: Vec<bool>,
+    /// Test hooks: replay even past the selection rule, and count the
+    /// peels that replayed.
+    #[cfg(test)]
+    force_replay: bool,
+    #[cfg(test)]
+    replays: usize,
+}
+
+impl PeelScratch {
+    /// Starts a new view of `n` nodes: its first peel is a plain one.
+    fn begin_view(&mut self, n: usize) {
+        self.seq.clear();
+        self.clear_retired();
+        if self.retired_mark.len() < n {
+            self.retired_mark.resize(n, false);
+        }
+    }
+
+    /// Records `node` as an endpoint of a retired edge.
+    fn retire_endpoint(&mut self, node: usize) {
+        if !self.retired_mark[node] {
+            self.retired_mark[node] = true;
+            self.retired.push(node as u32);
+        }
+    }
+
+    /// Whether the selection rule is bypassed (a test hook).
+    fn forced(&self) -> bool {
+        #[cfg(test)]
+        return self.force_replay;
+        #[cfg(not(test))]
+        false
+    }
+
+    fn clear_retired(&mut self) {
+        for &node in &self.retired {
+            self.retired_mark[node as usize] = false;
+        }
+        self.retired.clear();
+    }
+}
+
+/// How a pop relates to the previous peel's sequence, which decides what
+/// its relax must do (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// A clean node at its old slot: only dirty neighbours need relaxing,
+    /// and only a flagged node has any.
+    Clean,
+    /// A dirty node at its old slot: clean neighbours expected this pop.
+    On,
+    /// Anywhere else (every pop of a plain peel): clean neighbours turn
+    /// dirty.
+    Off,
 }
 
 /// A reusable FDET runner: owns the [`CsrView`] and the peel scratch so
@@ -347,7 +487,7 @@ impl FdetEngine {
 
     /// The FDET iterations over the freshly built view: every edge starts
     /// alive, and each later iteration shrinks the previous snapshot
-    /// ([`CsrView::refilter`]) instead of re-scanning dead edges.
+    /// ([`CsrView::refilter`]) and replays the previous peel.
     fn run_view(
         &mut self,
         metric: &dyn DensityMetric,
@@ -361,20 +501,49 @@ impl FdetEngine {
             in_block,
             ..
         } = self;
-        let nu = view.num_users();
         edge_alive.clear();
         edge_alive.resize(view.num_edges(), true);
+        scratch.begin_view(view.num_users() + view.num_merchants());
         iterate_blocks(truncation, |first| {
             if !first {
                 view.refilter(edge_alive);
             }
             let block = peel_seq(view, metric, scratch)?;
-            if retire == Retire::Internal {
-                for &e in &block.edges {
-                    edge_alive[e] = false;
-                }
-                return Some(block);
+            retire_block(view, &block, retire, edge_alive, in_block, scratch);
+            Some(block)
+        })
+    }
+}
+
+/// Retires the edges `block` takes out of the next peel (see [`Retire`]),
+/// which makes the peel that found `block` the one the next peel replays,
+/// and records the retired endpoints to seed that replay.
+fn retire_block(
+    view: &CsrView,
+    block: &Block,
+    retire: Retire,
+    edge_alive: &mut [bool],
+    in_block: &mut Vec<bool>,
+    s: &mut PeelScratch,
+) {
+    std::mem::swap(&mut s.seq, &mut s.next_seq);
+    let nu = view.num_users();
+    let (e_id, e_u, e_v) = (view.edge_ids(), view.edge_users(), view.edge_merchants());
+    match retire {
+        Retire::Internal => {
+            // The block's edges ascend like the view's edge ids, so each
+            // one's position (hence its endpoints) is a binary search past
+            // the previous one's.
+            let mut from = 0;
+            for &e in &block.edges {
+                let i = from + e_id[from..].partition_point(|&x| (x as EdgeId) < e);
+                from = i + 1;
+                edge_alive[e] = false;
+                s.retire_endpoint(e_u[i] as usize);
+                s.retire_endpoint(nu + e_v[i] as usize);
             }
+        }
+        Retire::Incident => {
             // One pass over the view's alive edges retires every edge with
             // an endpoint in the block (dead edges stay dead, so the view's
             // canonical arrays are sufficient).
@@ -386,14 +555,15 @@ impl FdetEngine {
             for &v in &block.merchants {
                 in_block[nu + v.index()] = true;
             }
-            let (e_id, e_u, e_v) = (view.edge_ids(), view.edge_users(), view.edge_merchants());
             for ((&e, &u), &v) in e_id.iter().zip(e_u).zip(e_v) {
-                if in_block[u as usize] || in_block[nu + v as usize] {
+                let (u, v) = (u as usize, nu + v as usize);
+                if in_block[u] || in_block[v] {
                     edge_alive[e as usize] = false;
+                    s.retire_endpoint(u);
+                    s.retire_endpoint(v);
                 }
             }
-            Some(block)
-        })
+        }
     }
 }
 
@@ -418,42 +588,145 @@ fn prefetch_read<T>(slice: &[T], i: usize) {
     let _ = (slice, i);
 }
 
-/// Peels the densest block out of `view` (which holds exactly the alive
-/// edges) with the bucket queue. Mirrors [`crate::peel::peel_densest`]
-/// operation for operation: every operation on node state happens in pop
-/// order, which both queues define identically (see the module docs).
-fn peel_seq(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> Option<Block> {
-    let PeelScratch { nodes, queue: q } = s;
-    let (mut f, participating) = nodes.begin(view, metric)?;
+/// The row of `node` (users then merchants): its `(neighbour, weight)`
+/// pairs, the offset that turns a neighbour id into a node id, and the
+/// merchant whose column weight every edge of the row carries, if `node`
+/// is one.
+#[inline]
+fn row(view: &CsrView, node: usize) -> (&[(u32, f64)], usize, Option<usize>) {
     let nu = view.num_users();
-    q.fill(nodes.active.iter().filter_map(|&node| {
-        let k = nodes.key[node as usize];
-        (k >= 0.0).then_some((node, k))
-    }));
+    if node < nu {
+        (view.user_neighbors(UserId(node as u32)).pairs, nu, None)
+    } else {
+        let v = node - nu;
+        (view.merchant_neighbors(MerchantId(v as u32)).pairs, 0, Some(v))
+    }
+}
+
+/// Peels the densest block out of `view` (which holds exactly the alive
+/// edges) with the bucket queue, replaying the view's previous peel when
+/// there is one and the selection rule picks it (see the module docs).
+/// Mirrors [`crate::peel::peel_densest`] operation for operation: every
+/// operation on node state happens in pop order, which both queues define
+/// identically.
+fn peel_seq(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> Option<Block> {
+    const SLOTS_AHEAD: usize = 16;
+    let Some((mut f, participating)) = s.nodes.begin(view, metric) else {
+        s.seq.clear();
+        s.clear_retired();
+        return None;
+    };
+    let replay = !s.seq.is_empty() && (s.forced() || 2 * seed_bound(view, s) <= participating);
+    if replay {
+        seed_replay(view, s);
+    } else {
+        let nodes = &s.nodes;
+        s.queue.fill(nodes.active.iter().filter_map(|&node| {
+            let k = nodes.key[node as usize];
+            (k >= 0.0).then_some((node, k))
+        }));
+    }
+    s.clear_retired();
+    #[cfg(test)]
+    {
+        s.replays += replay as usize;
+    }
+    let PeelScratch {
+        nodes,
+        queue: q,
+        seq,
+        next_seq,
+        ..
+    } = s;
+    // A plain peel replays the empty sequence: every pop is off slot.
+    let prev: &[(u32, f64)] = if replay { seq } else { &[] };
+    next_seq.clear();
 
     // Peel, tracking the best prefix.
     let mut size = participating;
     let mut best_phi = f / size as f64; // H_n: the whole current graph
     let mut best_step = 0u32;
     let mut step = 0u32;
+    let mut p = 0usize; // the next slot of `prev`
+    let mut relax = std::mem::take(&mut nodes.relax);
 
-    while let Some((p, node)) = q.pop() {
-        // The next pop's stale check reads `key[root element]` — a random
-        // access. Its address is known now, long before the relax work
-        // below finishes, so start the load early.
-        if let Some(next) = q.peek_element() {
+    loop {
+        // The slots ahead are known, so warm their nodes' state early.
+        if let Some(&(c, _)) = prev.get(p + SLOTS_AHEAD) {
+            prefetch_read(&nodes.rank, c as usize);
+            prefetch_read(&nodes.key, c as usize);
+        }
+        // Step past the slots that can no longer pop: already popped, gone
+        // from the view, or no longer participating (a missed slot). Every
+        // slot's node popped in the previous peel, so its rank is still a
+        // step unless this peel stamped it: an unremoved rank means "in the
+        // view and not popped yet".
+        while let Some(&(c, _)) = prev.get(p) {
+            let c = c as usize;
+            if nodes.rank[c] >= FLAGGED {
+                if nodes.key[c] != REMOVED {
+                    break;
+                }
+                miss(view, nodes, q, c, step);
+            }
+            p += 1;
+        }
+        // Stale check: a queued key is always non-negative, so the removed
+        // sentinel and an outdated key both fail one comparison.
+        let head = loop {
+            match q.peek() {
+                Some((k, x)) if k != nodes.key[x as usize] => {
+                    q.pop();
+                }
+                head => break head,
+            }
+        };
+        let (node, key, slot) = match prev.get(p) {
+            Some(&(c, kappa)) => {
+                let below = head.filter(|&(k, x)| pack(x, k) < pack(c, kappa));
+                if nodes.key[c as usize] == CLEAN {
+                    match below {
+                        Some((k, x)) => {
+                            q.pop();
+                            (x, k, Slot::Off)
+                        }
+                        None => {
+                            p += 1;
+                            (c, kappa, Slot::Clean)
+                        }
+                    }
+                } else if let Some((k, _)) = head.filter(|&(k, x)| x == c && k <= kappa) {
+                    q.pop();
+                    p += 1;
+                    (c, k, Slot::On)
+                } else if let Some((k, x)) = below {
+                    q.pop();
+                    (x, k, Slot::Off)
+                } else {
+                    miss(view, nodes, q, c as usize, step);
+                    p += 1;
+                    continue;
+                }
+            }
+            None => {
+                let (k, x) = head.expect("every unpopped node is queued once the slots run out");
+                q.pop();
+                (x, k, Slot::Off)
+            }
+        };
+        // The next pop's stale check reads `key[head]` — a random access.
+        // Its address is known now, long before the relax work below
+        // finishes, so start the load early.
+        if let Some((_, next)) = q.peek() {
             prefetch_read(&nodes.key, next as usize);
         }
-        let node = node as usize;
-        // Stale check: a popped key is always non-negative, so the removed
-        // sentinel (`-1.0`) and an outdated key both fail one comparison.
-        if p != nodes.key[node] {
-            continue;
-        }
-        nodes.key[node] = -1.0;
+        let node_ix = node as usize;
+        let flagged = nodes.rank[node_ix] == FLAGGED;
+        nodes.key[node_ix] = REMOVED;
         step += 1;
-        nodes.rank[node] = step;
-        f -= p;
+        nodes.rank[node_ix] = step;
+        next_seq.push((node, key));
+        f -= key;
         size -= 1;
         if size == 0 {
             // Every node is removed; anything left in the queue is stale.
@@ -465,52 +738,10 @@ fn peel_seq(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> 
             // `BucketQueue::retain_current`).
             q.retain_current(&nodes.key);
         }
-
-        // Relax the still-alive opposite endpoints: an incident edge is
-        // alive iff its other endpoint is (within one peel, edges die
-        // exactly when an endpoint is removed).
-        // Each relax reads `key[opposite endpoint]` — independent random
-        // accesses at addresses the neighbor list spells out in advance, so
-        // issue each load a few iterations before its value is consumed.
-        // The decreases are staged into `relax` and handed to the queue in
-        // one run (same entries, same order as pushing inline) so the queue
-        // can overlap its own routing misses too.
-        const RELAX_AHEAD: usize = 8;
-        let mut relax = std::mem::take(&mut nodes.relax);
-        relax.clear();
-        if node < nu {
-            let nb = view.user_neighbors(UserId(node as u32));
-            for (i, &(v, w)) in nb.pairs.iter().enumerate() {
-                if let Some(&(nv, _)) = nb.pairs.get(i + RELAX_AHEAD) {
-                    prefetch_read(&nodes.key, nu + nv as usize);
-                }
-                let other = nu + v as usize;
-                let k = nodes.key[other];
-                if k >= 0.0 {
-                    let nk = (k - w * nodes.cw[v as usize]).max(0.0);
-                    nodes.key[other] = nk;
-                    relax.push((other as u32, nk));
-                }
-            }
-        } else {
-            let v = node - nu;
-            let nb = view.merchant_neighbors(MerchantId(v as u32));
-            let cwv = nodes.cw[v];
-            for (i, &(u, w)) in nb.pairs.iter().enumerate() {
-                if let Some(&(nun, _)) = nb.pairs.get(i + RELAX_AHEAD) {
-                    prefetch_read(&nodes.key, nun as usize);
-                }
-                let other = u as usize;
-                let k = nodes.key[other];
-                if k >= 0.0 {
-                    let nk = (k - w * cwv).max(0.0);
-                    nodes.key[other] = nk;
-                    relax.push((other as u32, nk));
-                }
-            }
+        if slot != Slot::Clean || flagged {
+            relax_row(view, nodes, &mut relax, node_ix, slot == Slot::Off, step);
+            q.push_all(&relax);
         }
-        q.push_all(&relax);
-        nodes.relax = relax;
 
         if size > 0 {
             // Guard against tiny negative drift from floating cancellation.
@@ -521,8 +752,139 @@ fn peel_seq(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> 
             }
         }
     }
+    nodes.relax = relax;
+    seq.clear();
 
     Some(extract_block(view, nodes, best_phi, best_step))
+}
+
+/// The selection rule's bound on a replay's seed count: the retired
+/// endpoints plus the summed degrees of the reweighted merchants.
+fn seed_bound(view: &CsrView, s: &PeelScratch) -> usize {
+    let nu = view.num_users();
+    let reweighted_degrees: usize = s
+        .retired
+        .iter()
+        .map(|&node| node as usize)
+        .filter(|&node| node >= nu && s.nodes.reweighted(node - nu))
+        .map(|node| view.merchant_degree(MerchantId((node - nu) as u32)))
+        .sum();
+    s.retired.len() + reweighted_degrees
+}
+
+/// Seeds a replayed peel: every participating node starts clean except the
+/// endpoints of the retired edges and each reweighted merchant's alive
+/// users, which start dirty with their priority as key.
+fn seed_replay(view: &CsrView, s: &mut PeelScratch) {
+    let PeelScratch {
+        nodes,
+        queue,
+        retired,
+        ..
+    } = s;
+    for &node in &nodes.active {
+        if nodes.key[node as usize] >= 0.0 {
+            nodes.key[node as usize] = CLEAN;
+        }
+    }
+    let mut seeds = std::mem::take(&mut nodes.relax);
+    seeds.clear();
+    let mut seed = |nodes: &mut NodeScratch, node: usize| {
+        if nodes.stamp[node] == nodes.epoch && nodes.key[node] == CLEAN {
+            seeds.push((node as u32, nodes.dirty(view, node, 0)));
+        }
+    };
+    let nu = view.num_users();
+    for &node in retired.iter() {
+        let node = node as usize;
+        seed(nodes, node);
+        if node >= nu && nodes.reweighted(node - nu) {
+            for &(u, _) in row(view, node).0 {
+                seed(nodes, u as usize);
+            }
+        }
+    }
+    queue.fill(seeds.iter().copied());
+    nodes.relax = seeds;
+}
+
+/// Slot `c` of a replayed peel passes without `c` popping: its clean
+/// unpopped neighbours, which expected that pop, turn dirty.
+fn miss(view: &CsrView, nodes: &mut NodeScratch, q: &mut BucketQueue, c: usize, step: u32) {
+    let (pairs, side, _) = row(view, c);
+    for &(o, _) in pairs {
+        let other = side + o as usize;
+        if nodes.key[other] == CLEAN {
+            let k = nodes.dirty(view, other, step);
+            q.push(other as u32, k);
+        }
+    }
+}
+
+/// Relaxes the alive neighbours of the just-popped `node` (pop `step`)
+/// into `relax`: an incident edge is alive iff its other endpoint is
+/// (within one peel, edges die exactly when an endpoint is removed). A
+/// clean neighbour is skipped — it expected this pop here — unless the pop
+/// is off slot (`dirty_clean`), which turns it dirty first.
+fn relax_row(
+    view: &CsrView,
+    nodes: &mut NodeScratch,
+    relax: &mut Vec<(u32, f64)>,
+    node: usize,
+    dirty_clean: bool,
+    step: u32,
+) {
+    // Each relax reads `key[opposite endpoint]` — independent random
+    // accesses at addresses the neighbor list spells out in advance, so
+    // issue each load a few iterations before its value is consumed. The
+    // decreases are staged into `relax` and handed to the queue in one run
+    // (same entries, same order as pushing inline) so the queue can overlap
+    // its own routing misses too.
+    relax.clear();
+    let (pairs, side, merchant) = row(view, node);
+    // One monomorphized loop per side, so the weight lookup is branch-free.
+    match merchant {
+        None => relax_pairs(view, nodes, relax, pairs, side, dirty_clean, step, |n, v| {
+            n.cw[v as usize]
+        }),
+        Some(v) => {
+            let cwv = nodes.cw[v];
+            relax_pairs(view, nodes, relax, pairs, side, dirty_clean, step, |_, _| cwv)
+        }
+    }
+}
+
+/// The loop of [`relax_row`] over one row, `cw(o)` giving the column weight
+/// of the edge to neighbour `o`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn relax_pairs(
+    view: &CsrView,
+    nodes: &mut NodeScratch,
+    relax: &mut Vec<(u32, f64)>,
+    pairs: &[(u32, f64)],
+    side: usize,
+    dirty_clean: bool,
+    step: u32,
+    cw: impl Fn(&NodeScratch, u32) -> f64,
+) {
+    const RELAX_AHEAD: usize = 8;
+    for (i, &(o, w)) in pairs.iter().enumerate() {
+        if let Some(&(ahead, _)) = pairs.get(i + RELAX_AHEAD) {
+            prefetch_read(&nodes.key, side + ahead as usize);
+        }
+        let other = side + o as usize;
+        let mut k = nodes.key[other];
+        if k < 0.0 {
+            if !(dirty_clean && k == CLEAN) {
+                continue;
+            }
+            k = nodes.dirty(view, other, step - 1);
+        }
+        let nk = (k - w * cw(nodes, o)).max(0.0);
+        nodes.key[other] = nk;
+        relax.push((other as u32, nk));
+    }
 }
 
 /// Materializes the best prefix found by a peel: the block is the set of
@@ -597,6 +959,7 @@ mod tests {
     use crate::metric::{AverageDegreeMetric, LogWeightedMetric, MetricKind};
     use crate::peel::peel_densest_full;
     use ensemfdet_graph::GraphBuilder;
+    use proptest::prelude::*;
 
     fn planted_graph() -> BipartiteGraph {
         let mut b = GraphBuilder::new();
@@ -690,6 +1053,110 @@ mod tests {
         assert_eq!(naive.blocks, got.blocks);
         assert_eq!(naive.scores, got.scores);
         assert_eq!(naive.k_hat, got.k_hat);
+    }
+
+    /// A random graph of up to 24 users × 10 merchants: parallel edges,
+    /// an unsorted canonical order, and optional non-unit weights.
+    fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
+        let raw = prop::collection::vec((0u32..1000, 0u32..1000, 0usize..4), 0..120);
+        (1usize..24, 1usize..10, raw, any::<bool>()).prop_map(|(nu, nv, raw, weighted)| {
+            let edges = raw
+                .iter()
+                .map(|&(u, v, _)| (u % nu as u32, v % nv as u32))
+                .collect();
+            if weighted {
+                let weights = raw.iter().map(|&(_, _, w)| [0.5, 1.0, 2.0, 3.25][w]).collect();
+                BipartiteGraph::from_weighted_edges(nu, nv, edges, weights).unwrap()
+            } else {
+                BipartiteGraph::from_edges(nu, nv, edges).unwrap()
+            }
+        })
+    }
+
+    /// The FDET loop of `run_view` with the replay forced on every peel
+    /// after the first, each view also peeled from scratch beside it.
+    fn check_forced_replay(
+        g: &BipartiteGraph,
+        metric: &dyn DensityMetric,
+        retire: Retire,
+    ) -> Result<(), TestCaseError> {
+        let bits = |seq: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            seq.iter().map(|&(x, k)| (x, k.to_bits())).collect()
+        };
+        let mut view = CsrView::from_graph(g);
+        let mut replayed = PeelScratch {
+            force_replay: true,
+            ..PeelScratch::default()
+        };
+        replayed.begin_view(g.num_nodes());
+        let mut fresh = PeelScratch::default();
+        let (mut alive, mut in_block) = (vec![true; g.num_edges()], Vec::new());
+        for iteration in 0..12 {
+            if iteration > 0 {
+                view.refilter(&alive);
+            }
+            let want = peel_seq(&view, metric, &mut fresh);
+            let got = peel_seq(&view, metric, &mut replayed);
+            prop_assert_eq!(&got, &want);
+            let (Some(block), Some(want)) = (got, want) else {
+                break;
+            };
+            prop_assert_eq!(bits(&replayed.next_seq), bits(&fresh.next_seq));
+            prop_assert_eq!(block.score.to_bits(), want.score.to_bits());
+            prop_assert_eq!(replayed.replays, iteration);
+            if block.edges.is_empty() {
+                break;
+            }
+            retire_block(&view, &block, retire, &mut alive, &mut in_block, &mut replayed);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The replay gate with the selection rule off: every FDET peel
+        /// after the first replays, and its pop sequence (ids and key
+        /// bits), block and score bits equal a from-scratch peel of the
+        /// same view — under both metrics and both retire rules.
+        #[test]
+        fn replay_matches_a_from_scratch_peel(g in arb_graph()) {
+            for metric in [
+                &AverageDegreeMetric as &dyn DensityMetric,
+                &LogWeightedMetric::paper_default(),
+            ] {
+                for retire in [Retire::Incident, Retire::Internal] {
+                    check_forced_replay(&g, metric, retire)?;
+                }
+                let mut engine = FdetEngine::new();
+                engine.scratch.force_replay = true;
+                let truncation = Truncation::KeepAll { k_max: 12 };
+                let got = engine.run(&g, metric, truncation, Engine::Bucket);
+                let want = fdet_naive(&g, metric, truncation);
+                prop_assert_eq!(got.blocks, want.blocks);
+                let score_bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(score_bits(&got.scores), score_bits(&want.scores));
+            }
+        }
+    }
+
+    #[test]
+    fn jd3_samples_replay_under_the_selection_rule() {
+        use ensemfdet_datagen::generate;
+        use ensemfdet_datagen::presets::{jd_preset, JdDataset};
+        use ensemfdet_sampling::{Sampler, SamplerScratch, SamplingMethod};
+        // RES samples of jd3 at 1/64 (~1/640 of Table I's edges each), peeled
+        // as the ensemble peels them, under the default selection rule.
+        let g = generate(&jd_preset(JdDataset::Jd3, 64, 7)).graph;
+        let metric = MetricKind::default();
+        let (mut engine, mut maps) = (FdetEngine::new(), SampleMaps::default());
+        let (mut sampler, mut spec) = (SamplerScratch::new(), SampleSpec::new());
+        for seed in 0..2 {
+            SamplingMethod::RandomEdge.sample_spec(&g, 0.1, seed, &mut sampler, &mut spec);
+            let (got, _) = engine.run_spec(&g, &spec, &metric, Truncation::default(), &mut maps);
+            let want = fdet_naive(&spec.materialize(&g).graph, &metric, Truncation::default());
+            assert_eq!(got.blocks, want.blocks);
+            assert_eq!(got.scores, want.scores);
+        }
+        assert!(engine.scratch.replays > 0, "no FDET peel replayed");
     }
 
     #[test]

@@ -351,17 +351,18 @@ impl LazyMinHeap {
         }
     }
 
-    /// The element the next [`pop`](Self::pop) will return (possibly
-    /// stale), or `None` if empty. O(1); lets callers warm per-element
-    /// state before committing to the pop.
+    /// The `(key, element)` entry the next [`pop`](Self::pop) will return
+    /// (possibly stale), or `None` if empty. O(1); lets callers inspect the
+    /// minimum before committing to the pop.
     #[inline]
-    pub fn peek_element(&self) -> Option<u32> {
-        match (self.base.get(self.cursor), self.entries.first()) {
-            (Some(&b), Some(&h)) => Some(b.min(h) as u32),
-            (Some(&b), None) => Some(b as u32),
-            (None, Some(&h)) => Some(h as u32),
-            (None, None) => None,
-        }
+    pub fn peek(&self) -> Option<(f64, u32)> {
+        let front = match (self.base.get(self.cursor), self.entries.first()) {
+            (Some(&b), Some(&h)) => b.min(h),
+            (Some(&b), None) => b,
+            (None, Some(&h)) => h,
+            (None, None) => return None,
+        };
+        Some(Self::unpack(front))
     }
 
     /// Pushes an entry for `element` with `key` (O(log n)).

@@ -171,8 +171,9 @@ fn read_bounded_line<R: Read>(
 /// # Errors
 ///
 /// Returns an [`HttpError`] carrying the right status: 400 for malformed
-/// requests, 408 for read deadlines hit mid-request, 413 for oversized
-/// bodies, 431 for an oversized or endless header section.
+/// requests (conflicting `Content-Length` fields included), 408 for read
+/// deadlines hit mid-request, 413 for oversized bodies, 431 for an
+/// oversized or endless header section.
 pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut header_budget = MAX_HEADER_BYTES;
@@ -190,7 +191,7 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
         .to_string();
 
     // Headers: we only care about Content-Length and Content-Type.
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut content_type = String::new();
     let mut header_count = 0usize;
     loop {
@@ -209,9 +210,18 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    HttpError::bad_request(format!("bad content-length `{}`", value.trim()))
+                let value = value.trim();
+                let length = value.parse().map_err(|_| {
+                    HttpError::bad_request(format!("bad content-length `{value}`"))
                 })?;
+                // RFC 9112 §6.3: differing Content-Length fields leave the
+                // body's end ambiguous, so the request is unrecoverable.
+                if content_length.is_some_and(|earlier| earlier != length) {
+                    return Err(HttpError::bad_request(format!(
+                        "conflicting content-length `{value}`"
+                    )));
+                }
+                content_length = Some(length);
             } else if name.eq_ignore_ascii_case("content-type") {
                 // Media type only — `application/json; charset=utf-8`
                 // negotiates the same as `application/json`.
@@ -220,6 +230,7 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, HttpError> {
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY {
         return Err(HttpError::new(
             413,
@@ -302,6 +313,17 @@ mod tests {
         let raw = b"POST /x HTTP/1.1\r\ncontent-LENGTH: 2\r\n\r\nhi";
         let r = read_request(&raw[..]).unwrap();
         assert_eq!(r.body, b"hi");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected_with_400() {
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 5\r\n\r\nhello";
+        let err = read_request(&raw[..]).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("conflicting content-length"), "{}", err.message);
+        // Repeating the same length is not a conflict.
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length:  2\r\n\r\nhi";
+        assert_eq!(read_request(&raw[..]).unwrap().body, b"hi");
     }
 
     #[test]
