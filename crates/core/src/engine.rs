@@ -45,11 +45,13 @@
 //! the same order with the same key bits as a from-scratch peel, so every
 //! `f`/φ update is the same arithmetic in the same order: same blocks,
 //! same scores. When the seeds (retired endpoints plus the summed degrees
-//! of the reweighted merchants) exceed half the participating nodes, the
-//! peel seeds everything instead, which is the plain peel: the first peel
-//! of a view is the replay of an empty sequence. The crate-private
-//! proptest `replay_matches_a_from_scratch_peel` gates the replay with the
-//! selection rule off.
+//! of the reweighted merchants) exceed three quarters of the participating
+//! nodes, the peel seeds everything instead, which is the plain peel: past
+//! that point, timed on full-graph Fraudar, the replay's dirty work costs
+//! more than its clean pops save (DESIGN.md §6a). The first peel of a view
+//! is the replay of an empty sequence. The crate-private proptest
+//! `replay_matches_a_from_scratch_peel` gates the replay with the
+//! selection rule bypassed.
 //!
 //! **Retirement rules.** One FDET loop (`fdet::iterate_blocks`)
 //! serves two callers that differ only in which edges a detected block
@@ -284,12 +286,6 @@ struct PeelScratch {
     retired: Vec<u32>,
     /// Membership marks for `retired` (users then merchants).
     retired_mark: Vec<bool>,
-    /// Test hooks: replay even past the selection rule, and count the
-    /// peels that replayed.
-    #[cfg(test)]
-    force_replay: bool,
-    #[cfg(test)]
-    replays: usize,
 }
 
 impl PeelScratch {
@@ -308,14 +304,6 @@ impl PeelScratch {
             self.retired_mark[node] = true;
             self.retired.push(node as u32);
         }
-    }
-
-    /// Whether the selection rule is bypassed (a test hook).
-    fn forced(&self) -> bool {
-        #[cfg(test)]
-        return self.force_replay;
-        #[cfg(not(test))]
-        false
     }
 
     fn clear_retired(&mut self) {
@@ -508,7 +496,7 @@ impl FdetEngine {
             if !first {
                 view.refilter(edge_alive);
             }
-            let block = peel_seq(view, metric, scratch)?;
+            let block = peel_seq(view, metric, scratch, replay_pays)?;
             retire_block(view, &block, retire, edge_alive, in_block, scratch);
             Some(block)
         })
@@ -603,34 +591,45 @@ fn row(view: &CsrView, node: usize) -> (&[(u32, f64)], usize, Option<usize>) {
     }
 }
 
+/// Whether a peel replays the view's previous one, from the replay's seed
+/// bound and the participating node count: the selection rule (see the
+/// module docs).
+fn replay_pays(seed_bound: usize, participating: usize) -> bool {
+    4 * seed_bound <= 3 * participating
+}
+
 /// Peels the densest block out of `view` (which holds exactly the alive
 /// edges) with the bucket queue, replaying the view's previous peel when
-/// there is one and the selection rule picks it (see the module docs).
+/// there is one and `select` (given the seed bound and the participating
+/// node count) picks it; production passes [`replay_pays`].
 /// Mirrors [`crate::peel::peel_densest`] operation for operation: every
 /// operation on node state happens in pop order, which both queues define
 /// identically.
-fn peel_seq(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> Option<Block> {
+fn peel_seq(
+    view: &CsrView,
+    metric: &dyn DensityMetric,
+    s: &mut PeelScratch,
+    select: impl FnOnce(usize, usize) -> bool,
+) -> Option<Block> {
     const SLOTS_AHEAD: usize = 16;
     let Some((mut f, participating)) = s.nodes.begin(view, metric) else {
         s.seq.clear();
         s.clear_retired();
         return None;
     };
-    let replay = !s.seq.is_empty() && (s.forced() || 2 * seed_bound(view, s) <= participating);
-    if replay {
-        seed_replay(view, s);
-    } else {
+    if !s.seq.is_empty() && !select(seed_bound(view, s), participating) {
+        s.seq.clear();
+    }
+    if s.seq.is_empty() {
         let nodes = &s.nodes;
         s.queue.fill(nodes.active.iter().filter_map(|&node| {
             let k = nodes.key[node as usize];
             (k >= 0.0).then_some((node, k))
         }));
+    } else {
+        seed_replay(view, s);
     }
     s.clear_retired();
-    #[cfg(test)]
-    {
-        s.replays += replay as usize;
-    }
     let PeelScratch {
         nodes,
         queue: q,
@@ -638,8 +637,9 @@ fn peel_seq(view: &CsrView, metric: &dyn DensityMetric, s: &mut PeelScratch) -> 
         next_seq,
         ..
     } = s;
-    // A plain peel replays the empty sequence: every pop is off slot.
-    let prev: &[(u32, f64)] = if replay { seq } else { &[] };
+    // The slots to replay. None for a view's first peel or when the
+    // selection declines, so every pop is off slot: the plain peel.
+    let prev: &[(u32, f64)] = seq;
     next_seq.clear();
 
     // Peel, tracking the best prefix.
@@ -976,7 +976,7 @@ mod tests {
 
     fn peel_csr_full(g: &BipartiteGraph, metric: &dyn DensityMetric) -> Option<Block> {
         let view = CsrView::from_graph(g);
-        peel_seq(&view, metric, &mut PeelScratch::default())
+        peel_seq(&view, metric, &mut PeelScratch::default(), replay_pays)
     }
 
     #[test]
@@ -1018,7 +1018,8 @@ mod tests {
         let g = planted_graph();
         let mut view = CsrView::from_graph(&g);
         view.refilter(&vec![false; g.num_edges()]);
-        assert!(peel_seq(&view, &AverageDegreeMetric, &mut PeelScratch::default()).is_none());
+        let mut scratch = PeelScratch::default();
+        assert!(peel_seq(&view, &AverageDegreeMetric, &mut scratch, replay_pays).is_none());
     }
 
     #[test]
@@ -1037,7 +1038,7 @@ mod tests {
         let mut view = CsrView::new();
         for g in [&g1, &g2, &g1] {
             view.rebuild(g);
-            let reused = peel_seq(&view, &AverageDegreeMetric, &mut scratch);
+            let reused = peel_seq(&view, &AverageDegreeMetric, &mut scratch, replay_pays);
             let fresh = peel_csr_full(g, &AverageDegreeMetric);
             assert_eq!(reused, fresh);
         }
@@ -1073,48 +1074,53 @@ mod tests {
         })
     }
 
-    /// The FDET loop of `run_view` with the replay forced on every peel
-    /// after the first, each view also peeled from scratch beside it.
-    fn check_forced_replay(
+    /// The FDET loop of `run_view` with `select` in place of the selection
+    /// rule, each view also peeled from scratch beside it. Returns how many
+    /// peels replayed.
+    fn check_replay(
         g: &BipartiteGraph,
         metric: &dyn DensityMetric,
         retire: Retire,
-    ) -> Result<(), TestCaseError> {
+        select: &mut dyn FnMut(usize, usize) -> bool,
+    ) -> Result<usize, TestCaseError> {
         let bits = |seq: &[(u32, f64)]| -> Vec<(u32, u64)> {
             seq.iter().map(|&(x, k)| (x, k.to_bits())).collect()
         };
         let mut view = CsrView::from_graph(g);
-        let mut replayed = PeelScratch {
-            force_replay: true,
-            ..PeelScratch::default()
-        };
+        let mut replayed = PeelScratch::default();
         replayed.begin_view(g.num_nodes());
         let mut fresh = PeelScratch::default();
         let (mut alive, mut in_block) = (vec![true; g.num_edges()], Vec::new());
+        let mut replays = 0;
         for iteration in 0..12 {
             if iteration > 0 {
                 view.refilter(&alive);
             }
-            let want = peel_seq(&view, metric, &mut fresh);
-            let got = peel_seq(&view, metric, &mut replayed);
+            // Every peel after the first has a sequence to replay.
+            prop_assert_eq!(replayed.seq.is_empty(), iteration == 0);
+            let want = peel_seq(&view, metric, &mut fresh, replay_pays);
+            let got = peel_seq(&view, metric, &mut replayed, |bound, participating| {
+                let replay = select(bound, participating);
+                replays += replay as usize;
+                replay
+            });
             prop_assert_eq!(&got, &want);
             let (Some(block), Some(want)) = (got, want) else {
                 break;
             };
             prop_assert_eq!(bits(&replayed.next_seq), bits(&fresh.next_seq));
             prop_assert_eq!(block.score.to_bits(), want.score.to_bits());
-            prop_assert_eq!(replayed.replays, iteration);
             if block.edges.is_empty() {
                 break;
             }
             retire_block(&view, &block, retire, &mut alive, &mut in_block, &mut replayed);
         }
-        Ok(())
+        Ok(replays)
     }
 
     proptest! {
-        /// The replay gate with the selection rule off: every FDET peel
-        /// after the first replays, and its pop sequence (ids and key
+        /// The replay gate with the selection rule bypassed: every FDET
+        /// peel after the first replays, and its pop sequence (ids and key
         /// bits), block and score bits equal a from-scratch peel of the
         /// same view — under both metrics and both retire rules.
         #[test]
@@ -1124,10 +1130,10 @@ mod tests {
                 &LogWeightedMetric::paper_default(),
             ] {
                 for retire in [Retire::Incident, Retire::Internal] {
-                    check_forced_replay(&g, metric, retire)?;
+                    check_replay(&g, metric, retire, &mut |_, _| true)?;
                 }
+                // The production loop, selection rule included.
                 let mut engine = FdetEngine::new();
-                engine.scratch.force_replay = true;
                 let truncation = Truncation::KeepAll { k_max: 12 };
                 let got = engine.run(&g, metric, truncation, Engine::Bucket);
                 let want = fdet_naive(&g, metric, truncation);
@@ -1143,20 +1149,18 @@ mod tests {
         use ensemfdet_datagen::generate;
         use ensemfdet_datagen::presets::{jd_preset, JdDataset};
         use ensemfdet_sampling::{Sampler, SamplerScratch, SamplingMethod};
-        // RES samples of jd3 at 1/64 (~1/640 of Table I's edges each), peeled
-        // as the ensemble peels them, under the default selection rule.
+        // RES samples of jd3 at 1/64 (~1/640 of Table I's edges each),
+        // peeled under the production selection rule.
         let g = generate(&jd_preset(JdDataset::Jd3, 64, 7)).graph;
         let metric = MetricKind::default();
-        let (mut engine, mut maps) = (FdetEngine::new(), SampleMaps::default());
         let (mut sampler, mut spec) = (SamplerScratch::new(), SampleSpec::new());
+        let mut replays = 0;
         for seed in 0..2 {
             SamplingMethod::RandomEdge.sample_spec(&g, 0.1, seed, &mut sampler, &mut spec);
-            let (got, _) = engine.run_spec(&g, &spec, &metric, Truncation::default(), &mut maps);
-            let want = fdet_naive(&spec.materialize(&g).graph, &metric, Truncation::default());
-            assert_eq!(got.blocks, want.blocks);
-            assert_eq!(got.scores, want.scores);
+            let sample = spec.materialize(&g).graph;
+            replays += check_replay(&sample, &metric, Retire::Incident, &mut replay_pays).unwrap();
         }
-        assert!(engine.scratch.replays > 0, "no FDET peel replayed");
+        assert!(replays > 0, "no FDET peel replayed");
     }
 
     #[test]
