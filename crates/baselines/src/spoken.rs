@@ -65,7 +65,7 @@ impl Spoken {
         if k == 0 || g.num_edges() == 0 {
             return vec![0.0; g.num_users()];
         }
-        let svd = randomized_svd(
+        randomized_svd(
             a,
             k,
             SvdOptions {
@@ -73,14 +73,8 @@ impl Spoken {
                 seed: self.config.seed,
                 ..Default::default()
             },
-        );
-        (0..g.num_users())
-            .map(|u| {
-                (0..svd.rank())
-                    .map(|i| svd.u[(u, i)].abs())
-                    .fold(0.0f64, f64::max)
-            })
-            .collect()
+        )
+        .max_abs_u_per_row()
     }
 }
 

@@ -382,22 +382,18 @@ pub fn spectral_scores(ctx: &DetectContext<'_>, config: &ScoringConfig) -> Vec<f
     if k == 0 || g.num_edges() == 0 {
         return vec![0.0; g.num_users()];
     }
-    let svd = randomized_svd(
+    randomized_svd(
         ctx.adjacency(),
         k,
         SvdOptions {
             seed: config.spectral_seed,
             ..Default::default()
         },
-    );
-    (0..g.num_users())
-        .map(|u| {
-            (0..svd.rank())
-                .map(|i| svd.u[(u, i)].abs())
-                .fold(0.0f64, f64::max)
-                .clamp(0.0, 1.0)
-        })
-        .collect()
+    )
+    .max_abs_u_per_row()
+    .into_iter()
+    .map(|s| s.clamp(0.0, 1.0))
+    .collect()
 }
 
 /// The k-core depth component: core number / degeneracy, `[0, 1]`.

@@ -1,8 +1,12 @@
-//! Small row-major dense matrices.
+//! Dense matrices in two layouts.
 //!
-//! Used for the `m × l` subspace bases and `l × l` core matrices of the
-//! randomized SVD, where `l = k + oversampling` is a few dozen. Nothing here
-//! is tuned for large dense operands.
+//! [`Matrix`] is row-major: the `l × l` core matrices of the randomized SVD
+//! (`l = k + oversampling`, a few dozen) and its row-major outputs `U` and
+//! `V`, which consumers read one account at a time. [`ColMatrix`] is
+//! column-major: the tall `m × l` bases, where `m` is a side of the graph
+//! (hundreds of thousands of rows). Gram–Schmidt and the sparse products
+//! stream whole columns, so a column is one contiguous slice there and no
+//! kernel strides across rows.
 
 use crate::vector;
 
@@ -159,6 +163,145 @@ impl Matrix {
             .iter()
             .zip(&other.data)
             .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
+    }
+}
+
+/// Column-major dense matrix for tall-skinny operands.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ColMatrix {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl ColMatrix {
+    /// Zero matrix of the given shape.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        ColMatrix {
+            rows,
+            cols,
+            data: vec![0.0; rows * cols],
+        }
+    }
+
+    /// Builds from a generator `f(row, col)`, called in row-major order (as
+    /// [`Matrix::from_fn`] calls it), so a stateful generator such as an RNG
+    /// fills both layouts with the same entries.
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Self {
+        let mut m = Self::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                m.data[c * rows + r] = f(r, c);
+            }
+        }
+        m
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Borrow of column `c`.
+    #[inline]
+    pub fn col(&self, c: usize) -> &[f64] {
+        &self.data[c * self.rows..(c + 1) * self.rows]
+    }
+
+    /// Mutable borrow of column `c`.
+    #[inline]
+    pub(crate) fn col_mut(&mut self, c: usize) -> &mut [f64] {
+        &mut self.data[c * self.rows..(c + 1) * self.rows]
+    }
+
+    /// The raw column-major buffer, column after column.
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Reshapes to `rows × cols`, keeping the allocation; entries are
+    /// left unspecified for the caller to overwrite.
+    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
+    /// The same matrix, row-major.
+    pub fn to_row_major(&self) -> Matrix {
+        Matrix::from_fn(self.rows, self.cols, |r, c| self.data[c * self.rows + r])
+    }
+
+    /// Gram matrix `selfᵀ · self` (`cols × cols`, row-major). Each entry
+    /// sums its products over the rows in order from `+0.0`, skipping rows
+    /// where the left factor is zero, exactly as
+    /// `self.to_row_major().transpose().matmul(..)` would.
+    pub(crate) fn gram(&self) -> Matrix {
+        let l = self.cols;
+        let mut g = Matrix::zeros(l, l);
+        let mut row = vec![0.0; l];
+        for r in 0..self.rows {
+            for (c, x) in row.iter_mut().enumerate() {
+                *x = self.data[c * self.rows + r];
+            }
+            for (i, &a) in row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                vector::axpy(a, &row, g.row_mut(i));
+            }
+        }
+        g
+    }
+
+    /// `self · W[:, ..k]` as a row-major `rows × k` matrix. Entry `(r, i)`
+    /// is `vector::dot(row r of self, column i of w)` to the bit: the same
+    /// products summed in the same order from `-0.0`. The result is built a
+    /// block of rows at a time, so each block of `self`'s columns is read
+    /// once and the output is written once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.rows() != self.cols()` or `k > w.cols()`.
+    pub(crate) fn mul_rows(&self, w: &Matrix, k: usize) -> Matrix {
+        assert_eq!(w.rows(), self.cols, "mul_rows: inner dimension mismatch");
+        assert!(k <= w.cols(), "mul_rows: k exceeds the columns of w");
+        const BLOCK: usize = 64;
+        let mut out = Matrix::from_vec(self.rows, k, vec![-0.0; self.rows * k]);
+        if k == 0 {
+            return out;
+        }
+        for (b, block) in out.data.chunks_mut(BLOCK * k).enumerate() {
+            let r0 = b * BLOCK;
+            let len = block.len() / k;
+            for c in 0..self.cols {
+                let xs = &self.col(c)[r0..r0 + len];
+                let wrow = &w.row(c)[..k];
+                for (orow, &x) in block.chunks_exact_mut(k).zip(xs) {
+                    for (o, &wv) in orow.iter_mut().zip(wrow) {
+                        *o += x * wv;
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+impl From<&Matrix> for ColMatrix {
+    fn from(m: &Matrix) -> Self {
+        ColMatrix::from_fn(m.rows, m.cols, |r, c| m[(r, c)])
     }
 }
 

@@ -5,7 +5,11 @@
 //! need from it are matrix–vector and matrix–(tall dense) products with `W`
 //! and `Wᵀ`, which CSR provides in O(nnz · l).
 
-use crate::dense::Matrix;
+use crate::dense::{ColMatrix, Matrix};
+
+/// Rows per block of the tall operand in the dense products: the block's
+/// row-major tile stays in L1.
+const TILE: usize = 64;
 
 /// Sparse matrix in CSR form.
 #[derive(Clone, Debug)]
@@ -143,47 +147,81 @@ impl CsrMatrix {
         y
     }
 
-    /// `Y = A · X` for a tall dense `X` (cols × l). Output is rows × l.
+    /// `Y = A · X` for a tall dense `X` (cols × l), written into `out`,
+    /// which is reshaped to rows × l and keeps its buffer: the randomized
+    /// SVD overwrites its basis in place instead of faulting in a fresh one.
+    ///
+    /// Entry `(r, j)` sums `A[r, c] · X[c, j]` over row `r`'s nonzeros in
+    /// column order, from `+0.0`. `X` is read through a row-major copy, so
+    /// each nonzero gathers one contiguous row of it; the output is built a
+    /// block of rows at a time and written out column by column.
     ///
     /// # Panics
     ///
     /// Panics if `x.rows() != cols`.
-    pub fn mat_dense(&self, x: &Matrix) -> Matrix {
+    pub fn mat_dense(&self, x: &ColMatrix, out: &mut ColMatrix) {
         assert_eq!(x.rows(), self.cols, "mat_dense: shape mismatch");
         let l = x.cols();
-        let mut out = Matrix::zeros(self.rows, l);
-        for r in 0..self.rows {
-            // Accumulate row r of the output as a weighted sum of X's rows.
-            let orow = out.row_mut(r);
-            for (c, v) in self.row(r) {
-                let xrow = x.row(c as usize);
-                for (o, xv) in orow.iter_mut().zip(xrow) {
-                    *o += v * xv;
+        // Every entry is written below.
+        out.reshape(self.rows, l);
+        if l == 0 {
+            return;
+        }
+        let x = x.to_row_major();
+        let mut tile = vec![0.0; TILE * l];
+        for r0 in (0..self.rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(self.rows);
+            let tile = &mut tile[..(r1 - r0) * l];
+            tile.fill(0.0);
+            for (r, orow) in (r0..r1).zip(tile.chunks_exact_mut(l)) {
+                for (c, v) in self.row(r) {
+                    for (o, xv) in orow.iter_mut().zip(x.row(c as usize)) {
+                        *o += v * xv;
+                    }
+                }
+            }
+            for j in 0..l {
+                for (o, trow) in out.col_mut(j)[r0..r1].iter_mut().zip(tile.chunks_exact(l)) {
+                    *o = trow[j];
                 }
             }
         }
-        out
     }
 
     /// `Y = Aᵀ · X` for a tall dense `X` (rows × l). Output is cols × l.
     ///
+    /// Entry `(c, j)` sums `A[r, c] · X[r, j]` over the rows `r` in order,
+    /// from `+0.0`. `X` is read a block of rows at a time into a row-major
+    /// tile, and each row is scattered into a row-major accumulator.
+    ///
     /// # Panics
     ///
     /// Panics if `x.rows() != rows`.
-    pub fn mat_dense_transpose(&self, x: &Matrix) -> Matrix {
+    pub fn mat_dense_transpose(&self, x: &ColMatrix) -> ColMatrix {
         assert_eq!(x.rows(), self.rows, "mat_dense_transpose: shape mismatch");
         let l = x.cols();
         let mut out = Matrix::zeros(self.cols, l);
-        for r in 0..self.rows {
-            let xrow = x.row(r).to_vec();
-            for (c, v) in self.row(r) {
-                let orow = out.row_mut(c as usize);
-                for (o, xv) in orow.iter_mut().zip(&xrow) {
-                    *o += v * xv;
+        if l == 0 {
+            return ColMatrix::from(&out);
+        }
+        let mut tile = vec![0.0; TILE * l];
+        for r0 in (0..self.rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(self.rows);
+            let tile = &mut tile[..(r1 - r0) * l];
+            for j in 0..l {
+                for (t, &xv) in tile.iter_mut().skip(j).step_by(l).zip(&x.col(j)[r0..r1]) {
+                    *t = xv;
+                }
+            }
+            for (r, xrow) in (r0..r1).zip(tile.chunks_exact(l)) {
+                for (c, v) in self.row(r) {
+                    for (o, xv) in out.row_mut(c as usize).iter_mut().zip(xrow) {
+                        *o += v * xv;
+                    }
                 }
             }
         }
-        out
+        ColMatrix::from(&out)
     }
 
     /// Materializes as dense — for tests on tiny matrices only.
@@ -255,7 +293,9 @@ mod tests {
     fn mat_dense_agrees_with_dense_matmul() {
         let a = sample();
         let x = Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f64);
-        let got = a.mat_dense(&x);
+        let mut got = ColMatrix::zeros(0, 0);
+        a.mat_dense(&ColMatrix::from(&x), &mut got);
+        let got = got.to_row_major();
         let want = a.to_dense().matmul(&x);
         assert!(got.max_abs_diff(&want) < 1e-14);
     }
@@ -264,7 +304,7 @@ mod tests {
     fn mat_dense_transpose_agrees_with_dense_matmul() {
         let a = sample();
         let x = Matrix::from_fn(2, 2, |r, c| (1 + r + 3 * c) as f64);
-        let got = a.mat_dense_transpose(&x);
+        let got = a.mat_dense_transpose(&ColMatrix::from(&x)).to_row_major();
         let want = a.to_dense().transpose().matmul(&x);
         assert!(got.max_abs_diff(&want) < 1e-14);
     }

@@ -11,7 +11,7 @@
 //! [`svd_small`] is the exact Gram-based SVD for small dense matrices; the
 //! test-suite uses it as the reference the randomized method must match.
 
-use crate::dense::Matrix;
+use crate::dense::{ColMatrix, Matrix};
 use crate::eigen::symmetric_eigen;
 use crate::qr::orthonormalize;
 use crate::sparse::CsrMatrix;
@@ -50,6 +50,15 @@ impl Svd {
             }
         }
         out
+    }
+
+    /// Each row's largest `|U|` entry: SpokEn's spoke statistic, which
+    /// scores account `r` by its largest magnitude across the top-k left
+    /// singular vectors. Reads `u` once, row by row; 0 for rank 0.
+    pub fn max_abs_u_per_row(&self) -> Vec<f64> {
+        (0..self.u.rows())
+            .map(|r| self.u.row(r).iter().map(|x| x.abs()).fold(0.0f64, f64::max))
+            .collect()
     }
 
     /// Projects a row vector (length n) onto the top-k right singular
@@ -103,14 +112,16 @@ pub fn randomized_svd(a: &CsrMatrix, k: usize, opts: SvdOptions) -> Svd {
     // Gaussian sketch Ω (n × l) and range Y = A·Ω (m × l).
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let omega = gaussian_matrix(n, l, &mut rng);
-    let mut q = a.mat_dense(&omega);
+    let mut q = ColMatrix::zeros(m, l);
+    a.mat_dense(&omega, &mut q);
     orthonormalize(&mut q);
 
-    // Power iterations with re-orthonormalization at each half-step.
+    // Power iterations with re-orthonormalization at each half-step; the
+    // m × l basis is overwritten in place.
     for _ in 0..opts.power_iters {
         let mut z = a.mat_dense_transpose(&q);
         orthonormalize(&mut z);
-        q = a.mat_dense(&z);
+        a.mat_dense(&z, &mut q);
         orthonormalize(&mut q);
     }
 
@@ -118,35 +129,22 @@ pub fn randomized_svd(a: &CsrMatrix, k: usize, opts: SvdOptions) -> Svd {
     let bt = a.mat_dense_transpose(&q);
 
     // Small Gram problem: G = B Bᵀ = Btᵀ Bt (l × l), PSD.
-    let g = bt.transpose().matmul(&bt);
-    let eig = symmetric_eigen(&g);
+    let eig = symmetric_eigen(&bt.gram());
 
-    // σᵢ = √λᵢ; U = Q W; vᵢ = Bᵀ wᵢ / σᵢ.
-    let mut s = Vec::with_capacity(k);
-    let mut u = Matrix::zeros(m, k);
-    let mut v = Matrix::zeros(n, k);
-    for i in 0..k {
-        let sigma = eig.values[i].max(0.0).sqrt();
-        s.push(sigma);
-        let w = eig.vectors.col(i);
-        let ucol = {
-            // Q (m × l) times w (l).
-            let mut out = vec![0.0; m];
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = vector::dot(q.row(r), &w);
-            }
-            out
-        };
-        u.set_col(i, &ucol);
-        if sigma > f64::EPSILON {
-            let mut vcol = vec![0.0; n];
-            for (r, o) in vcol.iter_mut().enumerate() {
-                *o = vector::dot(bt.row(r), &w) / sigma;
-            }
-            v.set_col(i, &vcol);
+    // σᵢ = √λᵢ; U = Q W; vᵢ = Bᵀ wᵢ / σᵢ, built row by row.
+    let s: Vec<f64> = eig.values[..k].iter().map(|&e| e.max(0.0).sqrt()).collect();
+    let u = q.mul_rows(&eig.vectors, k);
+    let mut v = bt.mul_rows(&eig.vectors, k);
+    for r in 0..n {
+        for (x, &sigma) in v.row_mut(r).iter_mut().zip(&s) {
+            // σ == 0 ⇒ the V column is zero: the direction is arbitrary and
+            // consumers treat zero singular values as "no component".
+            *x = if sigma > f64::EPSILON {
+                *x / sigma
+            } else {
+                0.0
+            };
         }
-        // σ == 0 ⇒ V column stays zero: the direction is arbitrary and
-        // consumers treat zero singular values as "no component".
     }
 
     Svd { u, s, v }
@@ -208,9 +206,10 @@ pub fn svd_small(a: &Matrix, k: usize) -> Svd {
     }
 }
 
-/// Standard-normal matrix via Box–Muller (rand ships only uniform draws).
-fn gaussian_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| {
+/// Standard-normal matrix via Box–Muller (rand ships only uniform draws),
+/// drawn in row-major order.
+fn gaussian_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> ColMatrix {
+    ColMatrix::from_fn(rows, cols, |_, _| {
         let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
         let u2: f64 = rng.random::<f64>();
         (-2.0f64 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

@@ -45,7 +45,13 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 /// A (near-)zero vector is left untouched and 0.0 is returned.
 #[inline]
 pub fn normalize(x: &mut [f64]) -> f64 {
-    let n = norm2(x);
+    normalize_given(x, dot(x, x))
+}
+
+/// [`normalize`] with `xᵀx` already summed in [`dot`]'s order.
+#[inline]
+pub(crate) fn normalize_given(x: &mut [f64], sum_sq: f64) -> f64 {
+    let n = sum_sq.sqrt();
     if n > 0.0 && n.is_finite() {
         scale(1.0 / n, x);
         n

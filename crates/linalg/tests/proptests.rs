@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use ensemfdet_linalg::qr::{orthonormality_error, orthonormalize};
-use ensemfdet_linalg::{randomized_svd, svd_small, CsrMatrix, Matrix, SvdOptions};
+use ensemfdet_linalg::{randomized_svd, svd_small, ColMatrix, CsrMatrix, Matrix, SvdOptions};
 use proptest::prelude::*;
 
 /// Strategy: dense matrices with small integer-ish entries.
@@ -25,8 +25,9 @@ proptest! {
 
     #[test]
     fn orthonormalize_always_yields_orthonormal_q(m in arb_matrix(12)) {
-        let mut q = m;
+        let mut q = ColMatrix::from(&m);
         orthonormalize(&mut q);
+        let q = q.to_row_major();
         // Some columns may be zeroed only in the pathological cols > rows
         // case after retries; exclude that by checking the error when
         // cols <= rows.

@@ -3,13 +3,19 @@
 //! must agree — same record count, or the same first bad line with the
 //! same message — for every worker count, without panicking. The HTTP
 //! request reader answers any bytes with a request or a 400, 408, 413 or
-//! 431, without panicking.
+//! 431, without panicking. The JSON and NDJSON ingest bodies, through
+//! the vendored JSON parser, are answered with a count of what was
+//! ingested or a typed 4xx, and an NDJSON rejection names a line of the
+//! body.
 
+use ensemfdet::{EnsemFdetConfig, MonitorConfig};
 use ensemfdet_graph::{load_transactions, GraphError, LoadOptions};
 use ensemfdet_service::api::parse_csv_pairs;
-use ensemfdet_service::http::{read_request, MAX_BODY};
+use ensemfdet_service::http::{read_request, Request, MAX_BODY};
+use ensemfdet_service::{Api, ApiConfig};
 use proptest::prelude::*;
 use serde_json::Value;
+use std::sync::OnceLock;
 
 /// Fragments that hit the parser's edges: keys, amounts good and bad,
 /// stray delimiters, line ends with and without `\r`, comments,
@@ -30,6 +36,18 @@ const HTTP_FRAGMENTS: &[&[u8]] = &[
     b"\n", b"\r", b":", b"Content-Length: ", b"content-length:", b"Content-Type: ",
     b"text/csv", b"; charset=utf-8", b"0", b"2", b"5", b"-1", b"1048577",
     b"99999999999999999999999", b"x-pad: ", b"u1,m1\n", b"{}", b"\xff", b"\xc3",
+];
+
+/// Fragments of JSON and NDJSON ingest bodies: the tokens of the two
+/// shapes, strings with escapes good and bad (a lone surrogate, a short
+/// `\u`), numbers the parser must not choke on, line ends, and bytes that
+/// are not UTF-8.
+#[rustfmt::skip]
+const JSON_FRAGMENTS: &[&[u8]] = &[
+    b"{", b"}", b"[", b"[", b"]", b"]", b",", b",", b":", b"\"records\"",
+    b"\"u1\"", b"\"m1\"", b"\"u\\n2\"", b"\"\\u00e9\"", b"\"\\ud800\"", b"\"\\u12\"",
+    b"\"", b"\\", b"0", b"-0", b"1e999", b"-", b"null", b"true", b" ", b"\t",
+    b"\n", b"\n", b"\r\n", b"\xff", b"\xc3", b"\xc3\xa9",
 ];
 
 /// What a parse came to: the record count, or the first bad line and its
@@ -107,6 +125,76 @@ proptest! {
                 matches!(err.status, 400 | 408 | 413 | 431),
                 "status {} ({}) for {:?}", err.status, err.message, String::from_utf8_lossy(&raw)
             ),
+        }
+    }
+}
+
+/// One service for every case: auto-scans off, so a case that ingests
+/// only grows the buffer.
+fn ingest_api() -> &'static Api {
+    static API: OnceLock<Api> = OnceLock::new();
+    API.get_or_init(|| {
+        Api::new(ApiConfig {
+            monitor: MonitorConfig {
+                detector: EnsemFdetConfig::default(),
+                scan_interval: usize::MAX,
+                alert_threshold: 1,
+                min_transactions: usize::MAX,
+            },
+            ..Default::default()
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn json_and_ndjson_ingest_answer_any_bytes_with_a_count_or_a_typed_4xx(
+        parts in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..48),
+    ) {
+        let body: Vec<u8> = parts
+            .iter()
+            .flat_map(|(pick, byte)| match JSON_FRAGMENTS.get(pick.index(JSON_FRAGMENTS.len() + 1)) {
+                Some(fragment) => fragment.to_vec(),
+                None => vec![*byte],
+            })
+            .collect();
+        for content_type in ["application/json", "application/x-ndjson"] {
+            let resp = ingest_api().handle(&Request {
+                method: "POST".into(),
+                path: "/v1/transactions".into(),
+                content_type: content_type.into(),
+                body: body.clone(),
+            });
+            let answer: Value = serde_json::from_slice(&resp.body).unwrap();
+            if resp.status == 200 {
+                prop_assert!(answer["ingested"].as_u64().is_some(), "{}: {}", content_type, answer);
+                if content_type == "application/x-ndjson" {
+                    let records = body
+                        .split(|&b| b == b'\n')
+                        .filter(|line| !line.iter().all(u8::is_ascii_whitespace))
+                        .count() as u64;
+                    prop_assert_eq!(answer["ingested"].as_u64(), Some(records));
+                }
+                continue;
+            }
+            prop_assert!(
+                (400..500).contains(&resp.status),
+                "{}: status {} for {:?}", content_type, resp.status, String::from_utf8_lossy(&body)
+            );
+            let error = &answer["error"];
+            prop_assert!(error["code"].as_str().is_some() && error["message"].as_str().is_some(), "{}", answer);
+            if content_type == "application/x-ndjson" {
+                prop_assert_eq!(resp.status, 400);
+                prop_assert_eq!(&error["code"], "invalid_record");
+                let lines = body.split(|&b| b == b'\n').count() as u64;
+                let line = error["line"].as_u64();
+                prop_assert!(
+                    line.is_some_and(|n| (1..=lines).contains(&n)),
+                    "line {:?} of a {}-line body", line, lines
+                );
+            }
         }
     }
 }
