@@ -34,11 +34,13 @@ use crate::aggregate::VoteTally;
 use crate::detector::DetectContext;
 use crate::ensemble::{EnsemFdet, EnsemFdetConfig, EnsembleOutcome, StageTimings};
 use crate::incremental::{FallbackReason, IncrementalPolicy, ReuseStats, ScanCache};
-use crate::scoring::{hybrid_scan_scores, HybridScanScores};
-use ensemfdet_graph::{BipartiteGraph, GraphDelta, GraphDims, MerchantId, UserId};
+use crate::scoring::{core_depth, spectral_scores, timed, HybridScanScores, ScoringConfig};
+use ensemfdet_graph::{
+    core_decomposition, BipartiteGraph, GraphDelta, GraphDims, MerchantId, UserId,
+};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 use std::time::Duration;
 
 /// How many per-epoch deltas a [`SnapshotStore`] retains for
@@ -392,12 +394,37 @@ pub struct ScanOutcome {
     /// set is identical either way — this is performance telemetry.
     pub reuse: ReuseStats,
     /// Hybrid component and fused scores, when the config enables
-    /// scoring. Computed once on the parent snapshot after the ensemble
-    /// pass (never per sample), so it is identical on the full and
-    /// incremental paths. `flagged` above stays the plain vote-threshold
-    /// set either way; the hybrid's own flag set is
-    /// [`HybridScanScores::hybrid_flagged`].
+    /// scoring. Computed on the parent snapshot after the ensemble pass
+    /// (never per sample), so it is identical on the full and
+    /// incremental paths. The graph-only spectral and k-core components
+    /// are computed once per snapshot graph and reused by the runner's
+    /// later scans of it ([`HybridScanScores::components_reused`]); the
+    /// vote fraction and the fusion run every scan. `flagged` above
+    /// stays the plain vote-threshold set either way; the hybrid's own
+    /// flag set is [`HybridScanScores::hybrid_flagged`].
     pub scoring: Option<HybridScanScores>,
+}
+
+/// The hybrid scan's graph-only components, kept for the graph they
+/// were computed on: the clamped spoke statistic of
+/// [`spectral_scores`](crate::spectral_scores) and the user core numbers
+/// behind [`kcore_scores`](crate::kcore_scores).
+///
+/// The key is exact. `graph` is compared by address, and the weak
+/// reference keeps the graph's allocation from being freed, so no other
+/// graph can ever take that address; it keeps none of the graph's
+/// buffers alive. The spectral scores are also keyed on the SVD rank and
+/// sketch seed, the only other inputs of the SVD. Everything else in a
+/// [`ScoringConfig`] (weights, floors, normalization, threshold) and the
+/// votes feed only the fusion.
+#[derive(Clone, Debug)]
+struct GraphComponents {
+    graph: Weak<BipartiteGraph>,
+    /// `(spectral_components, spectral_seed)` of `spectral`.
+    spectral_key: (usize, u64),
+    spectral: Vec<f64>,
+    user_core: Vec<u32>,
+    degeneracy: u32,
 }
 
 /// Runs ensemble scans against snapshots and tracks which accounts have
@@ -406,14 +433,18 @@ pub struct ScanOutcome {
 /// The *flagged set* of a scan is a pure function of
 /// `(snapshot epoch, detector config)` — per-sample seeds derive from the
 /// config seed, so re-running the same epoch with the same seed
-/// reproduces it bit-for-bit. Besides `new_alerts`, the runner's only
-/// other state is the sample cache behind
-/// [`run_incremental`](Self::run_incremental), which never changes
-/// results — only how much work producing them takes.
+/// reproduces it bit-for-bit. Besides `new_alerts`, the runner keeps
+/// two caches, neither of which ever changes a result — only how much
+/// work producing it takes: the sample cache behind
+/// [`run_incremental`](Self::run_incremental), and the hybrid scan's
+/// graph-only components (spectral and k-core) of the last scored
+/// snapshot graph, which both scan paths reuse while the graph is
+/// unchanged.
 #[derive(Clone, Debug, Default)]
 pub struct ScanRunner {
     alerted: HashSet<u32>,
     cache: Option<ScanCache>,
+    components: Option<GraphComponents>,
     /// Sample-pool worker threads for every pass this runner drives;
     /// `0` = one per available core. A wall-clock knob only — any value
     /// produces the same flagged set (see [`EnsemFdet::with_workers`]),
@@ -546,10 +577,10 @@ impl ScanRunner {
     }
 
     /// Converts an ensemble outcome into a [`ScanOutcome`], updating the
-    /// alert-once set. When the config enables hybrid scoring, the
-    /// component passes run here, on the parent snapshot — the one place
-    /// both the full and incremental paths flow through, so the scores
-    /// are identical regardless of how much the ensemble pass reused.
+    /// alert-once set. When the config enables hybrid scoring, it runs
+    /// here, on the parent snapshot — the one place both the full and
+    /// incremental paths flow through, so the scores are identical
+    /// regardless of how much the ensemble pass reused.
     fn finish(
         &mut self,
         snapshot: &Snapshot,
@@ -558,10 +589,10 @@ impl ScanRunner {
         threshold: u32,
         config: &EnsemFdetConfig,
     ) -> ScanOutcome {
-        let scoring = config.scoring.enabled.then(|| {
-            let ctx = DetectContext::new(&snapshot.graph);
-            hybrid_scan_scores(&ctx, &outcome.votes, &config.scoring)
-        });
+        let scoring = config
+            .scoring
+            .enabled
+            .then(|| self.score(&snapshot.graph, &outcome.votes, &config.scoring));
         let flagged = outcome.votes.detected_users(threshold);
         let new_alerts: Vec<UserId> = flagged
             .iter()
@@ -583,6 +614,64 @@ impl ScanRunner {
             reuse,
             scoring,
         }
+    }
+
+    /// [`hybrid_scan_scores`](crate::hybrid_scan_scores) on `graph`,
+    /// taking the spectral and k-core components from the runner's cache
+    /// when it holds them for this graph (and, for the spectral part,
+    /// this SVD rank and seed). The output is bit-identical to a cold
+    /// computation.
+    fn score(
+        &mut self,
+        graph: &Arc<BipartiteGraph>,
+        votes: &VoteTally,
+        config: &ScoringConfig,
+    ) -> HybridScanScores {
+        let (vote, t_vote) = timed(|| votes.user_scores());
+        let spectral_key = (config.spectral_components, config.spectral_seed);
+        // The entry leaves the runner until both components are whole, so
+        // a panic in either pass leaves none behind. An entry for another
+        // graph is dropped here, and a stale spectral part below, before
+        // their replacements are computed.
+        let cached = self
+            .components
+            .take()
+            .filter(|c| c.graph.ptr_eq(&Arc::downgrade(graph)));
+        let (spectral, cores) = match cached {
+            Some(c) if c.spectral_key == spectral_key => {
+                (Some(c.spectral), Some((c.user_core, c.degeneracy)))
+            }
+            Some(c) => (None, Some((c.user_core, c.degeneracy))),
+            None => (None, None),
+        };
+        let components_reused = spectral.is_some() && cores.is_some();
+        let (spectral, t_spectral) = match spectral {
+            Some(s) => (s, Duration::ZERO),
+            None => timed(|| spectral_scores(&DetectContext::new(graph), config)),
+        };
+        let ((user_core, degeneracy), t_kcore) = match cores {
+            Some(c) => (c, Duration::ZERO),
+            None => timed(|| {
+                let cores = core_decomposition(graph);
+                (cores.user_core, cores.degeneracy)
+            }),
+        };
+        let kcore = core_depth(&user_core, degeneracy);
+        let entry = self.components.insert(GraphComponents {
+            graph: Arc::downgrade(graph),
+            spectral_key,
+            spectral,
+            user_core,
+            degeneracy,
+        });
+        HybridScanScores::fuse(
+            config,
+            vote,
+            entry.spectral.clone(),
+            kcore,
+            [t_vote, t_spectral, t_kcore],
+            components_reused,
+        )
     }
 
     /// Accounts alerted at any point so far, sorted.
@@ -1081,6 +1170,192 @@ mod tests {
         let out = runner.run_incremental(&snap2, &store, &plain, 6, &policy);
         assert_eq!(out.reuse.fallback, Some(FallbackReason::ConfigChanged));
         assert!(out.scoring.is_none());
+    }
+
+    /// [`ring_and_background`] plus users of core number 3 between the
+    /// ring's and the background's, so core depths such as 3/5 are not
+    /// exact binary fractions.
+    fn graded_ring(buffer: &IngestBuffer) {
+        ring_and_background(buffer);
+        for u in 8..12u32 {
+            for v in 0..3u32 {
+                buffer.append(UserId(u), MerchantId(v));
+            }
+        }
+    }
+
+    fn scored_config() -> EnsemFdetConfig {
+        EnsemFdetConfig {
+            scoring: ScoringConfig::enabled(),
+            ..quick_config()
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts `out`'s hybrid scores are the bits a fresh runner computes
+    /// cold for the same snapshot and config, and returns whether `out`
+    /// reused its graph-only components.
+    fn matches_cold(out: &ScanOutcome, snap: &Snapshot, cfg: &EnsemFdetConfig) -> bool {
+        let cold = ScanRunner::new().run(snap, cfg, 6).scoring.unwrap();
+        assert!(!cold.components_reused);
+        let got = out.scoring.as_ref().expect("scored scan");
+        assert_eq!(bits(&got.spectral), bits(&cold.spectral));
+        assert_eq!(bits(&got.kcore), bits(&cold.kcore));
+        assert_eq!(bits(&got.hybrid), bits(&cold.hybrid));
+        assert_eq!(got.hybrid_flagged, cold.hybrid_flagged);
+        let [_, spectral, kcore] = got.component_times;
+        if got.components_reused {
+            assert_eq!((spectral, kcore), (Duration::ZERO, Duration::ZERO));
+        }
+        got.components_reused
+    }
+
+    #[test]
+    fn scored_rescan_reuses_components_on_both_paths() {
+        let b = IngestBuffer::new();
+        graded_ring(&b);
+        let store = SnapshotStore::new(1);
+        let snap = store.compact(&b);
+        let cfg = scored_config();
+        let policy = IncrementalPolicy::default();
+
+        let mut runner = ScanRunner::new();
+        assert!(!matches_cold(&runner.run(&snap, &cfg, 6), &snap, &cfg));
+        assert!(matches_cold(&runner.run(&snap, &cfg, 6), &snap, &cfg));
+        // One cache for both paths: the incremental scans hit too, the
+        // cold-cache fallback and the replay alike.
+        let out = runner.run_incremental(&snap, &store, &cfg, 6, &policy);
+        assert_eq!(out.reuse.fallback, Some(FallbackReason::ColdCache));
+        assert!(matches_cold(&out, &snap, &cfg));
+        let out = runner.run_incremental(&snap, &store, &cfg, 6, &policy);
+        assert!(out.reuse.incremental);
+        assert!(matches_cold(&out, &snap, &cfg));
+
+        let mut runner = ScanRunner::new();
+        let out = runner.run_incremental(&snap, &store, &cfg, 6, &policy);
+        assert!(!matches_cold(&out, &snap, &cfg));
+        assert!(matches_cold(&runner.run(&snap, &cfg, 6), &snap, &cfg));
+    }
+
+    #[test]
+    fn fusion_knobs_reuse_both_components() {
+        let b = IngestBuffer::new();
+        graded_ring(&b);
+        let store = SnapshotStore::new(1);
+        let snap = store.compact(&b);
+        let mut runner = ScanRunner::new();
+        let cfg = scored_config();
+        assert!(!matches_cold(&runner.run(&snap, &cfg, 6), &snap, &cfg));
+        let retunes: [fn(&mut ScoringConfig); 5] = [
+            |s| s.vote_weight = 0.2,
+            |s| (s.vote_floor, s.spectral_floor, s.kcore_floor) = (0.3, 0.2, 0.1),
+            |s| s.normalization = crate::scoring::ScoreNormalization::Rank,
+            |s| s.hybrid_threshold = 0.6,
+            |s| s.kcore_weight = 0.0,
+        ];
+        for retune in retunes {
+            let mut other = cfg;
+            retune(&mut other.scoring);
+            let out =
+                runner.run_incremental(&snap, &store, &other, 6, &IncrementalPolicy::default());
+            assert!(matches_cold(&out, &snap, &other), "{:?}", other.scoring);
+        }
+    }
+
+    #[test]
+    fn spectral_knobs_recompute_spectral_and_reuse_kcore() {
+        let b = IngestBuffer::new();
+        graded_ring(&b);
+        let store = SnapshotStore::new(1);
+        let snap = store.compact(&b);
+        let mut runner = ScanRunner::new();
+        let cfg = scored_config();
+        runner.run(&snap, &cfg, 6);
+        let rekeys: [fn(&mut ScoringConfig); 2] =
+            [|s| s.spectral_components = 3, |s| s.spectral_seed = 77];
+        for rekey in rekeys {
+            let mut other = cfg;
+            rekey(&mut other.scoring);
+            let out = runner.run(&snap, &other, 6);
+            assert!(!matches_cold(&out, &snap, &other));
+            let [_, spectral, kcore] = out.scoring.as_ref().unwrap().component_times;
+            assert!(spectral > Duration::ZERO, "spectral part recomputed");
+            assert_eq!(kcore, Duration::ZERO, "k-core reused");
+            // The new key is the cached one now.
+            assert!(matches_cold(&runner.run(&snap, &other, 6), &snap, &other));
+        }
+    }
+
+    #[test]
+    fn duplicate_only_compaction_reuses_components() {
+        let b = IngestBuffer::new();
+        graded_ring(&b);
+        let store = SnapshotStore::new(1);
+        let snap1 = store.compact(&b);
+        let cfg = scored_config();
+        let mut runner = ScanRunner::new();
+        runner.run(&snap1, &cfg, 6);
+        b.append(UserId(0), MerchantId(0));
+        let snap2 = store.compact(&b);
+        assert_eq!(snap2.epoch, snap1.epoch + 1);
+        assert!(Arc::ptr_eq(&snap1.graph, &snap2.graph));
+        assert!(matches_cold(&runner.run(&snap2, &cfg, 6), &snap2, &cfg));
+        // A compaction that adds an edge makes a new graph: a miss.
+        b.append(UserId(0), MerchantId(9));
+        let snap3 = store.compact(&b);
+        assert!(!matches_cold(&runner.run(&snap3, &cfg, 6), &snap3, &cfg));
+    }
+
+    #[test]
+    fn same_epoch_and_dims_from_another_store_misses() {
+        let b = IngestBuffer::new();
+        ring_and_background(&b);
+        let store = SnapshotStore::new(1);
+        let snap = store.compact(&b);
+        // The same background with the ring moved to other merchants:
+        // equal epoch and dims, a different graph.
+        let other_buffer = IngestBuffer::new();
+        for u in 0..8u32 {
+            for v in 5..10u32 {
+                other_buffer.append(UserId(u), MerchantId(v));
+            }
+        }
+        for i in 0..200u32 {
+            other_buffer.append(UserId(20 + i % 90), MerchantId(10 + i % 40));
+        }
+        let other = SnapshotStore::new(1).compact(&other_buffer);
+        assert_eq!((other.epoch, other.dims()), (snap.epoch, snap.dims()));
+        assert_ne!(other.graph.edge_pairs(), snap.graph.edge_pairs());
+
+        let cfg = scored_config();
+        let mut runner = ScanRunner::new();
+        runner.run(&snap, &cfg, 6);
+        assert!(!matches_cold(&runner.run(&other, &cfg, 6), &other, &cfg));
+        assert!(!matches_cold(&runner.run(&snap, &cfg, 6), &snap, &cfg));
+    }
+
+    #[test]
+    fn cached_components_hold_no_strong_reference_to_the_graph() {
+        let b = IngestBuffer::new();
+        graded_ring(&b);
+        let store = SnapshotStore::new(1);
+        let snap = store.compact(&b);
+        let strong = Arc::strong_count(&snap.graph);
+        let cfg = scored_config();
+        let mut runner = ScanRunner::new();
+        runner.run(&snap, &cfg, 6);
+        runner.run_incremental(&snap, &store, &cfg, 6, &IncrementalPolicy::default());
+        assert!(runner.components.is_some());
+        assert_eq!(Arc::strong_count(&snap.graph), strong);
+        let graph = Arc::downgrade(&snap.graph);
+        drop(snap);
+        drop(store);
+        assert!(graph.upgrade().is_none());
+        let entry = runner.components.as_ref().expect("entry kept");
+        assert!(entry.graph.upgrade().is_none());
     }
 
     #[test]

@@ -365,8 +365,47 @@ pub struct HybridScanScores {
     pub hybrid_flagged: Vec<UserId>,
     /// Wall-clock of the `[vote, spectral, kcore]` component passes (the
     /// vote component's slot covers only the fraction conversion — the
-    /// ensemble itself is timed by the scan's stage timings).
+    /// ensemble itself is timed by the scan's stage timings). A spectral
+    /// or k-core slot is zero exactly when that component was reused
+    /// from a [`ScanRunner`](crate::ScanRunner)'s cache, not computed.
     pub component_times: [Duration; 3],
+    /// Whether the spectral and k-core components were both reused from
+    /// a [`ScanRunner`](crate::ScanRunner)'s cache of the same graph;
+    /// only the vote fraction and the fusion ran. The scores are
+    /// bit-identical either way.
+    pub components_reused: bool,
+}
+
+impl HybridScanScores {
+    /// Fuses precomputed components into one scan's scores: the fusion
+    /// half of [`hybrid_scan_scores`], shared with the runner's cached
+    /// path.
+    pub(crate) fn fuse(
+        config: &ScoringConfig,
+        vote: Vec<f64>,
+        spectral: Vec<f64>,
+        kcore: Vec<f64>,
+        component_times: [Duration; 3],
+        components_reused: bool,
+    ) -> Self {
+        let hybrid = HybridScorer::new(*config).fuse(&vote, &spectral, &kcore);
+        let hybrid_flagged = hybrid
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s >= config.hybrid_threshold)
+            .map(|(i, _)| UserId(i as u32))
+            .collect();
+        HybridScanScores {
+            config: *config,
+            vote,
+            spectral,
+            kcore,
+            hybrid,
+            hybrid_flagged,
+            component_times,
+            components_reused,
+        }
+    }
 }
 
 /// The spectral anomaly component: each user's largest magnitude across
@@ -399,8 +438,14 @@ pub fn spectral_scores(ctx: &DetectContext<'_>, config: &ScoringConfig) -> Vec<f
 /// The k-core depth component: core number / degeneracy, `[0, 1]`.
 pub fn kcore_scores(ctx: &DetectContext<'_>) -> Vec<f64> {
     let cores = core_decomposition(ctx.graph());
-    let max = cores.degeneracy.max(1) as f64;
-    cores.user_core.iter().map(|&c| c as f64 / max).collect()
+    core_depth(&cores.user_core, cores.degeneracy)
+}
+
+/// Normalizes user core numbers by the graph's degeneracy: the k-core
+/// component from a retained decomposition.
+pub(crate) fn core_depth(user_core: &[u32], degeneracy: u32) -> Vec<f64> {
+    let max = degeneracy.max(1) as f64;
+    user_core.iter().map(|&c| c as f64 / max).collect()
 }
 
 /// Runs the full hybrid pass for one scan: vote fraction from `votes`,
@@ -413,32 +458,26 @@ pub fn hybrid_scan_scores(
     votes: &VoteTally,
     config: &ScoringConfig,
 ) -> HybridScanScores {
-    let t0 = Instant::now();
-    let vote = votes.user_scores();
-    let t_vote = t0.elapsed();
-    let t1 = Instant::now();
-    let spectral = spectral_scores(ctx, config);
-    let t_spectral = t1.elapsed();
-    let t2 = Instant::now();
-    let kcore = kcore_scores(ctx);
-    let t_kcore = t2.elapsed();
-
-    let hybrid = HybridScorer::new(*config).fuse(&vote, &spectral, &kcore);
-    let hybrid_flagged = hybrid
-        .iter()
-        .enumerate()
-        .filter(|&(_, &s)| s >= config.hybrid_threshold)
-        .map(|(i, _)| UserId(i as u32))
-        .collect();
-    HybridScanScores {
-        config: *config,
+    let (vote, t_vote) = timed(|| votes.user_scores());
+    let (spectral, t_spectral) = timed(|| spectral_scores(ctx, config));
+    let (kcore, t_kcore) = timed(|| kcore_scores(ctx));
+    HybridScanScores::fuse(
+        config,
         vote,
         spectral,
         kcore,
-        hybrid,
-        hybrid_flagged,
-        component_times: [t_vote, t_spectral, t_kcore],
-    }
+        [t_vote, t_spectral, t_kcore],
+        false,
+    )
+}
+
+/// Runs one component pass and times it. A computed pass never reads as
+/// zero, which [`HybridScanScores::component_times`] reserves for a
+/// reused one.
+pub(crate) fn timed<T>(pass: impl FnOnce() -> T) -> (T, Duration) {
+    let t = Instant::now();
+    let out = pass();
+    (out, t.elapsed().max(Duration::from_nanos(1)))
 }
 
 /// What a calibration sweep settled on.

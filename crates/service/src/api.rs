@@ -770,6 +770,7 @@ fn result_json(r: &ScanResultView) -> Value {
             "hybrid_threshold": s.config.hybrid_threshold,
             "hybrid_flagged": s.hybrid_flagged.clone(),
             "component_millis": s.component_millis.to_vec(),
+            "components_reused": s.components_reused,
             "account_scores": s.account_scores.iter().map(|(key, [vote, spectral, kcore, hybrid])| {
                 json!({
                     "account": key,
@@ -1668,6 +1669,56 @@ mod tests {
             ));
         }
         assert_eq!(runs[0], runs[1], "same (epoch, seed, weights) must agree exactly");
+    }
+
+    #[test]
+    fn rescoring_one_epoch_reuses_graph_components() {
+        let api = quick_api();
+        post(&api, "/v1/transactions", json!({ "records": ring_records() }));
+        let scan = |overrides: Value| {
+            let (status, body) = post(&api, "/v1/scans", overrides);
+            assert_eq!(status, 202, "{body}");
+            let done = wait_done(&api, body["job_id"].as_u64().unwrap());
+            assert_eq!(done["status"], "done", "{done}");
+            done["result"].clone()
+        };
+        let full = json!({ "mode": "full", "scoring": {} });
+        let cold = scan(full.clone());
+        let warm = scan(full);
+        assert_eq!(cold["epoch"], warm["epoch"]);
+        assert_eq!(cold["scoring"]["components_reused"], false, "{cold}");
+        assert_eq!(warm["scoring"]["components_reused"], true, "{warm}");
+        let millis = &warm["scoring"]["component_millis"];
+        assert_eq!(millis[1].as_f64(), Some(0.0));
+        assert_eq!(millis[2].as_f64(), Some(0.0));
+        for field in ["hybrid_flagged", "account_scores"] {
+            assert_eq!(warm["scoring"][field], cold["scoring"][field], "{field}");
+        }
+        // Another SVD rank recomputes the spectral component.
+        let rank = scan(json!({ "mode": "full", "scoring": { "components": 3 } }));
+        assert_eq!(rank["scoring"]["components_reused"], false, "{rank}");
+        assert_ne!(rank["scoring"]["hybrid_flagged"], json!([]));
+
+        let text = String::from_utf8(
+            api.handle(&Request {
+                method: "GET".into(),
+                path: "/metrics".into(),
+                content_type: String::new(),
+                body: vec![],
+            })
+            .body,
+        )
+        .unwrap();
+        assert!(text.contains("ensemfdet_scans_hybrid_total 3"), "{text}");
+        let reused = "ensemfdet_scoring_components_reused_total 1";
+        assert!(text.contains(reused), "{text}");
+        // Spectral ran twice (cold, new rank), the k-core once.
+        for (component, n) in [("vote", 3), ("spectral", 2), ("kcore", 1)] {
+            let series = format!(
+                "ensemfdet_scan_scoring_duration_seconds_count{{component=\"{component}\"}} {n}"
+            );
+            assert!(text.contains(&series), "{series}\n{text}");
+        }
     }
 
     #[test]

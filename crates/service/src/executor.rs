@@ -3,8 +3,9 @@
 //!
 //! Each job carries its pinned snapshot, so the ensemble runs on exactly
 //! the epoch that `POST /v1/scans` reported — ingest continuing in the
-//! meantime cannot change what a job scans. A panicking detector run is
-//! caught and recorded as a `failed` job instead of killing the thread.
+//! meantime cannot change what a job scans. A panicking detector or
+//! scoring run is caught and recorded as a `failed` job instead of
+//! killing the thread.
 
 use crate::api::{lock_recover, Engine};
 use crate::jobs::{ScanResultView, ScoringResultView};
@@ -30,8 +31,11 @@ fn executor_loop(engine: &Engine) {
         let started = Instant::now();
         // The runner mutex serializes the alert ledger; with a single
         // executor thread it is uncontended. AssertUnwindSafe is sound
-        // because a panic can only escape `EnsemFdet::detect`, which runs
-        // before the ledger is touched.
+        // because a panic can only escape the ensemble pass or the hybrid
+        // scoring after it, both before the ledger is touched. Neither
+        // leaves a half-written cache: the incremental cache is replaced
+        // whole, and the scoring components are written back only once
+        // both are complete.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut runner = lock_recover(&engine.runner);
             runner.set_workers(spec.workers);
@@ -84,9 +88,8 @@ fn executor_loop(engine: &Engine) {
                             config: s.config,
                             hybrid_flagged: to_keys(&s.hybrid_flagged),
                             account_scores,
-                            component_millis: s
-                                .component_times
-                                .map(|t| t.as_secs_f64() * 1e3),
+                            component_millis: s.component_times.map(|t| t.as_secs_f64() * 1e3),
+                            components_reused: s.components_reused,
                         }
                     });
                     (to_keys(&outcome.flagged), to_keys(&outcome.new_alerts), scoring)
@@ -113,11 +116,21 @@ fn executor_loop(engine: &Engine) {
                 );
                 if let Some(s) = &outcome.scoring {
                     metrics.scans_hybrid.inc();
+                    if s.components_reused {
+                        metrics.scoring_components_reused.inc();
+                    }
                     let [vote, spectral, kcore] = s.component_times;
-                    let scoring = &metrics.scoring_duration;
-                    scoring[ScoringComponent::Vote].observe_duration(vote);
-                    scoring[ScoringComponent::Spectral].observe_duration(spectral);
-                    scoring[ScoringComponent::Kcore].observe_duration(kcore);
+                    // A reused component's time is zero: observe only the
+                    // passes this scan ran.
+                    for (component, t) in [
+                        (ScoringComponent::Vote, vote),
+                        (ScoringComponent::Spectral, spectral),
+                        (ScoringComponent::Kcore, kcore),
+                    ] {
+                        if !t.is_zero() {
+                            metrics.scoring_duration[component].observe_duration(t);
+                        }
+                    }
                 }
                 metrics.alerts.add(new_alerts.len() as u64);
                 metrics.snapshot_epoch.set(outcome.epoch as i64);

@@ -85,8 +85,11 @@ pub struct ScoringResultView {
     /// threshold (the union), sorted by key.
     pub account_scores: Vec<(String, [f64; 4])>,
     /// Wall-clock of the `[vote, spectral, kcore]` component passes, in
-    /// milliseconds.
+    /// milliseconds; a reused component reads 0.
     pub component_millis: [f64; 3],
+    /// Whether the spectral and k-core components were reused from an
+    /// earlier scored scan of the same graph.
+    pub components_reused: bool,
 }
 
 /// A published scan result, with ids already translated back to the

@@ -614,6 +614,10 @@ service_metrics! {
     scoring_duration: Labelled<ScoringComponent, Histogram> = Labelled::new("component")
         => "ensemfdet_scan_scoring_duration_seconds",
         "Hybrid-scoring component time per hybrid scan, by component.";
+    /// A reused component is not observed in `scoring_duration`.
+    scoring_components_reused: Counter
+        => "ensemfdet_scoring_components_reused_total",
+        "Hybrid scans that reused the spectral and k-core components of an unchanged graph.";
 }
 
 impl ServiceMetrics {
@@ -962,8 +966,10 @@ mod tests {
                 m.scoring_duration[component].observe_duration(Duration::from_millis(ms));
             }
         }
+        m.scoring_components_reused.inc();
         let text = m.render();
         assert!(text.contains("ensemfdet_scans_hybrid_total 2"));
+        assert!(text.contains("ensemfdet_scoring_components_reused_total 1"));
         for component in ["vote", "spectral", "kcore"] {
             assert!(
                 text.contains(&format!(
