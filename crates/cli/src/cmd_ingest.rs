@@ -10,12 +10,13 @@
 //! * `--detect`: run the ensemble directly on the amount-weighted graph
 //!   and print (or `--out`-write) the flagged account keys.
 //!
-//! Loading is chunk-parallel (`--workers`), but assigned ids, edge
-//! weights, and every detection result are bit-identical for every worker
-//! count — the knob is wall-clock only.
+//! Parsing is chunk-parallel (`--workers`, `0` = one per core), but
+//! assigned ids, edge weights, and every detection result are
+//! bit-identical for every worker count — the knob is wall-clock only.
 
 use crate::args::Args;
 use crate::cmd_detect::{ensemfdet_config, timing_summary};
+use ensemfdet::ensemble::effective_workers;
 use ensemfdet::EnsemFdet;
 use ensemfdet_graph::loader::{load_transactions_path, LoadOptions};
 use std::io::{Read, Write};
@@ -33,7 +34,8 @@ OPTIONS:
                           detection pool under --detect); ids, weights and
                           results are identical for every N
                           [default: 0 = auto]
-    --timing              print load duration, records/sec, arena bytes
+    --timing              print load duration, records/sec, the resolved
+                          worker count, arena bytes
   sinks (default: load only, report the graph shape):
     --url URL             POST the log as text/csv to a running service,
                           e.g. http://127.0.0.1:7878
@@ -111,7 +113,7 @@ pub fn run(args: &Args) -> Result<String, String> {
     }
     let file = args.require("file")?;
     let delimiter = parse_delimiter(args.get("delimiter"))?;
-    let workers: usize = args.get_or("workers", 0)?;
+    let workers = effective_workers(args.get_or("workers", 0)?);
     let timing = args.flag("timing");
     let url = args.get("url");
     let detect = args.flag("detect");
@@ -160,7 +162,7 @@ pub fn run(args: &Args) -> Result<String, String> {
     if timing {
         let secs = load_elapsed.as_secs_f64();
         report.push_str(&format!(
-            "\nload: {:.1} ms ({:.0} records/sec, {} workers requested, {} arena bytes)",
+            "\nload: {:.1} ms ({:.0} records/sec, {} workers, {} arena bytes)",
             secs * 1e3,
             loaded.records as f64 / secs.max(1e-9),
             workers,
@@ -234,11 +236,14 @@ mod tests {
             "shape.csv",
             "a,x,2\na,x,3\nb,y\n",
         );
-        let out = run(&args(&["--file", &f, "--timing"])).unwrap();
+        let out = run(&args(&["--file", &f, "--timing", "--workers", "0"])).unwrap();
         assert!(out.contains("3 records"), "{out}");
         assert!(out.contains("2 users × 2 merchants, 2 weighted edges"), "{out}");
         assert!(out.contains("records/sec"), "{out}");
         assert!(out.contains("arena bytes"), "{out}");
+        // `0` means one worker per core, and the report names the count.
+        let resolved = format!("records/sec, {} workers,", effective_workers(0));
+        assert!(out.contains(&resolved), "{out}");
     }
 
     #[test]
@@ -276,13 +281,24 @@ mod tests {
         let four = run(&args(&[base as &[_], &["--workers", "4"]].concat())).unwrap();
         assert!(one.contains("bot-"), "{one}");
         assert!(!one.contains("pin-"), "{one}");
-        assert_eq!(
-            one.replace("1 workers requested", "N")
-                .replace("4 workers requested", "N"),
-            four.replace("1 workers requested", "N")
-                .replace("4 workers requested", "N"),
-            "worker count changed the flagged accounts"
-        );
+        assert_eq!(one, four, "worker count changed the flagged accounts");
+    }
+
+    #[test]
+    fn refund_line_is_refused_not_peeled() {
+        // A negative amount would collide with the peel's removed-node
+        // sentinel and flag honest accounts; the loader refuses it.
+        let f = ring_log("ingest_refund_line_is_refused_not_peeled");
+        let mut log = std::fs::read_to_string(&f).unwrap();
+        log.push_str("pin-0,store-0,-50.0\n");
+        std::fs::write(&f, log).unwrap();
+        let err = run(&args(&[
+            "--file", &f, "--detect", "--samples", "12", "--ratio", "0.6",
+            "--threshold", "10", "--seed", "7",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("line 146"), "{err}");
+        assert!(err.contains("negative"), "{err}");
     }
 
     #[test]

@@ -266,10 +266,9 @@ impl ArenaInterner {
     }
 }
 
-/// Two-namespace (user + merchant) arena interner: what the parallel
-/// loader and the serial [`read_transactions_csv`](crate::read_transactions_csv)
-/// return, and what the service shares behind
-/// [`ConcurrentTransactionInterner`].
+/// Two-namespace (user + merchant) arena interner: what
+/// [`load_transactions`](crate::load_transactions) returns, and what the
+/// service shares behind [`ConcurrentTransactionInterner`].
 #[derive(Clone, Debug, Default)]
 pub struct ArenaTransactionInterner {
     users: ArenaInterner,

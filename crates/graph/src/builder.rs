@@ -7,7 +7,6 @@
 
 use crate::graph::BipartiteGraph;
 use crate::ids::{MerchantId, UserId};
-use std::collections::HashMap;
 
 /// How repeated `(u, v)` records are treated by [`GraphBuilder::build`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,26 +103,44 @@ impl GraphBuilder {
         match policy {
             DuplicatePolicy::Keep => BipartiteGraph::from_edges(nu, nv, self.edges)
                 .expect("builder indexes are in range by construction"),
-            DuplicatePolicy::MergeCounting | DuplicatePolicy::MergeBinary => {
-                let mut counts: HashMap<(u32, u32), u64> = HashMap::new();
-                for e in &self.edges {
-                    *counts.entry(*e).or_insert(0) += 1;
-                }
-                let mut merged: Vec<((u32, u32), u64)> = counts.into_iter().collect();
-                // Deterministic edge order regardless of hash seed.
-                merged.sort_unstable_by_key(|&(e, _)| e);
-                let edges: Vec<(u32, u32)> = merged.iter().map(|&(e, _)| e).collect();
-                if policy == DuplicatePolicy::MergeBinary {
-                    BipartiteGraph::from_edges(nu, nv, edges)
-                        .expect("builder indexes are in range by construction")
-                } else {
-                    let weights: Vec<f64> = merged.iter().map(|&(_, c)| c as f64).collect();
-                    BipartiteGraph::from_weighted_edges(nu, nv, edges, weights)
-                        .expect("builder indexes are in range by construction")
-                }
+            DuplicatePolicy::MergeCounting => {
+                // A sum of ones is the exact count below 2^53 records.
+                let records = self.edges.into_iter().map(|(u, v)| (u, v, 1.0)).collect();
+                let (edges, weights) = merge_weighted(records);
+                BipartiteGraph::from_weighted_edges(nu, nv, edges, weights)
+                    .expect("builder indexes are in range by construction")
+            }
+            DuplicatePolicy::MergeBinary => {
+                let mut edges = self.edges;
+                edges.sort_unstable();
+                edges.dedup();
+                BipartiteGraph::from_edges(nu, nv, edges)
+                    .expect("builder indexes are in range by construction")
             }
         }
     }
+}
+
+/// The one weight rule for repeated `(user, merchant, weight)` records:
+/// the distinct pairs in `(user, merchant)` order, each weighted by the
+/// sum of its records' weights, folded from its first weight in input
+/// order. The sort is stable because `f64` addition is not associative:
+/// a pair's sum depends on the order of its terms, so keeping input order
+/// is what makes the weight bits a function of the input alone.
+pub(crate) fn merge_weighted(mut records: Vec<(u32, u32, f64)>) -> (Vec<(u32, u32)>, Vec<f64>) {
+    records.sort_by_key(|&(u, v, _)| (u, v));
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
+    for (u, v, w) in records {
+        match weights.last_mut() {
+            Some(sum) if edges.last() == Some(&(u, v)) => *sum += w,
+            _ => {
+                edges.push((u, v));
+                weights.push(w);
+            }
+        }
+    }
+    (edges, weights)
 }
 
 #[cfg(test)]

@@ -27,6 +27,15 @@ pub enum GraphError {
         /// Number of edges in the graph.
         num_edges: usize,
     },
+    /// An edge weight was not finite or had its sign bit set. Weights are
+    /// edge suspiciousness, which the greedy peel needs finite and
+    /// non-negative.
+    InvalidWeight {
+        /// Offending edge index.
+        edge: usize,
+        /// The rejected weight.
+        weight: f64,
+    },
     /// A text line could not be parsed as an edge or label record.
     Parse {
         /// 1-based line number.
@@ -51,6 +60,10 @@ impl fmt::Display for GraphError {
             GraphError::EdgeOutOfRange { id, num_edges } => {
                 write!(f, "edge id {id} out of range (num_edges = {num_edges})")
             }
+            GraphError::InvalidWeight { edge, weight } => write!(
+                f,
+                "edge {edge} has weight {weight}; weights must be finite and non-negative"
+            ),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }

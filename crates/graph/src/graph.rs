@@ -63,7 +63,9 @@ impl BipartiteGraph {
     /// # Errors
     ///
     /// As [`BipartiteGraph::from_edges`]; additionally requires
-    /// `weights.len() == edges.len()`.
+    /// `weights.len() == edges.len()`, and returns
+    /// [`GraphError::InvalidWeight`] for the first weight that is not
+    /// finite or has its sign bit set (`-0` included).
     pub fn from_weighted_edges(
         num_users: usize,
         num_merchants: usize,
@@ -78,6 +80,15 @@ impl BipartiteGraph {
                     weights.len(),
                     edges.len()
                 ),
+            });
+        }
+        if let Some(edge) = weights
+            .iter()
+            .position(|w| !w.is_finite() || w.is_sign_negative())
+        {
+            return Err(GraphError::InvalidWeight {
+                edge,
+                weight: weights[edge],
             });
         }
         Self::new_impl(num_users, num_merchants, edges, Some(weights))

@@ -244,6 +244,16 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_or_negative_weight_is_rejected() {
+        for (input, bad) in [(&b"0\t0\t1\n1\t0\tnan\n"[..], 1), (b"0\t0\t-1\n", 0)] {
+            match read_edge_list(input).unwrap_err() {
+                GraphError::InvalidWeight { edge, .. } => assert_eq!(edge, bad),
+                other => panic!("unexpected error: {other}"),
+            }
+        }
+    }
+
+    #[test]
     fn missing_field_is_an_error() {
         let input = b"42\n";
         assert!(matches!(

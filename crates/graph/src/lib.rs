@@ -28,8 +28,9 @@
 //!   service, which wraps it in one mutex as
 //!   [`ConcurrentTransactionInterner`] and locks it once per ingest batch.
 //! - [`loader`]: the one chunk scanner for `user,merchant[,amount]` logs
-//!   ([`loader::scan_records`]), and chunked parallel log loading on top of
-//!   it with worker-count-invariant ids and amount-summed edge weights.
+//!   ([`loader::scan_records`]), and parallel log loading on top of it:
+//!   keys interned serially in file order, as the service does, and
+//!   amount-summed edge weights, both invariant to the worker count.
 //! - [`stats`]: the dataset statistics reported in Table I of the paper.
 //!
 //! # Example
@@ -70,9 +71,7 @@ pub use error::GraphError;
 pub use graph::{BipartiteGraph, EdgeId, NeighborIter};
 pub use ids::{MerchantId, NodeRef, UserId};
 pub use kcore::{core_decomposition, CoreDecomposition};
-pub use loader::{
-    load_transactions, load_transactions_path, read_transactions_csv, LoadOptions, LoadedLog,
-};
+pub use loader::{load_transactions, load_transactions_path, LoadOptions, LoadedLog};
 pub use sampled::SampledGraph;
 pub use spec::{SampleMaps, SampleSpec, SpecKind, SpecResolver};
 pub use stats::GraphStats;

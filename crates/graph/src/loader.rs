@@ -3,39 +3,31 @@
 //! Real transaction logs are `user,merchant[,amount]` lines — the shape of
 //! SNIPPETS.md snippet 2's `build_graph_bipartite` input. This module turns
 //! such a log into an **amount-summed weighted** [`BipartiteGraph`] plus an
-//! [`ArenaTransactionInterner`], using all available cores without giving
-//! up determinism:
+//! [`ArenaTransactionInterner`], the same way for every worker count:
 //!
-//! 1. **Split** the input at line boundaries into one chunk per worker.
-//! 2. **Parse** chunks in parallel under `std::thread::scope`, each into a
-//!    *local* dictionary (an [`ArenaTransactionInterner`]) and local-id
-//!    records — no shared state, no locks. Steps 1 and 2 are
-//!    [`scan_records`], the one chunk scanner, which the service's
-//!    `text/csv` ingest route calls too.
-//! 3. **Merge** sequentially: walk each chunk's local keys in
-//!    first-appearance order, chunk 0 first, interning into the final
-//!    dictionary, then remap the records through per-chunk translation
-//!    tables.
+//! 1. **Scan** in parallel: [`scan_records`], the one chunk scanner, which
+//!    the service's `text/csv` ingest route calls too, splits the input at
+//!    line boundaries into one chunk per worker, and each worker parses
+//!    its chunk into `(user, merchant, amount)` records whose keys it has
+//!    already hashed ([`Key`]).
+//! 2. **Intern** serially: one pass over the chunks in file order interns
+//!    every record's keys, so a key's id is its rank among first
+//!    appearances in the file — the ids a serial read assigns, and the
+//!    ones the service's ingest assigns.
+//! 3. **Merge** by the one weight rule of the graph crate
+//!    (`builder::merge_weighted`, which
+//!    [`DuplicatePolicy::MergeCounting`](crate::builder::DuplicatePolicy)
+//!    uses too): a stable sort by `(user, merchant)`, then each pair's
+//!    amounts summed in file order. The `f64` weights are therefore
+//!    bit-identical for every worker count as well.
 //!
-//! The merge makes ids *bit-identical for every worker count*: within a
-//! chunk, local first-appearance order is file order, so interning chunk
-//! 0's dictionary then chunk 1's replays exactly the key-first-occurrence
-//! sequence a serial scan would see — a key first seen in chunk `c` at
-//! local position `p` is interned before any key first seen later in `c`
-//! or in any later chunk. Amounts are likewise summed in file order
-//! (records are remapped chunk by chunk, in order) so the resulting `f64`
-//! weights are bit-identical too, and edges are canonicalized by sorting
-//! on `(user, merchant)` exactly like
-//! [`DuplicatePolicy::MergeCounting`](crate::builder::DuplicatePolicy).
-//! The same invariance is checked by `loader::tests::worker_counts_are_bit_identical`
+//! The invariance is checked by `loader::tests::worker_counts_are_bit_identical`
 //! and, on generated logs through detection, by `tests/tests/bulk_ingest.rs`.
 
-use crate::arena::ArenaTransactionInterner;
-use crate::builder::{DuplicatePolicy, GraphBuilder};
+use crate::arena::{ArenaTransactionInterner, Key};
+use crate::builder::merge_weighted;
 use crate::error::GraphError;
 use crate::graph::BipartiteGraph;
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
 /// Options for [`load_transactions`].
@@ -73,26 +65,13 @@ pub struct LoadedLog {
     pub lines: usize,
 }
 
-/// One record parsed within a chunk, ids local to the chunk's dictionary.
-struct LocalRecord {
-    user: u32,
-    merchant: u32,
-    amount: f64,
-}
-
-/// Everything a parse worker produces for its chunk.
-#[derive(Default)]
-struct ParsedChunk {
-    interner: ArenaTransactionInterner,
-    records: Vec<LocalRecord>,
-}
-
 /// Parses one `user<delim>merchant[<delim>amount]` line.
 ///
 /// Returns `Ok(None)` for blank lines and `#` comments, `Ok(Some(...))`
 /// for a record (amount defaults to `1.0`), and a message for malformed
-/// input: fewer than two non-empty fields, or an unparseable amount.
-/// Fields beyond the third are ignored (real logs carry timestamps).
+/// input: fewer than two non-empty fields, or an amount that does not
+/// parse, is not finite, or is negative. Fields beyond the third are
+/// ignored (real logs carry timestamps).
 fn parse_csv_record(line: &str, delimiter: char) -> Result<Option<(&str, &str, f64)>, String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
@@ -112,6 +91,11 @@ fn parse_csv_record(line: &str, delimiter: char) -> Result<Option<(&str, &str, f
     };
     if !amount.is_finite() {
         return Err(format!("bad amount `{amount}`: not finite"));
+    }
+    // Amounts become edge suspiciousness, which the peel needs
+    // non-negative: any set sign bit is refused, `-0` included.
+    if amount.is_sign_negative() {
+        return Err(format!("bad amount `{amount}`: negative"));
     }
     Ok(Some((user, merchant, amount)))
 }
@@ -180,8 +164,8 @@ fn scan_chunk<'a, S: Default>(
 /// # Errors
 ///
 /// Returns [`GraphError::Parse`] with the 1-based global line number of
-/// the first malformed record (fewer than two non-empty fields, a bad or
-/// non-finite amount, or invalid UTF-8).
+/// the first malformed record (fewer than two non-empty fields, a bad,
+/// non-finite or negative amount, or invalid UTF-8).
 pub fn scan_records<'a, S, F>(
     data: &'a [u8],
     delimiter: char,
@@ -239,80 +223,36 @@ where
 ///
 /// # Errors
 ///
-/// As [`scan_records`], or a graph-construction error.
+/// As [`scan_records`], or [`GraphError::InvalidWeight`] when a pair's
+/// amounts sum past `f64::MAX`.
 pub fn load_transactions(data: &[u8], options: &LoadOptions) -> Result<LoadedLog, GraphError> {
-    // Each chunk interns into a *local* dictionary and keeps local-id
-    // records: no shared state, no locks.
-    let (parsed, lines) = scan_records(
+    let (chunks, lines) = scan_records(
         data,
         options.delimiter,
         options.workers,
-        |chunk: &mut ParsedChunk, user, merchant, amount| {
-            let u = chunk.interner.user(user);
-            let v = chunk.interner.merchant(merchant);
-            chunk.records.push(LocalRecord {
-                user: u.0,
-                merchant: v.0,
-                amount,
-            });
+        |chunk: &mut Vec<_>, user, merchant, amount| {
+            chunk.push((Key::new(user), Key::new(merchant), amount))
         },
     )?;
-
-    // Sequential merge: intern each chunk's dictionary in first-appearance
-    // order (chunk order = file order), building local→global remaps.
     let mut interner = ArenaTransactionInterner::new();
-    let mut user_maps: Vec<Vec<u32>> = Vec::with_capacity(parsed.len());
-    let mut merchant_maps: Vec<Vec<u32>> = Vec::with_capacity(parsed.len());
-    for chunk in &parsed {
-        let user_map: Vec<u32> =
-            chunk.interner.users().keys().map(|k| interner.user(k).0).collect();
-        let merchant_map: Vec<u32> =
-            chunk.interner.merchants().keys().map(|k| interner.merchant(k).0).collect();
-        user_maps.push(user_map);
-        merchant_maps.push(merchant_map);
-    }
-
-    // Amount aggregation in strict file order: first-appearance edge slots,
-    // sums accumulated record by record, chunk by chunk — so the f64 sums
-    // are bit-identical no matter how the input was chunked.
-    let mut slot_of: HashMap<(u32, u32), usize> = HashMap::new();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut weights: Vec<f64> = Vec::new();
-    let mut records = 0usize;
-    for (c, chunk) in parsed.iter().enumerate() {
-        records += chunk.records.len();
-        for r in &chunk.records {
-            let pair = (user_maps[c][r.user as usize], merchant_maps[c][r.merchant as usize]);
-            match slot_of.entry(pair) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    weights[*e.get()] += r.amount;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(edges.len());
-                    edges.push(pair);
-                    weights.push(r.amount);
-                }
-            }
+    let mut records = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for chunk in chunks {
+        for (user, merchant, amount) in chunk {
+            records.push((interner.user(user).0, interner.merchant(merchant).0, amount));
         }
     }
-
-    // Canonical edge order, matching the builder's merge policies: sort by
-    // (user, merchant). Pairs are unique, so the order is total.
-    let mut order: Vec<usize> = (0..edges.len()).collect();
-    order.sort_unstable_by_key(|&i| edges[i]);
-    let edges_sorted: Vec<(u32, u32)> = order.iter().map(|&i| edges[i]).collect();
-    let weights_sorted: Vec<f64> = order.iter().map(|&i| weights[i]).collect();
-
+    let num_records = records.len();
+    let (edges, weights) = merge_weighted(records);
     let graph = BipartiteGraph::from_weighted_edges(
         interner.num_users(),
         interner.num_merchants(),
-        edges_sorted,
-        weights_sorted,
+        edges,
+        weights,
     )?;
     Ok(LoadedLog {
         graph,
         interner,
-        records,
+        records: num_records,
         lines,
     })
 }
@@ -330,57 +270,53 @@ pub fn load_transactions_path(
     load_transactions(&data, options)
 }
 
-/// Reads a delimited transaction log serially — the reference
-/// [`load_transactions`] is gated against: one `user<DELIM>merchant` record
-/// per line, `#` comments and blank lines skipped, extra fields ignored (real
-/// logs carry amounts/timestamps this reader drops). Returns the
-/// deduplicated, unweighted purchase graph and the interner for translating
-/// results back.
-///
-/// # Errors
-///
-/// Fails on I/O errors or records with fewer than two fields.
-pub fn read_transactions_csv<R: Read>(
-    r: R,
-    delimiter: char,
-) -> Result<(BipartiteGraph, ArenaTransactionInterner), GraphError> {
-    let mut r = BufReader::new(r);
-    let mut interner = ArenaTransactionInterner::new();
-    let mut builder = GraphBuilder::new();
-    // One line buffer reused across the whole file — `lines()` would
-    // allocate a fresh String per record.
-    let mut buf = String::new();
-    let mut lineno = 0usize;
-    loop {
-        buf.clear();
-        if r.read_line(&mut buf)? == 0 {
-            break;
-        }
-        lineno += 1;
-        let line = buf.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split(delimiter);
-        let user = fields.next().map(str::trim).filter(|s| !s.is_empty());
-        let merchant = fields.next().map(str::trim).filter(|s| !s.is_empty());
-        let (Some(user), Some(merchant)) = (user, merchant) else {
-            return Err(GraphError::Parse {
-                line: lineno,
-                message: format!("expected `user{delimiter}merchant[{delimiter}…]`"),
-            });
-        };
-        let u = interner.user(user);
-        let v = interner.merchant(merchant);
-        builder.add_edge(u, v);
-    }
-    let graph = builder.build_with(DuplicatePolicy::MergeBinary);
-    Ok((graph, interner))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{DuplicatePolicy, GraphBuilder};
+    use std::io::{BufRead, BufReader, Read};
+
+    /// Reads a delimited transaction log serially, the oracle the
+    /// loader's ids are checked against: one `user<DELIM>merchant` record
+    /// per line, `#` comments and blank lines skipped, extra fields ignored.
+    /// Returns the deduplicated, unweighted purchase graph and the interner.
+    fn read_transactions_csv<R: Read>(
+        r: R,
+        delimiter: char,
+    ) -> Result<(BipartiteGraph, ArenaTransactionInterner), GraphError> {
+        let mut r = BufReader::new(r);
+        let mut interner = ArenaTransactionInterner::new();
+        let mut builder = GraphBuilder::new();
+        // One line buffer reused across the whole file — `lines()` would
+        // allocate a fresh String per record.
+        let mut buf = String::new();
+        let mut lineno = 0usize;
+        loop {
+            buf.clear();
+            if r.read_line(&mut buf)? == 0 {
+                break;
+            }
+            lineno += 1;
+            let line = buf.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let mut fields = line.split(delimiter);
+            let user = fields.next().map(str::trim).filter(|s| !s.is_empty());
+            let merchant = fields.next().map(str::trim).filter(|s| !s.is_empty());
+            let (Some(user), Some(merchant)) = (user, merchant) else {
+                return Err(GraphError::Parse {
+                    line: lineno,
+                    message: format!("expected `user{delimiter}merchant[{delimiter}…]`"),
+                });
+            };
+            let u = interner.user(user);
+            let v = interner.merchant(merchant);
+            builder.add_edge(u, v);
+        }
+        let graph = builder.build_with(DuplicatePolicy::MergeBinary);
+        Ok((graph, interner))
+    }
 
     fn load(data: &str, workers: usize) -> LoadedLog {
         load_transactions(
@@ -417,6 +353,32 @@ mod tests {
         let loaded = load(log, 1);
         assert_eq!(loaded.graph.num_edges(), 1);
         assert_eq!(loaded.graph.edge_weight(0), 3.0);
+
+        // A pair's amounts fold in file order from its first one, across
+        // chunk boundaries: at 1e16 the f64 spacing is 2, so 1e16 absorbs
+        // each later 1, while 1 + 1 = 2 survives a later 1e16. Sixteen
+        // pairs of each kind make a reordering sort all but sure to show.
+        let mut log = String::new();
+        for (a, b) in [("1e16", "1"), ("1", "1"), ("1", "1e16")] {
+            for j in 0..16 {
+                log.push_str(&format!("a{j},m,{a}\nb{j},m,{b}\n"));
+            }
+            for i in 0..40 {
+                log.push_str(&format!("f{i},g{},1\n", i % 7));
+            }
+        }
+        for workers in 1..=4 {
+            let loaded = load(&log, workers);
+            let m = loaded.interner.find_merchant("m").unwrap();
+            assert_eq!(loaded.graph.merchant_degree(m), 32);
+            for (_, u, v, w) in loaded.graph.edges().filter(|&(_, _, v, _)| v == m) {
+                let want = match &loaded.interner.user_key(u)[..1] {
+                    "a" => 1e16,
+                    _ => 1e16 + 2.0,
+                };
+                assert_eq!(w.to_bits(), f64::to_bits(want), "{u:?} {v:?} workers={workers}");
+            }
+        }
     }
 
     #[test]
@@ -450,14 +412,18 @@ mod tests {
 
     #[test]
     fn bad_amount_is_a_typed_error() {
-        let log = "a,m,12.5\nb,m,not-a-number\n";
-        let err = load_transactions(log.as_bytes(), &LoadOptions::default()).unwrap_err();
-        match err {
-            GraphError::Parse { line, message } => {
-                assert_eq!(line, 2);
-                assert!(message.contains("bad amount"), "{message}");
+        // A refund line is refused too: amounts become edge weights,
+        // which must be non-negative, and `-0` has its sign bit set.
+        for amount in ["not-a-number", "-50.0", "-0"] {
+            let log = format!("a,m,12.5\nb,m,{amount}\n");
+            let err = load_transactions(log.as_bytes(), &LoadOptions::default()).unwrap_err();
+            match err {
+                GraphError::Parse { line, message } => {
+                    assert_eq!(line, 2, "{amount}");
+                    assert!(message.contains("bad amount"), "{message}");
+                }
+                other => panic!("unexpected: {other}"),
             }
-            other => panic!("unexpected: {other}"),
         }
     }
 
@@ -465,6 +431,13 @@ mod tests {
     fn non_finite_amount_rejected() {
         let err = load_transactions(b"a,m,inf\n", &LoadOptions::default()).unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }));
+        // Finite amounts whose sum overflows are refused by the graph.
+        let err =
+            load_transactions(b"a,m,1e308\na,m,1e308\n", &LoadOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, GraphError::InvalidWeight { edge: 0, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -309,10 +309,10 @@ impl Api {
     ///   `user,merchant[,amount]` record per line (`#` comments and blank
     ///   lines skipped). Lines are *validated* in parallel chunks
     ///   (`ApiConfig::ingest_workers`) but interned in file order, so ids
-    ///   are identical for every worker count. Amounts are validated but
-    ///   the monitoring pipeline deduplicates edges binarily — for
-    ///   amount-summed weighted detection, use the `ensemfdet ingest`
-    ///   CLI's direct-detect path.
+    ///   are identical for every worker count. Amounts are validated
+    ///   (finite and non-negative) but the monitoring pipeline
+    ///   deduplicates edges binarily — for amount-summed weighted
+    ///   detection, use the `ensemfdet ingest` CLI's direct-detect path.
     /// * anything else (including no `Content-Type` header) — the
     ///   original `{"records": [[user, merchant], …]}` JSON-array shape.
     ///
@@ -881,8 +881,8 @@ fn invalid_line(n: usize, message: &str) -> Response {
 /// and hashes every key there, so the caller's serial interning section
 /// only probes and inserts. The returned pairs are in exact file order,
 /// so that interning assigns the same ids for every worker count.
-/// Amounts are validated but discarded: the monitoring pipeline
-/// deduplicates edges binarily.
+/// Amounts are validated (finite and non-negative) but discarded: the
+/// monitoring pipeline deduplicates edges binarily.
 ///
 /// A bad line fails the whole batch with `400 invalid_record` carrying
 /// the 1-based `"line"` number in the error object — the same contract
@@ -1467,6 +1467,11 @@ mod tests {
             resp["error"]["message"].as_str().unwrap().contains("bad amount"),
             "{resp}"
         );
+        // Negative amount (a refund): weights must be non-negative.
+        let (status, resp) = post_csv(&api, "/v1/transactions", "a,m,1.5\nb,m,-50.0\n");
+        assert_eq!(status, 400, "{resp}");
+        assert_eq!(resp["error"]["line"], 2, "{resp}");
+        assert!(resp["error"]["message"].as_str().unwrap().contains("negative"), "{resp}");
         // All-or-nothing: nothing was ingested.
         let (_, health) = get(&api, "/v1/health");
         assert_eq!(health["transactions"], 0);
