@@ -132,7 +132,7 @@ pub fn run(args: &Args) -> Result<String, String> {
             out.reuse.samples_repeeled,
             out.flagged.len(),
             out.new_alerts.len(),
-            out.elapsed.as_secs_f64() * 1e3,
+            out.ensemble.elapsed.as_secs_f64() * 1e3,
         ));
         last_flagged = out.flagged.iter().map(|u| u.0).collect();
         last_hybrid = out.scoring.as_ref().map(|s| s.hybrid_flagged.len());

@@ -955,7 +955,6 @@ fn extract_block(view: &CsrView, nodes: &NodeScratch, best_phi: f64, best_step: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fdet::fdet_with_engine;
     use crate::metric::{AverageDegreeMetric, LogWeightedMetric, MetricKind};
     use crate::peel::peel_densest_full;
     use ensemfdet_graph::GraphBuilder;
@@ -1049,8 +1048,9 @@ mod tests {
         assert_eq!(Engine::default(), Engine::Bucket);
         let g = planted_graph();
         let truncation = Truncation::KeepAll { k_max: 10 };
-        let naive = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Naive);
-        let got = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Bucket);
+        let run = |e| FdetEngine::new().run(&g, &MetricKind::default(), truncation, e);
+        let naive = run(Engine::Naive);
+        let got = run(Engine::Bucket);
         assert_eq!(naive.blocks, got.blocks);
         assert_eq!(naive.scores, got.scores);
         assert_eq!(naive.k_hat, got.k_hat);

@@ -9,14 +9,23 @@
 //! the list is dry. Per-sample seeds are derived deterministically from
 //! the master seed and results are gathered by sample index, so the
 //! outcome is identical regardless of worker count or scheduling.
+//!
+//! Full and incremental scans share that one loop, `EnsemFdet::pass`:
+//! given a delta and the previous scan's per-sample contributions, it
+//! replays each sample the delta provably left clean instead of running
+//! it (see [`crate::incremental`]), and aggregation tallies replayed and
+//! fresh contributions alike. [`EnsemFdet::detect`] is the pass with
+//! nothing to replay.
 
 use crate::aggregate::VoteTally;
 use crate::engine::{Engine, FdetEngine};
 use crate::evidence::EvidenceTally;
-use crate::fdet::Truncation;
-use crate::incremental::{ReuseStats, SampleContribution, ScanCache};
+use crate::fdet::{FdetResult, Truncation};
+use crate::incremental::{SampleContribution, ScanCache};
 use crate::metric::MetricKind;
-use ensemfdet_graph::{BipartiteGraph, GraphDelta, SampleMaps, SampleSpec, SampledGraph};
+use ensemfdet_graph::{
+    BipartiteGraph, GraphDelta, MerchantId, SampleMaps, SampleSpec, SampledGraph, UserId,
+};
 use ensemfdet_sampling::{seed, spec_unaffected, Sampler, SamplerScratch, SamplingMethod};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -127,7 +136,7 @@ impl Default for EnsemFdetConfig {
 }
 
 /// Per-sample diagnostics.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SampleSummary {
     /// Index of the sample (0-based).
     pub index: usize,
@@ -376,111 +385,71 @@ impl EnsemFdet {
     /// naive engine, which peels a real `BipartiteGraph` by definition);
     /// both produce bit-identical votes, evidence, and scores.
     pub fn detect(&self, g: &BipartiteGraph) -> EnsembleOutcome {
-        self.detect_with_cache(g, 0).0
+        self.pass(g, None).0
     }
 
-    /// [`detect`](Self::detect), additionally handing back the per-sample
-    /// contributions as a [`ScanCache`] keyed to `epoch`, so a later
-    /// [`detect_incremental`](Self::detect_incremental) against the
-    /// snapshot published at `epoch` can replay the clean samples.
-    pub fn detect_with_cache(&self, g: &BipartiteGraph, epoch: u64) -> (EnsembleOutcome, ScanCache) {
-        let start = Instant::now();
-        let cfg = &self.config;
-        let method: SamplingMethod = cfg.method.into();
-
-        let (entries, worker_times): (Vec<Arc<SampleContribution>>, Vec<Duration>) = drain_pool(
-            cfg.num_samples,
-            effective_workers(self.workers),
-            |i| Arc::new(self.run_sample(g, method, i)),
-        );
-
-        let outcome = self.aggregate(g, &entries, None, start, worker_times);
-        let cache = ScanCache {
-            base_epoch: epoch,
-            base_dims: (g.num_users(), g.num_merchants(), g.num_edges()),
-            config: self.config,
-            entries,
-        };
-        (outcome, cache)
-    }
-
-    /// Incremental Algorithm 2: re-peel only the samples `delta` dirtied,
-    /// replay the rest from `cache`.
+    /// One ensemble pass over `g`, the one sample loop behind both full
+    /// and incremental scans.
     ///
-    /// For every sample index the draw is repeated (an O(selection) Floyd
-    /// fill — the draw is a pure function of `(population, ratio, seed)`,
-    /// so with populations unchanged it *is* the cached draw) and checked
-    /// against the delta with [`spec_unaffected`]. Clean samples replay
-    /// their cached parent-space contribution; dirty ones run the full
-    /// sample → peel path. Aggregation always re-tallies every
-    /// contribution in index order into fresh dimension-sized tallies, so
-    /// the outcome is bit-identical to [`detect`](Self::detect) on the
-    /// same `(graph, config)` — only wall-clock differs.
+    /// With `reuse = Some((delta, cache))`, each sample index first redraws
+    /// its spec (an O(selection) Floyd fill — the draw is a pure function
+    /// of `(population, ratio, seed)`, so with populations unchanged it
+    /// *is* the cached draw) and checks it against `delta` with
+    /// [`spec_unaffected`]. A clean sample replays its cached parent-space
+    /// contribution; every other sample runs the sample → peel path.
+    /// Aggregation re-tallies every contribution in index order into fresh
+    /// dimension-sized tallies, so the outcome is bit-identical to
+    /// [`detect`](Self::detect) on the same `(graph, config)` — only
+    /// wall-clock differs.
     ///
-    /// Returns the outcome, the reuse accounting, and the refreshed cache
-    /// for the *next* epoch. [`StageTimings`] and the outcome's `elapsed`
-    /// measure this pass's actual work; a replayed
-    /// [`SampleSummary`]'s own timing fields still describe the run that
-    /// produced it.
+    /// Returns the outcome, the per-sample contributions (the next
+    /// epoch's cache entries) and how many samples ran rather than
+    /// replayed. [`StageTimings`] and the outcome's `elapsed` measure this
+    /// pass's actual work; a replayed [`SampleSummary`]'s own timing
+    /// fields still describe the run that produced it.
     ///
     /// # Panics
     ///
     /// Panics if `cache` was recorded under a different configuration or
-    /// sample count — callers gate on [`ScanCache::config`] first (see
-    /// [`ScanRunner::run_incremental`]).
+    /// sample count — [`ScanRunner`] gates on [`ScanCache::config`] first.
     ///
-    /// [`ScanRunner::run_incremental`]: crate::pipeline::ScanRunner::run_incremental
-    pub fn detect_incremental(
+    /// [`ScanRunner`]: crate::pipeline::ScanRunner
+    pub(crate) fn pass(
         &self,
         g: &BipartiteGraph,
-        delta: &GraphDelta,
-        cache: &ScanCache,
-    ) -> (EnsembleOutcome, ReuseStats, ScanCache) {
-        assert_eq!(
-            cache.config, self.config,
-            "scan cache recorded under a different config"
-        );
-        assert_eq!(cache.entries.len(), self.config.num_samples);
+        reuse: Option<(&GraphDelta, &ScanCache)>,
+    ) -> (EnsembleOutcome, Vec<Arc<SampleContribution>>, usize) {
+        if let Some((_, cache)) = reuse {
+            assert_eq!(
+                cache.config, self.config,
+                "scan cache recorded under a different config"
+            );
+            assert_eq!(cache.entries.len(), self.config.num_samples);
+        }
         let start = Instant::now();
         let cfg = &self.config;
         let method: SamplingMethod = cfg.method.into();
 
         let (per_sample, worker_times): (Vec<(Arc<SampleContribution>, bool)>, Vec<Duration>) =
             drain_pool(cfg.num_samples, effective_workers(self.workers), |i| {
-                let clean = SAMPLE_SCRATCH.with(|cell| {
-                    let (scratch, spec, _maps) = &mut *cell.borrow_mut();
-                    let sample_seed = seed::derive(cfg.seed, i as u64);
-                    method.sample_spec(g, cfg.sample_ratio, sample_seed, scratch, spec);
-                    spec_unaffected(spec, delta)
+                let cached = reuse.filter(|(delta, _)| {
+                    SAMPLE_SCRATCH.with(|cell| {
+                        let (scratch, spec, _maps) = &mut *cell.borrow_mut();
+                        let sample_seed = seed::derive(cfg.seed, i as u64);
+                        method.sample_spec(g, cfg.sample_ratio, sample_seed, scratch, spec);
+                        spec_unaffected(spec, delta)
+                    })
                 });
-                if clean {
-                    (Arc::clone(&cache.entries[i]), true)
-                } else {
-                    (Arc::new(self.run_sample(g, method, i)), false)
+                match cached {
+                    Some((_, cache)) => (Arc::clone(&cache.entries[i]), false),
+                    None => (Arc::new(self.run_sample(g, method, i)), true),
                 }
             });
 
-        let reused = per_sample.iter().filter(|(_, r)| *r).count();
-        let fresh: Vec<bool> = per_sample.iter().map(|(_, r)| !*r).collect();
-        let entries: Vec<Arc<SampleContribution>> =
-            per_sample.into_iter().map(|(c, _)| c).collect();
-
-        let outcome = self.aggregate(g, &entries, Some(&fresh), start, worker_times);
-        let stats = ReuseStats {
-            incremental: true,
-            fallback: None,
-            samples_reused: reused,
-            samples_repeeled: cfg.num_samples - reused,
-            delta_touched_nodes: delta.touched_nodes(),
-            delta_touched_fraction: delta.touched_fraction(),
-        };
-        let next = ScanCache {
-            base_epoch: delta.to_epoch,
-            base_dims: (g.num_users(), g.num_merchants(), g.num_edges()),
-            config: self.config,
-            entries,
-        };
-        (outcome, stats, next)
+        let (entries, fresh): (Vec<_>, Vec<bool>) = per_sample.into_iter().unzip();
+        let outcome = self.aggregate(g, &entries, &fresh, start, worker_times);
+        let ran = fresh.iter().filter(|&&f| f).count();
+        (outcome, entries, ran)
     }
 
     /// One sampled run by the configured path (see
@@ -512,15 +481,15 @@ impl EnsemFdet {
     /// node-disjoint), so full and incremental scans — which differ only
     /// in *where* a contribution came from — aggregate bit-identically.
     ///
-    /// `fresh`: which samples were actually computed this pass (`None` =
-    /// all of them); stage timings sum over those only. `worker_times` is
-    /// the pool's per-worker busy time, passed straight through to the
+    /// `fresh[i]` says whether sample `i` ran in this pass rather than
+    /// replayed; stage timings sum over those only. `worker_times` is the
+    /// pool's per-worker busy time, passed straight through to the
     /// outcome.
     fn aggregate(
         &self,
         g: &BipartiteGraph,
         entries: &[Arc<SampleContribution>],
-        fresh: Option<&[bool]>,
+        fresh: &[bool],
         start: Instant,
         worker_times: Vec<Duration>,
     ) -> EnsembleOutcome {
@@ -528,30 +497,20 @@ impl EnsemFdet {
         let mut votes = VoteTally::new(g.num_users(), g.num_merchants());
         let mut evidence = EvidenceTally::new(g.num_users(), g.num_merchants());
         let mut samples = Vec::with_capacity(entries.len());
-        for c in entries {
+        let mut stages = StageTimings::default();
+        for (c, &ran) in entries.iter().zip(fresh) {
             votes.add_sample(c.users.iter().copied(), c.merchants.iter().copied());
             evidence.add_sample(
                 c.user_evidence.iter().copied(),
                 c.merchant_evidence.iter().copied(),
             );
+            if ran {
+                stages.sampling += c.summary.sampling_elapsed;
+                stages.detection += c.summary.detect_elapsed;
+            }
             samples.push(c.summary.clone());
         }
-        let computed = |i: usize| fresh.is_none_or(|f| f[i]);
-        let stages = StageTimings {
-            sampling: samples
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| computed(*i))
-                .map(|(_, s)| s.sampling_elapsed)
-                .sum(),
-            detection: samples
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| computed(*i))
-                .map(|(_, s)| s.detect_elapsed)
-                .sum(),
-            aggregation: t_agg.elapsed(),
-        };
+        stages.aggregation = t_agg.elapsed();
 
         EnsembleOutcome {
             votes,
@@ -582,62 +541,21 @@ impl EnsemFdet {
         // peel scratch across every sample this thread processes.
         let result = FdetEngine::run_cached(&sampled.graph, &cfg.metric, cfg.truncation, cfg.engine);
         let detect_elapsed = t1.elapsed();
-
-        let users: Vec<_> = result
-            .detected_users()
-            .into_iter()
-            .map(|lu| sampled.parent_user(lu))
-            .collect();
-        let merchants: Vec<_> = result
-            .detected_merchants()
-            .into_iter()
-            .map(|lv| sampled.parent_merchant(lv))
-            .collect();
-
-        let summary = SampleSummary {
-            index: i,
-            sample_nodes: sampled.graph.num_nodes(),
-            sample_edges: sampled.graph.num_edges(),
-            blocks_peeled: result.blocks.len(),
-            k_hat: result.k_hat,
-            scores: result.scores.clone(),
-            detected_users: users.len(),
-            detected_merchants: merchants.len(),
-            elapsed: t0.elapsed(),
-            sampling_elapsed,
-            detect_elapsed,
-            sample_bytes: materialized_bytes(g, &sampled),
-        };
-
-        // Evidence: each detected node carries its block's score.
-        // FDET blocks are node-disjoint, so a node appears at most
-        // once per sample.
-        let sampled_ref = &sampled;
-        let user_evidence: Vec<_> = result
-            .detected_blocks()
-            .iter()
-            .flat_map(|b| {
-                b.users
-                    .iter()
-                    .map(move |&lu| (sampled_ref.parent_user(lu), b.score))
-            })
-            .collect();
-        let merchant_evidence: Vec<_> = result
-            .detected_blocks()
-            .iter()
-            .flat_map(|b| {
-                b.merchants
-                    .iter()
-                    .map(move |&lv| (sampled_ref.parent_merchant(lv), b.score))
-            })
-            .collect();
-        SampleContribution {
-            users,
-            merchants,
-            user_evidence,
-            merchant_evidence,
-            summary,
-        }
+        contribution(
+            &result,
+            &sampled.orig_users,
+            &sampled.orig_merchants,
+            t0,
+            SampleSummary {
+                index: i,
+                sample_nodes: sampled.graph.num_nodes(),
+                sample_edges: sampled.graph.num_edges(),
+                sampling_elapsed,
+                detect_elapsed,
+                sample_bytes: materialized_bytes(g, &sampled),
+                ..Default::default()
+            },
+        )
     }
 
     /// One sampled run on the mask path: draw a spec into per-thread
@@ -661,57 +579,74 @@ impl EnsemFdet {
             let (result, sample_edges) =
                 FdetEngine::run_spec_cached(g, spec, &cfg.metric, cfg.truncation, cfg.engine, maps);
             let detect_elapsed = t1.elapsed();
-
-            let maps = &*maps;
-            let users: Vec<_> = result
-                .detected_users()
-                .into_iter()
-                .map(|lu| maps.parent_user(lu))
-                .collect();
-            let merchants: Vec<_> = result
-                .detected_merchants()
-                .into_iter()
-                .map(|lv| maps.parent_merchant(lv))
-                .collect();
-
-            let summary = SampleSummary {
-                index: i,
-                sample_nodes: maps.num_users() + maps.num_merchants(),
-                sample_edges,
-                blocks_peeled: result.blocks.len(),
-                k_hat: result.k_hat,
-                scores: result.scores.clone(),
-                detected_users: users.len(),
-                detected_merchants: merchants.len(),
-                elapsed: t0.elapsed(),
-                sampling_elapsed,
-                detect_elapsed,
-                sample_bytes: spec.selection_bytes(),
-            };
-            let user_evidence: Vec<_> = result
-                .detected_blocks()
-                .iter()
-                .flat_map(|b| {
-                    b.users.iter().map(move |&lu| (maps.parent_user(lu), b.score))
-                })
-                .collect();
-            let merchant_evidence: Vec<_> = result
-                .detected_blocks()
-                .iter()
-                .flat_map(|b| {
-                    b.merchants
-                        .iter()
-                        .map(move |&lv| (maps.parent_merchant(lv), b.score))
-                })
-                .collect();
-            SampleContribution {
-                users,
-                merchants,
-                user_evidence,
-                merchant_evidence,
-                summary,
-            }
+            contribution(
+                &result,
+                &maps.orig_users,
+                &maps.orig_merchants,
+                t0,
+                SampleSummary {
+                    index: i,
+                    sample_nodes: maps.num_users() + maps.num_merchants(),
+                    sample_edges,
+                    sampling_elapsed,
+                    detect_elapsed,
+                    sample_bytes: spec.selection_bytes(),
+                    ..Default::default()
+                },
+            )
         })
+    }
+}
+
+/// Maps one sample's FDET result into parent id space through its
+/// local→parent id maps (`orig_users[local] = parent user`): the detected
+/// nodes for the vote tally, the `(node, block score)` pairs for the
+/// evidence tally, and the result half of `summary`. Both sample paths
+/// end here, so they differ only in how they draw and peel.
+///
+/// `summary` carries the path's own fields (index, sizes, stage times);
+/// its `elapsed` is measured from `started` once the votes are mapped.
+fn contribution(
+    result: &FdetResult,
+    orig_users: &[u32],
+    orig_merchants: &[u32],
+    started: Instant,
+    summary: SampleSummary,
+) -> SampleContribution {
+    let user = |lu: UserId| UserId(orig_users[lu.index()]);
+    let merchant = |lv: MerchantId| MerchantId(orig_merchants[lv.index()]);
+    let users: Vec<_> = result.detected_users().into_iter().map(user).collect();
+    let merchants: Vec<_> = result
+        .detected_merchants()
+        .into_iter()
+        .map(merchant)
+        .collect();
+    let summary = SampleSummary {
+        blocks_peeled: result.blocks.len(),
+        k_hat: result.k_hat,
+        scores: result.scores.clone(),
+        detected_users: users.len(),
+        detected_merchants: merchants.len(),
+        elapsed: started.elapsed(),
+        ..summary
+    };
+    // Evidence: each detected node carries its block's score. FDET blocks
+    // are node-disjoint, so a node appears at most once per sample.
+    let blocks = result.detected_blocks();
+    let user_evidence = blocks
+        .iter()
+        .flat_map(|b| b.users.iter().map(move |&lu| (user(lu), b.score)))
+        .collect();
+    let merchant_evidence = blocks
+        .iter()
+        .flat_map(|b| b.merchants.iter().map(move |&lv| (merchant(lv), b.score)))
+        .collect();
+    SampleContribution {
+        users,
+        merchants,
+        user_evidence,
+        merchant_evidence,
+        summary,
     }
 }
 
@@ -733,6 +668,19 @@ mod tests {
             b.add_edge(UserId(u), MerchantId(nv_fraud + (u * 7) % 23));
         }
         b.build()
+    }
+
+    /// A full pass, with its contributions kept as the cache a scan
+    /// runner would hold for the snapshot published at `epoch`.
+    fn primed(det: &EnsemFdet, g: &BipartiteGraph, epoch: u64) -> (EnsembleOutcome, ScanCache) {
+        let (outcome, entries, _) = det.pass(g, None);
+        let cache = ScanCache {
+            base_epoch: epoch,
+            base_dims: (g.num_users(), g.num_merchants(), g.num_edges()),
+            config: *det.config(),
+            entries,
+        };
+        (outcome, cache)
     }
 
     fn quick_config(n: usize, s: f64) -> EnsemFdetConfig {
@@ -913,18 +861,16 @@ mod tests {
     fn incremental_reuses_everything_across_unchanged_delta() {
         let g = planted(10, 4, 80);
         let det = EnsemFdet::new(quick_config(8, 0.4));
-        let (full, cache) = det.detect_with_cache(&g, 1);
+        let (full, cache) = primed(&det, &g, 1);
         let delta = ensemfdet_graph::GraphDelta::unchanged(
             1,
             2,
             (g.num_users(), g.num_merchants(), g.num_edges()),
         );
-        let (inc, stats, next) = det.detect_incremental(&g, &delta, &cache);
-        assert_eq!(stats.samples_reused, 8);
-        assert_eq!(stats.samples_repeeled, 0);
+        let (inc, _, repeeled) = det.pass(&g, Some((&delta, &cache)));
+        assert_eq!(repeeled, 0);
         assert_eq!(inc.votes, full.votes);
         assert_eq!(inc.evidence.user_evidence, full.evidence.user_evidence);
-        assert_eq!(next.base_epoch, 2);
     }
 
     /// A real delta (new edges on a few existing nodes) re-peels only the
@@ -958,13 +904,13 @@ mod tests {
         let mut cfg = quick_config(12, 0.4);
         cfg.method = SamplingMethodConfig::OneSideUser;
         let det = EnsemFdet::new(cfg);
-        let (_, cache) = det.detect_with_cache(&g1, 1);
-        let (inc, stats, _) = det.detect_incremental(&g2, &delta, &cache);
+        let (_, cache) = primed(&det, &g1, 1);
+        let (inc, entries, repeeled) = det.pass(&g2, Some((&delta, &cache)));
         let full = det.detect(&g2);
 
-        assert_eq!(stats.samples_reused + stats.samples_repeeled, 12);
-        assert!(stats.samples_reused > 0, "no sample avoided 2 of 90 users");
-        assert!(stats.samples_repeeled > 0, "some sample must see the delta");
+        assert_eq!(entries.len(), 12);
+        assert!(repeeled < 12, "no sample avoided 2 of 90 users");
+        assert!(repeeled > 0, "some sample must see the delta");
         assert_eq!(inc.votes, full.votes);
         assert_eq!(inc.evidence.user_evidence, full.evidence.user_evidence);
         assert_eq!(inc.evidence.merchant_evidence, full.evidence.merchant_evidence);
@@ -979,7 +925,7 @@ mod tests {
     fn incremental_rejects_mismatched_cache() {
         let g = planted(8, 3, 40);
         let det = EnsemFdet::new(quick_config(4, 0.5));
-        let (_, cache) = det.detect_with_cache(&g, 1);
+        let (_, cache) = primed(&det, &g, 1);
         let mut other = quick_config(4, 0.5);
         other.seed = 999;
         let delta = ensemfdet_graph::GraphDelta::unchanged(
@@ -987,7 +933,7 @@ mod tests {
             2,
             (g.num_users(), g.num_merchants(), g.num_edges()),
         );
-        EnsemFdet::new(other).detect_incremental(&g, &delta, &cache);
+        EnsemFdet::new(other).pass(&g, Some((&delta, &cache)));
     }
 
     /// The worker pool is a throughput knob only: workers=1 (inline, no
@@ -1038,11 +984,11 @@ mod tests {
         );
         let det1 = EnsemFdet::with_workers(cfg, 1);
         let det4 = EnsemFdet::with_workers(cfg, 4);
-        let (_, cache1) = det1.detect_with_cache(&g, 1);
-        let (_, cache4) = det4.detect_with_cache(&g, 1);
-        let (inc1, s1, _) = det1.detect_incremental(&g, &delta, &cache1);
-        let (inc4, s4, _) = det4.detect_incremental(&g, &delta, &cache4);
-        assert_eq!(s1.samples_reused, s4.samples_reused);
+        let (_, cache1) = primed(&det1, &g, 1);
+        let (_, cache4) = primed(&det4, &g, 1);
+        let (inc1, _, ran1) = det1.pass(&g, Some((&delta, &cache1)));
+        let (inc4, _, ran4) = det4.pass(&g, Some((&delta, &cache4)));
+        assert_eq!(ran1, ran4);
         assert_eq!(inc1.votes, inc4.votes);
         assert_eq!(inc1.evidence.user_evidence, inc4.evidence.user_evidence);
     }

@@ -9,7 +9,7 @@
 //!
 //! Two bit-identical peeling engines back the loop (see [`crate::engine`]):
 //! the O(E) bucket-queue peel over CSR snapshots (default) and the naive
-//! reference path; [`fdet_with_engine`] selects one explicitly. The same
+//! reference path; [`FdetEngine::run`] selects one explicitly. The same
 //! loop runs iterated Fraudar, which retires only each block's internal
 //! edges ([`FdetEngine::run_edge_disjoint`]).
 
@@ -129,23 +129,7 @@ impl FdetResult {
 /// assert!(result.blocks[0].score > result.blocks[1].score);
 /// ```
 pub fn fdet(g: &BipartiteGraph, metric: &dyn DensityMetric, truncation: Truncation) -> FdetResult {
-    fdet_with_engine(g, metric, truncation, Engine::default())
-}
-
-/// Runs FDET with an explicit peeling [`Engine`] — `Engine::Bucket` (the
-/// [`fdet`] default) or the `Engine::Naive` reference path. Both produce
-/// bit-identical results (see [`crate::engine`] for the contract).
-///
-/// Callers running FDET many times (ensembles, sweeps) should hold a
-/// [`FdetEngine`] instead and call [`FdetEngine::run`], which reuses the
-/// CSR view and peel scratch across runs.
-pub fn fdet_with_engine(
-    g: &BipartiteGraph,
-    metric: &dyn DensityMetric,
-    truncation: Truncation,
-    engine: Engine,
-) -> FdetResult {
-    FdetEngine::run_cached(g, metric, truncation, engine)
+    FdetEngine::run_cached(g, metric, truncation, Engine::Bucket)
 }
 
 /// The FDET iteration loop every engine shares: `peel_next(first)` peels

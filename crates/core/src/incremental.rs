@@ -6,16 +6,23 @@
 //! cached draw identical across a [`GraphDelta`](ensemfdet_graph::GraphDelta)
 //! ([`ensemfdet_sampling::spec_unaffected`]), and a sample whose draw and
 //! subgraph are both unchanged peels to the exact same blocks, scores,
-//! and votes. So an incremental scan stores each sample's *parent-space
+//! and votes. So a scan runner keeps each sample's *parent-space
 //! contribution* — everything the aggregation stage consumes — and at the
-//! next epoch re-peels only the samples the delta dirtied, replaying the
-//! rest from the cache. The result is bit-identical to a from-scratch
-//! scan of the same `(epoch, seed)` (gated by
+//! next epoch the ensemble's one sample loop replays the samples the delta
+//! left clean and re-peels the rest. The result is bit-identical to a
+//! from-scratch scan of the same `(epoch, seed)` (gated by
 //! `tests/tests/incremental_scan.rs`); only wall-clock changes.
+//!
+//! The cache itself is crate-private: [`ScanRunner`] builds it and hands
+//! it back to the next pass. What callers see is the [`ReuseStats`] on
+//! every [`ScanOutcome`] and the [`IncrementalPolicy`] they pass in.
 //!
 //! Reuse is *conservative*: every fallback in [`FallbackReason`] degrades
 //! to a correct full scan that also re-primes the cache. There is no path
 //! that serves stale detection results.
+//!
+//! [`ScanRunner`]: crate::pipeline::ScanRunner
+//! [`ScanOutcome`]: crate::pipeline::ScanOutcome
 
 use crate::ensemble::{EnsemFdetConfig, SampleSummary};
 use ensemfdet_graph::{GraphDims, MerchantId, UserId};
@@ -31,20 +38,20 @@ use std::sync::Arc;
 /// recorded at epoch *e* replays unchanged into the dimension-sized
 /// tallies of any later epoch.
 #[derive(Clone, Debug)]
-pub struct SampleContribution {
+pub(crate) struct SampleContribution {
     /// Users this sample detected (parent ids, one vote each).
-    pub users: Vec<UserId>,
+    pub(crate) users: Vec<UserId>,
     /// Merchants this sample detected (parent ids, one vote each).
-    pub merchants: Vec<MerchantId>,
+    pub(crate) merchants: Vec<MerchantId>,
     /// `(user, block score)` evidence pairs. FDET blocks are
     /// node-disjoint, so each node appears at most once per sample.
-    pub user_evidence: Vec<(UserId, f64)>,
+    pub(crate) user_evidence: Vec<(UserId, f64)>,
     /// `(merchant, block score)` evidence pairs.
-    pub merchant_evidence: Vec<(MerchantId, f64)>,
+    pub(crate) merchant_evidence: Vec<(MerchantId, f64)>,
     /// Per-sample diagnostics. For a replayed contribution the timing
     /// fields still describe the run that *produced* it — the incremental
     /// pass's own cost shows up in the outcome-level timings instead.
-    pub summary: SampleSummary,
+    pub(crate) summary: SampleSummary,
 }
 
 /// The per-sample cache one scan leaves behind for the next.
@@ -56,17 +63,17 @@ pub struct SampleContribution {
 ///
 /// [`ScanRunner::run_incremental`]: crate::pipeline::ScanRunner::run_incremental
 #[derive(Clone, Debug)]
-pub struct ScanCache {
+pub(crate) struct ScanCache {
     /// Epoch of the snapshot these contributions were computed against.
-    pub base_epoch: u64,
+    pub(crate) base_epoch: u64,
     /// Dimensions of that snapshot's graph.
-    pub base_dims: GraphDims,
+    pub(crate) base_dims: GraphDims,
     /// The exact detector configuration that produced the entries. Any
     /// difference — seed, ratio, method, engine, anything — invalidates
     /// the cache wholesale ([`FallbackReason::ConfigChanged`]).
-    pub config: EnsemFdetConfig,
+    pub(crate) config: EnsemFdetConfig,
     /// One contribution per sample index, `config.num_samples` long.
-    pub entries: Vec<Arc<SampleContribution>>,
+    pub(crate) entries: Vec<Arc<SampleContribution>>,
 }
 
 /// Why an incremental scan degraded to a full re-peel.

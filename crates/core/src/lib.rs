@@ -80,10 +80,8 @@ pub use ensemble::{
     SamplingMethodConfig, StageTimings,
 };
 pub use evidence::EvidenceTally;
-pub use fdet::{fdet, fdet_with_engine, FdetResult, Truncation};
-pub use incremental::{
-    FallbackReason, IncrementalPolicy, ReuseStats, SampleContribution, ScanCache,
-};
+pub use fdet::{fdet, FdetResult, Truncation};
+pub use incremental::{FallbackReason, IncrementalPolicy, ReuseStats};
 pub use metric::{AverageDegreeMetric, DensityMetric, LogWeightedMetric, MetricKind};
 pub use monitor::MonitorConfig;
 pub use pipeline::{

@@ -19,11 +19,15 @@
 //!   configurable cadence. Publication is an `Arc` swap, so readers never
 //!   wait on a build in progress and a snapshot, once obtained, can be
 //!   scanned for minutes without blocking anyone.
-//! * [`ScanRunner`] — runs [`EnsemFdet::detect`] against one snapshot and
-//!   tags the outcome with that snapshot's epoch. Detection is
+//! * [`ScanRunner`] — runs one ensemble pass against one snapshot and
+//!   tags the outcome with that snapshot's epoch. A full scan
+//!   ([`run`](ScanRunner::run)) and an incremental one
+//!   ([`run_incremental`](ScanRunner::run_incremental), which replays the
+//!   samples the epoch's delta left clean from the runner's per-sample
+//!   cache) share one body and one sample loop. Detection is
 //!   deterministic in `(epoch, seed)`: the same snapshot and seed always
 //!   produce the same flagged set, regardless of what ingest is doing
-//!   concurrently.
+//!   concurrently or how much a scan replayed.
 //!
 //! A synchronous caller (the CLI's `monitor`, `examples/live_monitor.rs`)
 //! composes the three in one loop; the HTTP service composes them with a
@@ -32,7 +36,7 @@
 
 use crate::aggregate::VoteTally;
 use crate::detector::DetectContext;
-use crate::ensemble::{EnsemFdet, EnsemFdetConfig, EnsembleOutcome, StageTimings};
+use crate::ensemble::{EnsemFdet, EnsemFdetConfig, EnsembleOutcome};
 use crate::incremental::{FallbackReason, IncrementalPolicy, ReuseStats, ScanCache};
 use crate::scoring::{core_depth, spectral_scores, timed, HybridScanScores, ScoringConfig};
 use ensemfdet_graph::{
@@ -373,22 +377,12 @@ pub struct ScanOutcome {
     pub flagged: Vec<UserId>,
     /// Accounts crossing the threshold for the first time ever.
     pub new_alerts: Vec<UserId>,
-    /// The full vote tally, for custom thresholds downstream.
-    pub votes: VoteTally,
-    /// Wall-clock of the ensemble pass.
-    pub elapsed: Duration,
-    /// Per-sample wall-clock, in sample order.
-    pub sample_times: Vec<Duration>,
-    /// Per-stage split of the ensemble pass.
-    pub stages: StageTimings,
-    /// Bytes of sample state materialized across the ensemble pass
-    /// (selection vectors on the mask path, full subgraph buffers on the
-    /// materializing path).
-    pub sample_bytes: u64,
-    /// Worker threads the ensemble's sample pool ran with.
-    pub workers: usize,
-    /// Per-worker busy time, one entry per pool worker.
-    pub worker_times: Vec<Duration>,
+    /// The ensemble pass itself: the vote tally (for custom thresholds
+    /// downstream), the evidence, per-sample summaries, its wall-clock,
+    /// per-stage split and pool diagnostics. On an incremental scan the
+    /// timings measure this pass's work, and a replayed sample's summary
+    /// still carries the timings of the run that produced it.
+    pub ensemble: EnsembleOutcome,
     /// How this outcome was produced: full scan, incremental with
     /// per-sample reuse accounting, or a fallback (and why). The flagged
     /// set is identical either way — this is performance telemetry.
@@ -483,10 +477,7 @@ impl ScanRunner {
         config: &EnsemFdetConfig,
         threshold: u32,
     ) -> ScanOutcome {
-        assert!(threshold > 0, "alert threshold must be positive");
-        let outcome = EnsemFdet::with_workers(*config, self.workers).detect(&snapshot.graph);
-        let reuse = ReuseStats::full(config.num_samples);
-        self.finish(snapshot, outcome, reuse, threshold, config)
+        self.scan(snapshot, config, threshold, None)
     }
 
     /// Runs one ensemble pass over `snapshot`, reusing cached per-sample
@@ -518,57 +509,86 @@ impl ScanRunner {
         threshold: u32,
         policy: &IncrementalPolicy,
     ) -> ScanOutcome {
+        self.scan(snapshot, config, threshold, Some((store, policy)))
+    }
+
+    /// The body of [`run`](Self::run) (`incremental = None`) and
+    /// [`run_incremental`](Self::run_incremental): one
+    /// [`EnsemFdet::pass`], replaying from the cache when a usable delta
+    /// exists, then the reuse accounting, the next cache and
+    /// [`finish`](Self::finish).
+    fn scan(
+        &mut self,
+        snapshot: &Snapshot,
+        config: &EnsemFdetConfig,
+        threshold: u32,
+        incremental: Option<(&SnapshotStore, &IncrementalPolicy)>,
+    ) -> ScanOutcome {
         assert!(threshold > 0, "alert threshold must be positive");
-        let detector = EnsemFdet::with_workers(*config, self.workers);
-        let attempt: Result<GraphDelta, FallbackReason> = match &self.cache {
-            None => Err(FallbackReason::ColdCache),
-            Some(cache) if cache.config != *config => Err(FallbackReason::ConfigChanged),
-            Some(cache) => {
-                let delta = if cache.base_epoch == snapshot.epoch {
-                    // Re-scan of the very epoch the cache was built on.
-                    if cache.base_dims == snapshot.dims() {
-                        Ok(GraphDelta::unchanged(
-                            snapshot.epoch,
-                            snapshot.epoch,
-                            snapshot.dims(),
-                        ))
-                    } else {
-                        Err(FallbackReason::MissingDelta)
-                    }
-                } else {
-                    store
-                        .delta_since(cache.base_epoch, snapshot.epoch)
-                        // The cache must describe the same epoch the delta
-                        // starts from; a dims mismatch means it came from
-                        // some other store's epoch numbering.
-                        .filter(|d| d.base_dims == cache.base_dims)
-                        .ok_or(FallbackReason::MissingDelta)
-                };
-                delta.and_then(|d| {
-                    if d.touched_fraction() > policy.max_touched_fraction {
-                        Err(FallbackReason::OversizedDelta)
-                    } else {
-                        Ok(d)
-                    }
-                })
-            }
+        let attempt =
+            incremental.map(|(store, policy)| self.delta_to(snapshot, store, config, policy));
+        let delta = attempt.as_ref().and_then(|a| a.as_ref().ok());
+        let reuse = delta.zip(self.cache.as_ref());
+        let (ensemble, entries, ran) =
+            EnsemFdet::with_workers(*config, self.workers).pass(&snapshot.graph, reuse);
+        let n = config.num_samples;
+        let stats = match attempt {
+            None => ReuseStats::full(n),
+            Some(Err(reason)) => ReuseStats::fallback(n, reason),
+            Some(Ok(delta)) => ReuseStats {
+                incremental: true,
+                fallback: None,
+                samples_reused: n - ran,
+                samples_repeeled: ran,
+                delta_touched_nodes: delta.touched_nodes(),
+                delta_touched_fraction: delta.touched_fraction(),
+            },
         };
-        match attempt {
-            Ok(delta) => {
-                let cache = self.cache.as_ref().expect("checked above");
-                let (outcome, stats, next) =
-                    detector.detect_incremental(&snapshot.graph, &delta, cache);
-                self.cache = Some(next);
-                self.finish(snapshot, outcome, stats, threshold, config)
-            }
-            Err(reason) => {
-                let (outcome, cache) =
-                    detector.detect_with_cache(&snapshot.graph, snapshot.epoch);
-                self.cache = Some(cache);
-                let reuse = ReuseStats::fallback(config.num_samples, reason);
-                self.finish(snapshot, outcome, reuse, threshold, config)
-            }
+        if incremental.is_some() {
+            self.cache = Some(ScanCache {
+                base_epoch: snapshot.epoch,
+                base_dims: snapshot.dims(),
+                config: *config,
+                entries,
+            });
         }
+        self.finish(snapshot, ensemble, stats, threshold, config)
+    }
+
+    /// The delta from the cached epoch to `snapshot`'s, or why the cache
+    /// cannot be replayed against it.
+    fn delta_to(
+        &self,
+        snapshot: &Snapshot,
+        store: &SnapshotStore,
+        config: &EnsemFdetConfig,
+        policy: &IncrementalPolicy,
+    ) -> Result<GraphDelta, FallbackReason> {
+        let cache = match &self.cache {
+            None => return Err(FallbackReason::ColdCache),
+            Some(cache) if cache.config != *config => return Err(FallbackReason::ConfigChanged),
+            Some(cache) => cache,
+        };
+        let delta = if cache.base_epoch == snapshot.epoch {
+            // Re-scan of the very epoch the cache was built on.
+            if cache.base_dims == snapshot.dims() {
+                GraphDelta::unchanged(snapshot.epoch, snapshot.epoch, snapshot.dims())
+            } else {
+                return Err(FallbackReason::MissingDelta);
+            }
+        } else {
+            store
+                .delta_since(cache.base_epoch, snapshot.epoch)
+                // The cache must describe the same epoch the delta starts
+                // from; a dims mismatch means it came from some other
+                // store's epoch numbering.
+                .filter(|d| d.base_dims == cache.base_dims)
+                .ok_or(FallbackReason::MissingDelta)?
+        };
+        if delta.touched_fraction() > policy.max_touched_fraction {
+            return Err(FallbackReason::OversizedDelta);
+        }
+        Ok(delta)
     }
 
     /// Epoch of the snapshot the incremental cache currently describes.
@@ -584,7 +604,7 @@ impl ScanRunner {
     fn finish(
         &mut self,
         snapshot: &Snapshot,
-        outcome: EnsembleOutcome,
+        ensemble: EnsembleOutcome,
         reuse: ReuseStats,
         threshold: u32,
         config: &EnsemFdetConfig,
@@ -592,8 +612,8 @@ impl ScanRunner {
         let scoring = config
             .scoring
             .enabled
-            .then(|| self.score(&snapshot.graph, &outcome.votes, &config.scoring));
-        let flagged = outcome.votes.detected_users(threshold);
+            .then(|| self.score(&snapshot.graph, &ensemble.votes, &config.scoring));
+        let flagged = ensemble.votes.detected_users(threshold);
         let new_alerts: Vec<UserId> = flagged
             .iter()
             .copied()
@@ -604,13 +624,7 @@ impl ScanRunner {
             transactions: snapshot.transactions,
             flagged,
             new_alerts,
-            sample_times: outcome.samples.iter().map(|s| s.elapsed).collect(),
-            sample_bytes: outcome.sample_bytes(),
-            elapsed: outcome.elapsed,
-            stages: outcome.stages,
-            workers: outcome.workers,
-            worker_times: outcome.worker_times,
-            votes: outcome.votes,
+            ensemble,
             reuse,
             scoring,
         }
@@ -810,7 +824,7 @@ mod tests {
         let a = ScanRunner::new().run(&snap, &cfg, 6);
         let c = ScanRunner::new().run(&snap, &cfg, 6);
         assert_eq!(a.flagged, c.flagged);
-        assert_eq!(a.votes, c.votes);
+        assert_eq!(a.ensemble.votes, c.ensemble.votes);
         assert_eq!(a.epoch, c.epoch);
     }
 
@@ -860,11 +874,11 @@ mod tests {
         let out = ScanRunner::new().run(&snap, &quick_config(), 6);
         assert_eq!(out.epoch, 2);
         assert_eq!(out.transactions, snap.transactions);
-        assert_eq!(out.sample_times.len(), 10);
-        let total: Duration = out.sample_times.iter().sum();
-        assert!(out.elapsed >= out.sample_times.iter().copied().max().unwrap());
+        assert_eq!(out.ensemble.samples.len(), 10);
+        let total = out.ensemble.total_sample_time();
+        assert!(out.ensemble.elapsed >= out.ensemble.max_sample_time());
         // The stage split is populated and bounded by the sample totals.
-        let staged = out.stages.sampling + out.stages.detection;
+        let staged = out.ensemble.stages.sampling + out.ensemble.stages.detection;
         assert!(staged > Duration::ZERO);
         assert!(staged <= total);
     }
@@ -1058,7 +1072,7 @@ mod tests {
         assert!(again.reuse.incremental);
         assert_eq!(again.reuse.samples_reused, cfg.num_samples);
         assert_eq!(again.flagged, cold.flagged);
-        assert_eq!(again.votes, cold.votes);
+        assert_eq!(again.ensemble.votes, cold.ensemble.votes);
 
         // Grow by a few edges on existing nodes and scan incrementally;
         // a fresh runner's full scan is the oracle.
@@ -1070,7 +1084,7 @@ mod tests {
         let full = ScanRunner::new().run(&snap2, &cfg, 6);
         assert!(inc.reuse.incremental);
         assert_eq!(inc.flagged, full.flagged);
-        assert_eq!(inc.votes, full.votes);
+        assert_eq!(inc.ensemble.votes, full.ensemble.votes);
         assert_eq!(
             inc.reuse.samples_reused + inc.reuse.samples_repeeled,
             cfg.num_samples

@@ -121,63 +121,63 @@ fn split_line_chunks(data: &[u8], n: usize) -> Vec<&[u8]> {
     chunks
 }
 
-/// Scans one chunk, folding each record into a fresh `S`. Returns the
-/// state and the chunk's line count, or the first malformed line as
+/// Scans one chunk, mapping each record with `record`. Returns the
+/// records and the chunk's line count, or the first malformed line as
 /// (line offset *within the chunk*, message).
-fn scan_chunk<'a, S: Default>(
+fn scan_chunk<'a, T>(
     chunk: &'a [u8],
     delimiter: char,
-    on_record: &impl Fn(&mut S, &'a str, &'a str, f64),
-) -> Result<(S, usize), (usize, String)> {
-    let mut state = S::default();
-    let mut lines = 0usize;
-    for raw in chunk.split(|&b| b == b'\n') {
-        lines += 1;
+    record: &impl Fn(&'a str, &'a str, f64) -> T,
+) -> Result<(Vec<T>, usize), (usize, String)> {
+    // `split` on a `\n`-terminated chunk yields one trailing empty piece
+    // that is not a real line; the count leaves it out.
+    let lines =
+        chunk.iter().filter(|&&b| b == b'\n').count() + usize::from(chunk.last() != Some(&b'\n'));
+    // One slot per line, so the records never outgrow their first
+    // allocation (blank and comment lines leave a few slots unused).
+    let mut records = Vec::with_capacity(lines);
+    for (index, raw) in chunk.split(|&b| b == b'\n').take(lines).enumerate() {
+        let line = index + 1;
         let text =
-            std::str::from_utf8(raw).map_err(|_| (lines, "line is not valid UTF-8".to_string()))?;
+            std::str::from_utf8(raw).map_err(|_| (line, "line is not valid UTF-8".to_string()))?;
         if let Some((user, merchant, amount)) =
-            parse_csv_record(text, delimiter).map_err(|message| (lines, message))?
+            parse_csv_record(text, delimiter).map_err(|message| (line, message))?
         {
-            on_record(&mut state, user, merchant, amount);
+            records.push(record(user, merchant, amount));
         }
     }
-    // `split` on a `\n`-terminated chunk yields one trailing empty piece
-    // that is not a real line; drop it from the count.
-    if chunk.last() == Some(&b'\n') {
-        lines -= 1;
-    }
-    Ok((state, lines))
+    Ok((records, lines))
 }
 
 /// The one scanner of delimited transaction logs: splits `data` into
 /// `workers` line-aligned chunks, scans them in parallel under
 /// `std::thread::scope` (serially on the calling thread for one chunk),
-/// and folds every `user<delim>merchant[<delim>amount]` record of a chunk
-/// into that chunk's own `S` with `on_record`. Blank lines and `#`
-/// comments are skipped; fields beyond the third are ignored.
+/// and maps every `user<delim>merchant[<delim>amount]` record with
+/// `record`. Blank lines and `#` comments are skipped; fields beyond the
+/// third are ignored.
 ///
-/// Returns the per-chunk states in file order and the number of lines
-/// scanned. Both [`load_transactions`] and the service's `text/csv`
-/// ingest route parse through here, so they agree on what a malformed
-/// record is and where it sits.
+/// Returns the mapped records chunk by chunk, in file order, and the
+/// number of lines scanned. Both [`load_transactions`] and the service's
+/// `text/csv` ingest route parse through here, so they agree on what a
+/// malformed record is and where it sits.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::Parse`] with the 1-based global line number of
 /// the first malformed record (fewer than two non-empty fields, a bad,
 /// non-finite or negative amount, or invalid UTF-8).
-pub fn scan_records<'a, S, F>(
+pub fn scan_records<'a, T, F>(
     data: &'a [u8],
     delimiter: char,
     workers: usize,
-    on_record: F,
-) -> Result<(Vec<S>, usize), GraphError>
+    record: F,
+) -> Result<(Vec<Vec<T>>, usize), GraphError>
 where
-    S: Default + Send,
-    F: Fn(&mut S, &'a str, &'a str, f64) + Sync,
+    T: Send,
+    F: Fn(&'a str, &'a str, f64) -> T + Sync,
 {
     let chunks = split_line_chunks(data, workers.max(1));
-    let scan = |chunk: &'a [u8]| scan_chunk(chunk, delimiter, &on_record);
+    let scan = |chunk: &'a [u8]| scan_chunk(chunk, delimiter, &record);
     let scanned: Vec<_> = if chunks.len() <= 1 {
         chunks.into_iter().map(scan).collect()
     } else {
@@ -198,12 +198,12 @@ where
     // Surface the first (lowest-line) malformed record. Chunks before the
     // first erring one completed cleanly, so their line counts are exact
     // and prefix-summing them yields the global line number.
-    let mut states = Vec::with_capacity(scanned.len());
+    let mut per_chunk = Vec::with_capacity(scanned.len());
     let mut lines = 0usize;
     for chunk in scanned {
         match chunk {
-            Ok((state, chunk_lines)) => {
-                states.push(state);
+            Ok((records, chunk_lines)) => {
+                per_chunk.push(records);
                 lines += chunk_lines;
             }
             Err((local_line, message)) => {
@@ -214,7 +214,7 @@ where
             }
         }
     }
-    Ok((states, lines))
+    Ok((per_chunk, lines))
 }
 
 /// Loads a delimited transaction log from memory into an amount-summed
@@ -230,16 +230,27 @@ pub fn load_transactions(data: &[u8], options: &LoadOptions) -> Result<LoadedLog
         data,
         options.delimiter,
         options.workers,
-        |chunk: &mut Vec<_>, user, merchant, amount| {
-            chunk.push((Key::new(user), Key::new(merchant), amount))
-        },
+        |user, merchant, amount| (Key::new(user), Key::new(merchant), amount),
     )?;
     let mut interner = ArenaTransactionInterner::new();
-    let mut records = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for chunk in chunks {
-        for (user, merchant, amount) in chunk {
-            records.push((interner.user(user).0, interner.merchant(merchant).0, amount));
-        }
+    // Each chunk's parsed keys (56 bytes a record) map to interned ids
+    // (16 bytes) through the chunk's own `into_iter`, which the standard
+    // library's `collect` runs in place, in the chunk's allocation;
+    // `shrink_to_fit` then hands back the tail. So the keys and the ids
+    // never hold memory side by side (ids and weights do not depend on it).
+    let mut interned = chunks.into_iter().map(|chunk| {
+        let mut ids: Vec<(u32, u32, f64)> = chunk
+            .into_iter()
+            .map(|(user, merchant, amount)| {
+                (interner.user(user).0, interner.merchant(merchant).0, amount)
+            })
+            .collect();
+        ids.shrink_to_fit();
+        ids
+    });
+    let mut records = interned.next().unwrap_or_default();
+    for ids in interned {
+        records.extend_from_slice(&ids);
     }
     let num_records = records.len();
     let (edges, weights) = merge_weighted(records);

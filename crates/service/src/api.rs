@@ -43,9 +43,6 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ApiConfig {
     /// Monitor settings (detector, auto-scan cadence, alert threshold).
     pub monitor: MonitorConfig,
-    /// Snapshot compaction cadence in transactions: reads that tolerate
-    /// staleness (auto-refresh) rebuild the graph at most this often.
-    pub compaction_interval: usize,
     /// Scan jobs allowed to wait in the queue; beyond this `POST
     /// /v1/scans` answers `429 queue_full`.
     pub scan_queue_capacity: usize,
@@ -86,7 +83,6 @@ impl Default for ApiConfig {
                 alert_threshold: 10,
                 min_transactions: 2_000,
             },
-            compaction_interval: 1_000,
             scan_queue_capacity: 8,
             result_ring: 16,
             follow: false,
@@ -157,7 +153,9 @@ impl Api {
         let _ = EnsemFdet::new(config.monitor.detector);
         let engine = Arc::new(Engine {
             buffer: IngestBuffer::new(),
-            snapshots: SnapshotStore::new(config.compaction_interval),
+            // Both snapshot reads (`stats`, `enqueue_scan`) force a
+            // compaction, so the store's cadence is never consulted.
+            snapshots: SnapshotStore::new(1),
             interner: ConcurrentTransactionInterner::new(),
             runner: Mutex::new(ScanRunner::new()),
             jobs: JobStore::new(config.scan_queue_capacity, config.result_ring),
@@ -226,7 +224,6 @@ impl Api {
                 "alert_threshold": c.monitor.alert_threshold,
                 "scan_interval": c.monitor.scan_interval,
                 "min_transactions": c.monitor.min_transactions,
-                "compaction_interval": c.compaction_interval,
                 "scan_queue_capacity": c.scan_queue_capacity,
                 "result_ring": c.result_ring,
                 "follow": c.follow,
@@ -892,8 +889,8 @@ fn invalid_line(n: usize, message: &str) -> Response {
 /// (`crates/bench/src/bin/benchmark/replay.rs`) times this parser as its
 /// `ingest` span, without socket noise.
 pub fn parse_csv_pairs(body: &[u8], workers: usize) -> Result<Vec<(Key<'_>, Key<'_>)>, Response> {
-    scan_records(body, ',', workers, |pairs: &mut Vec<_>, user, merchant, _amount| {
-        pairs.push((Key::new(user), Key::new(merchant)))
+    scan_records(body, ',', workers, |user, merchant, _amount| {
+        (Key::new(user), Key::new(merchant))
     })
     .map(|(chunks, _lines)| chunks.concat())
     .map_err(|e| match e {

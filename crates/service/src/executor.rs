@@ -94,25 +94,28 @@ fn executor_loop(engine: &Engine) {
                     });
                     (to_keys(&outcome.flagged), to_keys(&outcome.new_alerts), scoring)
                 };
-                metrics.scan_duration.observe_duration(outcome.elapsed);
-                for &t in &outcome.sample_times {
-                    metrics.sample_duration.observe_duration(t);
+                let ensemble = &outcome.ensemble;
+                metrics.scan_duration.observe_duration(ensemble.elapsed);
+                for s in &ensemble.samples {
+                    metrics.sample_duration.observe_duration(s.elapsed);
                 }
-                metrics.scan_workers.set(outcome.workers as i64);
-                for &t in &outcome.worker_times {
+                metrics.scan_workers.set(ensemble.workers as i64);
+                for &t in &ensemble.worker_times {
                     metrics.worker_busy_duration.observe_duration(t);
                 }
                 let stages = &metrics.stage_duration;
-                stages[Stage::Sampling].observe_duration(outcome.stages.sampling);
-                stages[Stage::Detection].observe_duration(outcome.stages.detection);
-                stages[Stage::Aggregation].observe_duration(outcome.stages.aggregation);
-                metrics.sample_bytes_materialized.add(outcome.sample_bytes);
+                stages[Stage::Sampling].observe_duration(ensemble.stages.sampling);
+                stages[Stage::Detection].observe_duration(ensemble.stages.detection);
+                stages[Stage::Aggregation].observe_duration(ensemble.stages.aggregation);
+                metrics
+                    .sample_bytes_materialized
+                    .add(ensemble.sample_bytes());
                 metrics.record_scan_reuse(
                     outcome.reuse.incremental,
                     outcome.reuse.fallback.is_some(),
                     outcome.reuse.dirty_fraction(),
                     outcome.reuse.delta_touched_nodes,
-                    outcome.elapsed,
+                    ensemble.elapsed,
                 );
                 if let Some(s) = &outcome.scoring {
                     metrics.scans_hybrid.inc();
@@ -154,9 +157,9 @@ fn executor_loop(engine: &Engine) {
                         new_alerts,
                         config: spec.config,
                         threshold: spec.threshold,
-                        scan_millis: outcome.elapsed.as_secs_f64() * 1e3,
+                        scan_millis: outcome.ensemble.elapsed.as_secs_f64() * 1e3,
                         reuse: outcome.reuse,
-                        workers: outcome.workers,
+                        workers: outcome.ensemble.workers,
                         scoring,
                     },
                 );

@@ -14,9 +14,7 @@
 use ensemfdet::fdet::Truncation;
 use ensemfdet::heap::{IndexedMinHeap, LazyMinHeap};
 use ensemfdet::peel::peel_densest;
-use ensemfdet::{
-    fdet_with_engine, Block, BucketQueue, Engine, EnsemFdet, EnsemFdetConfig, MetricKind,
-};
+use ensemfdet::{Block, BucketQueue, Engine, EnsemFdet, EnsemFdetConfig, FdetEngine, MetricKind};
 use ensemfdet_baselines::{Fraudar, FraudarConfig};
 use ensemfdet_datagen::generate;
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
@@ -57,8 +55,9 @@ fn fdet_blocks_and_scores_identical_across_engines() {
             Truncation::KeepAll { k_max: 25 },
         ] {
             let ctx = format!("{name}, {truncation:?}");
-            let naive = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Naive);
-            let r = fdet_with_engine(&g, &MetricKind::default(), truncation, Engine::Bucket);
+            let run = |e| FdetEngine::new().run(&g, &MetricKind::default(), truncation, e);
+            let naive = run(Engine::Naive);
+            let r = run(Engine::Bucket);
             assert_eq!(r.blocks, naive.blocks, "blocks diverged ({ctx})");
             assert_eq!(r.scores, naive.scores, "scores diverged ({ctx})");
             assert_eq!(r.k_hat, naive.k_hat, "k_hat diverged ({ctx})");
@@ -107,7 +106,14 @@ fn weighted_graph() -> BipartiteGraph {
 #[test]
 fn weighted_graph_identical_across_engines() {
     let g = weighted_graph();
-    let run = |e| fdet_with_engine(&g, &MetricKind::default(), Truncation::KeepAll { k_max: 10 }, e);
+    let run = |e| {
+        FdetEngine::new().run(
+            &g,
+            &MetricKind::default(),
+            Truncation::KeepAll { k_max: 10 },
+            e,
+        )
+    };
     let (naive, bucket) = (run(Engine::Naive), run(Engine::Bucket));
     assert_eq!(bucket.blocks, naive.blocks, "blocks");
     assert_eq!(bucket.scores, naive.scores, "scores");

@@ -13,6 +13,7 @@ use ensemfdet::{EnsemFdetConfig, FallbackReason, IncrementalPolicy, SamplingMeth
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_datagen::ramp_timeline;
 use ensemfdet_graph::{MerchantId, UserId};
+use std::time::Duration;
 
 const THRESHOLD: u32 = 6;
 
@@ -53,7 +54,7 @@ fn drive(preset: JdDataset, seed: u64, policy: &IncrementalPolicy) -> (usize, Ve
         // a genuine from-scratch scan of the same snapshot.
         let full = ScanRunner::new().run(&snapshot, &cfg, THRESHOLD);
         assert_eq!(
-            inc.votes, full.votes,
+            inc.ensemble.votes, full.ensemble.votes,
             "{preset:?} seed {seed} epoch {i}: vote tallies diverged"
         );
         assert_eq!(
@@ -152,6 +153,13 @@ fn rescanning_the_same_epoch_replays_everything() {
     assert!(again.reuse.incremental);
     assert_eq!(again.reuse.samples_reused, cfg.num_samples);
     assert_eq!(again.reuse.samples_repeeled, 0);
-    assert_eq!(again.votes, cold.votes);
+    assert_eq!(again.ensemble.votes, cold.ensemble.votes);
     assert_eq!(again.flagged, cold.flagged);
+    // Stage timings count only the samples a pass ran: the cold scan drew
+    // and peeled all of them, the replay none.
+    let (cold_stages, again_stages) = (cold.ensemble.stages, again.ensemble.stages);
+    assert!(cold_stages.sampling > Duration::ZERO);
+    assert!(cold_stages.detection > Duration::ZERO);
+    assert_eq!(again_stages.sampling, Duration::ZERO);
+    assert_eq!(again_stages.detection, Duration::ZERO);
 }
