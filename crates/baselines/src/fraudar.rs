@@ -68,10 +68,10 @@ impl FraudarResult {
     }
 
     /// All operating points: `(k, cumulative detected users)` for
-    /// `k = 1..=blocks`.
-    pub fn operating_points(&self) -> Vec<(usize, Vec<u32>)> {
+    /// `k = 1..=blocks`, in the vote sweep's `(threshold, users)` shape.
+    pub fn operating_points(&self) -> Vec<(u32, Vec<u32>)> {
         (1..=self.blocks.len())
-            .map(|k| (k, self.detected_users_after(k)))
+            .map(|k| (k as u32, self.detected_users_after(k)))
             .collect()
     }
 }

@@ -1,8 +1,8 @@
 //! Uniform curve builders for every method under evaluation.
 
 use ensemfdet::{
-    calibrate_weights, kcore_scores, spectral_scores, Calibration, DetectContext, EnsemFdet,
-    EnsemFdetConfig, EnsembleOutcome, HybridScorer, ScoreNormalization, ScoringConfig,
+    kcore_scores, spectral_scores, DetectContext, EnsemFdet, EnsemFdetConfig, EnsembleOutcome,
+    HybridScorer, ScoreNormalization, ScoringConfig,
 };
 use ensemfdet_baselines::{
     standard_detectors, FBox, FBoxConfig, Fraudar, FraudarConfig, Spoken, SpokenConfig,
@@ -18,8 +18,7 @@ pub fn run_ensemfdet(g: &BipartiteGraph, cfg: EnsemFdetConfig) -> EnsembleOutcom
 
 /// The ensemble's `T`-sweep PR curve from a finished outcome.
 pub fn ensemfdet_curve(outcome: &EnsembleOutcome, labels: &[bool]) -> PrCurve {
-    let sets = outcome.votes.user_threshold_sets();
-    PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), labels)
+    PrCurve::from_threshold_sets(&outcome.votes.user_threshold_sets(), labels)
 }
 
 /// Fraudar's cumulative-block polyline (thresholds are block counts `k`).
@@ -29,8 +28,7 @@ pub fn fraudar_curve(g: &BipartiteGraph, labels: &[bool], k: usize) -> PrCurve {
         ..Default::default()
     })
     .run(g);
-    let points = result.operating_points();
-    PrCurve::from_threshold_sets(points.iter().map(|(k, d)| (*k as f64, d.as_slice())), labels)
+    PrCurve::from_threshold_sets(&result.operating_points(), labels)
 }
 
 /// SpokEn's score-sweep curve (25 components, as the paper configures it).
@@ -55,6 +53,61 @@ pub fn detector_curves(g: &BipartiteGraph, labels: &[bool]) -> Vec<(&'static str
         .iter()
         .map(|d| (d.name(), PrCurve::from_scores(&d.score(&ctx).scores, labels)))
         .collect()
+}
+
+/// What a calibration sweep settled on.
+#[derive(Clone, Copy, Debug)]
+pub struct Calibration {
+    /// The base config with the fitted weights substituted in.
+    pub config: ScoringConfig,
+    /// Best F1 the fitted weights reach on the labeled data (over a
+    /// threshold sweep of the fused score).
+    pub best_f1: f64,
+    /// Weight vectors evaluated.
+    pub grid_evaluated: usize,
+}
+
+/// Fits the fusion weights against labeled data: sweeps the weight
+/// simplex in steps of `1/10` (66 combinations, including the three
+/// degenerate single-method corners) and keeps the vector whose fused
+/// score's PR curve reaches the highest best F1. Ties keep the first —
+/// vote-heaviest — vector, so calibration never drifts off the ensemble
+/// without a measured win. By construction the result is at least as
+/// good (in fitted-set F1) as any single component alone.
+pub fn calibrate_weights(
+    vote: &[f64],
+    spectral: &[f64],
+    kcore: &[f64],
+    labels: &[bool],
+    base: &ScoringConfig,
+) -> Calibration {
+    const STEPS: u32 = 10;
+    let mut best: Option<(f64, ScoringConfig)> = None;
+    let mut evaluated = 0;
+    for v in (0..=STEPS).rev() {
+        for s in 0..=(STEPS - v) {
+            let k = STEPS - v - s;
+            let candidate = ScoringConfig {
+                enabled: true,
+                vote_weight: v as f64 / STEPS as f64,
+                spectral_weight: s as f64 / STEPS as f64,
+                kcore_weight: k as f64 / STEPS as f64,
+                ..*base
+            };
+            let fused = HybridScorer::new(candidate).fuse(vote, spectral, kcore);
+            let f1 = PrCurve::from_scores(&fused, labels).best_f1();
+            evaluated += 1;
+            if best.as_ref().is_none_or(|(b, _)| f1 > *b) {
+                best = Some((f1, candidate));
+            }
+        }
+    }
+    let (best_f1, config) = best.expect("grid is never empty");
+    Calibration {
+        config,
+        best_f1,
+        grid_evaluated: evaluated,
+    }
 }
 
 /// The calibrated hybrid's curve: the three components computed once on
@@ -194,6 +247,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn calibration_beats_or_matches_every_corner() {
+        let vote = vec![0.9, 0.8, 0.1, 0.0, 0.2, 0.0];
+        let spectral = vec![0.1, 0.7, 0.8, 0.1, 0.0, 0.05];
+        let kcore = vec![0.5, 0.9, 0.6, 0.1, 0.1, 0.2];
+        let labels = [true, true, true, false, false, false];
+        let base = ScoringConfig::enabled();
+        let cal = calibrate_weights(&vote, &spectral, &kcore, &labels, &base);
+        assert_eq!(cal.grid_evaluated, 66);
+        for weights in [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] {
+            let corner = ScoringConfig {
+                vote_weight: weights[0],
+                spectral_weight: weights[1],
+                kcore_weight: weights[2],
+                ..base
+            };
+            let fused = HybridScorer::new(corner).fuse(&vote, &spectral, &kcore);
+            assert!(
+                cal.best_f1 >= PrCurve::from_scores(&fused, &labels).best_f1() - 1e-12,
+                "{weights:?}"
+            );
+        }
+        let sum: f64 = cal.config.weights().iter().sum();
+        assert!((sum - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -20,23 +20,6 @@ pub fn save<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Curve → rows helper for text tables: `(threshold, detected, P, R, F1)`.
-pub fn curve_rows(curve: &ensemfdet_eval::PrCurve) -> Vec<Vec<String>> {
-    curve
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.0}", p.threshold),
-                p.detected.to_string(),
-                format!("{:.3}", p.precision),
-                format!("{:.3}", p.recall),
-                format!("{:.3}", p.f1),
-            ]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,22 +42,5 @@ mod tests {
         assert!(content.contains("\"x\": 1"));
         std::env::remove_var("ENSEMFDET_RESULTS");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn curve_rows_format() {
-        let curve = ensemfdet_eval::PrCurve {
-            points: vec![ensemfdet_eval::PrPoint {
-                threshold: 3.0,
-                detected: 10,
-                precision: 0.5,
-                recall: 0.25,
-                f1: 1.0 / 3.0,
-            }],
-        };
-        let rows = curve_rows(&curve);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][0], "3");
-        assert_eq!(rows[0][4], "0.333");
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use crate::cmd_detect::{ensemfdet_config, score_users};
-use crate::cmd_sweep::load_label_mask;
+use crate::cmd_sweep::{load_label_mask, Family};
 use ensemfdet::EnsemFdet;
 use ensemfdet_baselines::{Fraudar, FraudarConfig};
 use ensemfdet_eval::{time_it, PrCurve, RocCurve, Table};
@@ -39,56 +39,27 @@ pub fn run(args: &Args) -> Result<String, String> {
     let mut rows: Vec<serde_json::Value> = Vec::new();
     let mut table = Table::new(&["method", "best F1", "AUC-PR", "AUC-ROC", "max TPR jump", "time"]);
 
-    // EnsemFDet.
     let cfg = {
         let mut c = ensemfdet_config(args)?;
         c.num_samples = args.get_or("samples", 40)?;
         c
     };
-    let ((pr, roc), dt) = time_it(|| {
-        let outcome = EnsemFdet::new(cfg).detect(&g);
-        let sets = outcome.votes.user_threshold_sets();
-        (
-            PrCurve::from_threshold_sets(
-                sets.iter().map(|(t, d)| (*t as f64, d.as_slice())),
-                &labels,
-            ),
-            RocCurve::from_threshold_sets(
-                sets.iter().map(|(t, d)| (*t as f64, d.as_slice())),
-                &labels,
-            ),
-        )
-    });
-    push(&mut table, &mut rows, "ensemfdet", &pr, &roc, dt);
-
-    // Fraudar.
     let k: usize = args.get_or("k", 30)?;
-    let ((pr, roc), dt) = time_it(|| {
-        let result = Fraudar::new(FraudarConfig {
-            k,
-            ..Default::default()
-        })
-        .run(&g);
-        let points = result.operating_points();
-        (
-            PrCurve::from_threshold_sets(
-                points.iter().map(|(k, d)| (*k as f64, d.as_slice())),
-                &labels,
-            ),
-            RocCurve::from_threshold_sets(
-                points.iter().map(|(k, d)| (*k as f64, d.as_slice())),
-                &labels,
-            ),
-        )
-    });
-    push(&mut table, &mut rows, "fraudar", &pr, &roc, dt);
-
-    // Score-based methods.
-    for m in ["spoken", "fbox", "hits", "kcore", "degree"] {
-        let (scores, dt) = time_it(|| score_users(m, &g, args));
-        let scores = scores?;
-        let pr = PrCurve::from_scores(&scores, &labels);
-        let roc = RocCurve::from_scores(&scores, &labels);
+    for m in ["ensemfdet", "fraudar", "spoken", "fbox", "hits", "kcore", "degree"] {
+        let (family, dt) = time_it(|| match m {
+            "ensemfdet" => Ok(Family::Sets(
+                EnsemFdet::new(cfg).detect(&g).votes.user_threshold_sets(),
+            )),
+            "fraudar" => {
+                let config = FraudarConfig {
+                    k,
+                    ..Default::default()
+                };
+                Ok(Family::Sets(Fraudar::new(config).run(&g).operating_points()))
+            }
+            _ => score_users(m, &g, args).map(Family::Scores),
+        });
+        let (pr, roc) = family?.curves(&labels);
         push(&mut table, &mut rows, m, &pr, &roc, dt);
     }
     args.finish()?;

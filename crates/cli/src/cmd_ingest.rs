@@ -5,8 +5,9 @@
 //!
 //! * default: load the file into a weighted bipartite graph and report
 //!   its shape — a dry run that validates the log;
-//! * `--url`: stream the file to a running service's `POST
-//!   /v1/transactions` as `text/csv`;
+//! * `--url`: validate the whole log, then post it to a running service's
+//!   `POST /v1/transactions` as `text/csv`, in line-aligned bodies within
+//!   the service's request-body limit;
 //! * `--detect`: run the ensemble directly on the amount-weighted graph
 //!   and print (or `--out`-write) the flagged account keys.
 //!
@@ -18,7 +19,8 @@ use crate::args::Args;
 use crate::cmd_detect::{ensemfdet_config, timing_summary};
 use ensemfdet::ensemble::effective_workers;
 use ensemfdet::EnsemFdet;
-use ensemfdet_graph::loader::{load_transactions_path, LoadOptions};
+use ensemfdet_graph::loader::{load_transactions_path, scan_records, LoadOptions};
+use ensemfdet_service::http::MAX_BODY;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -38,7 +40,8 @@ OPTIONS:
                           worker count, arena bytes
   sinks (default: load only, report the graph shape):
     --url URL             POST the log as text/csv to a running service,
-                          e.g. http://127.0.0.1:7878
+                          e.g. http://127.0.0.1:7878, in bodies of at most
+                          1 MiB; a malformed log posts nothing
     --detect              run the ensemble on the amount-weighted graph
   with --detect:
     --out FILE            write flagged account keys, one per line
@@ -92,6 +95,33 @@ fn http_post_csv(url: &str, body: &[u8]) -> Result<(u16, String), String> {
     Ok((status, payload))
 }
 
+/// Splits `data` into line-aligned bodies of at most `limit` bytes (one
+/// empty body for empty data). Errs with the 1-based number of a line
+/// that does not fit in one body.
+fn line_aligned_bodies(data: &[u8], limit: usize) -> Result<Vec<&[u8]>, usize> {
+    let mut bodies = Vec::new();
+    let mut rest = data;
+    let mut line = 1;
+    loop {
+        let cut = if rest.len() <= limit {
+            rest.len()
+        } else {
+            rest[..limit]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map(|i| i + 1)
+                .ok_or(line)?
+        };
+        let (body, tail) = rest.split_at(cut);
+        bodies.push(body);
+        line += body.iter().filter(|&&b| b == b'\n').count();
+        rest = tail;
+        if rest.is_empty() {
+            return Ok(bodies);
+        }
+    }
+}
+
 fn parse_delimiter(raw: Option<String>) -> Result<char, String> {
     match raw.as_deref() {
         None => Ok(','),
@@ -127,18 +157,38 @@ pub fn run(args: &Args) -> Result<String, String> {
             return Err("--url ingestion only supports the default `,` delimiter".to_string());
         }
         args.finish()?;
-        let body = std::fs::read(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
+        let data = std::fs::read(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
+        // Validate the whole log before the first post, so a malformed
+        // line ingests nothing.
+        scan_records(&data, ',', workers, |_, _, _| ())
+            .map_err(|e| format!("cannot load {file}: {e}"))?;
+        let bodies = line_aligned_bodies(&data, MAX_BODY).map_err(|line| {
+            format!("{file}: line {line} is longer than the service's {MAX_BODY}-byte body limit")
+        })?;
         let started = Instant::now();
-        let (status, payload) = http_post_csv(&url, &body)?;
-        if status != 200 {
-            return Err(format!("service rejected the log ({status}): {payload}"));
+        let (mut ingested, mut transactions) = (0, 0);
+        for body in &bodies {
+            let (status, payload) = http_post_csv(&url, body)?;
+            if status != 200 {
+                return Err(format!("service rejected the log ({status}): {payload}"));
+            }
+            let reply: serde_json::Value = serde_json::from_str(&payload).unwrap_or_default();
+            let count = |key: &str| {
+                reply[key]
+                    .as_u64()
+                    .ok_or_else(|| format!("malformed reply from the service: {payload}"))
+            };
+            ingested += count("ingested")?;
+            transactions = count("transactions")?;
         }
-        let mut report = format!("service accepted {file}: {payload}");
+        let summary = serde_json::json!({ "ingested": ingested, "transactions": transactions });
+        let mut report = format!("service accepted {file}: {summary}");
         if timing {
             report.push_str(&format!(
-                "\ningest: {:.1} ms round-trip, {} bytes posted",
+                "\ningest: {:.1} ms round-trip, {} bytes posted in {} bodies",
                 started.elapsed().as_secs_f64() * 1e3,
-                body.len()
+                data.len(),
+                bodies.len()
             ));
         }
         return Ok(report);
@@ -324,6 +374,19 @@ mod tests {
     }
 
     #[test]
+    fn bodies_are_line_aligned_and_within_the_limit() {
+        let data = b"a,x\nbb,y\ncc,z";
+        assert_eq!(
+            line_aligned_bodies(data, 8).unwrap(),
+            [&b"a,x\n"[..], b"bb,y\n", b"cc,z"]
+        );
+        assert_eq!(line_aligned_bodies(data, 100).unwrap(), [&data[..]]);
+        assert_eq!(line_aligned_bodies(b"", 8).unwrap(), [&b""[..]]);
+        // Line 2 needs five bytes.
+        assert_eq!(line_aligned_bodies(data, 4), Err(2));
+    }
+
+    #[test]
     fn url_sink_posts_csv_to_a_live_service() {
         use ensemfdet::{EnsemFdetConfig, MonitorConfig};
         use ensemfdet_service::{Api, ApiConfig, Server};
@@ -338,23 +401,43 @@ mod tests {
             ..Default::default()
         });
         let server = Server::bind("127.0.0.1:0", api).unwrap().start().unwrap();
-        let url = format!("http://{}", server.addr());
+        let addr = server.addr();
+        let url = format!("http://{addr}");
+        let health_transactions = || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(b"GET /v1/health HTTP/1.1\r\nconnection: close\r\n\r\n")
+                .unwrap();
+            let mut raw = String::new();
+            stream.read_to_string(&mut raw).unwrap();
+            let body: serde_json::Value =
+                serde_json::from_str(raw.split_once("\r\n\r\n").unwrap().1).unwrap();
+            body["transactions"].as_u64().unwrap()
+        };
 
-        let f = ring_log("ingest_url_sink_posts_csv_to_a_live_service");
+        // A log over the service's body limit goes in line-aligned bodies.
+        let records = 60_000;
+        let log: String = (0..records)
+            .map(|i| format!("user-{i},shop-{},2.50\n", i % 500))
+            .collect();
+        assert!(log.len() > MAX_BODY);
+        let f = log_file("ingest_url_sink_posts_csv_to_a_live_service", "big.csv", &log);
         let out = run(&args(&["--file", &f, "--url", &url, "--timing"])).unwrap();
         assert!(out.contains("service accepted"), "{out}");
-        assert!(out.contains("\"ingested\":144"), "{out}");
+        assert!(out.contains(&format!("\"ingested\":{records}")), "{out}");
         assert!(out.contains("round-trip"), "{out}");
+        assert_eq!(health_transactions(), records);
 
-        // A malformed log is rejected with its line number, not ingested.
+        // A malformed log is refused with its line number and ingests
+        // nothing.
         let bad = log_file(
             "ingest_url_sink_posts_csv_to_a_live_service",
             "bad_url.csv",
             "a,x\noops\n",
         );
         let err = run(&args(&["--file", &bad, "--url", &url])).unwrap_err();
-        assert!(err.contains("rejected"), "{err}");
-        assert!(err.contains("\"line\":2"), "{err}");
+        assert!(err.contains("line 2"), "{err}");
+        assert_eq!(health_transactions(), records);
         server.shutdown();
     }
 }

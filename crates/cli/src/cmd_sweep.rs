@@ -41,6 +41,29 @@ pub(crate) fn load_label_mask(path: &str, num_users: usize) -> Result<Vec<bool>,
     Ok(labels)
 }
 
+/// A method's operating points: explicit detected sets (the ensemble's
+/// `T` sweep, Fraudar's `k` sweep) or a per-user score to sweep.
+pub(crate) enum Family {
+    Sets(Vec<(u32, Vec<u32>)>),
+    Scores(Vec<f64>),
+}
+
+impl Family {
+    /// The family's PR and ROC curves against `labels`.
+    pub(crate) fn curves(&self, labels: &[bool]) -> (PrCurve, RocCurve) {
+        match self {
+            Family::Sets(sets) => (
+                PrCurve::from_threshold_sets(sets, labels),
+                RocCurve::from_threshold_sets(sets, labels),
+            ),
+            Family::Scores(scores) => (
+                PrCurve::from_scores(scores, labels),
+                RocCurve::from_scores(scores, labels),
+            ),
+        }
+    }
+}
+
 /// Runs the command.
 pub fn run(args: &Args) -> Result<String, String> {
     if args.flag("help") {
@@ -57,7 +80,7 @@ pub fn run(args: &Args) -> Result<String, String> {
 
     let mut timing_note: Option<String> = None;
     let mut hybrid_note: Option<String> = None;
-    let (pr, roc): (PrCurve, RocCurve) = match method.as_str() {
+    let family = match method.as_str() {
         "ensemfdet" => {
             let cfg = ensemfdet_config(args)?;
             let workers: usize = args.get_or("workers", 0)?;
@@ -71,22 +94,9 @@ pub fn run(args: &Args) -> Result<String, String> {
                 // Sweep the fused score itself — a far finer operating
                 // curve than the N discrete vote thresholds.
                 hybrid_note = Some(hybrid_summary(&hybrid));
-                (
-                    PrCurve::from_scores(&hybrid.hybrid, &labels),
-                    RocCurve::from_scores(&hybrid.hybrid, &labels),
-                )
+                Family::Scores(hybrid.hybrid)
             } else {
-                let sets = outcome.votes.user_threshold_sets();
-                (
-                    PrCurve::from_threshold_sets(
-                        sets.iter().map(|(t, d)| (*t as f64, d.as_slice())),
-                        &labels,
-                    ),
-                    RocCurve::from_threshold_sets(
-                        sets.iter().map(|(t, d)| (*t as f64, d.as_slice())),
-                        &labels,
-                    ),
-                )
+                Family::Sets(outcome.votes.user_threshold_sets())
             }
         }
         "fraudar" => {
@@ -97,28 +107,16 @@ pub fn run(args: &Args) -> Result<String, String> {
                 ..Default::default()
             })
             .run(&g);
-            let points = result.operating_points();
-            (
-                PrCurve::from_threshold_sets(
-                    points.iter().map(|(k, d)| (*k as f64, d.as_slice())),
-                    &labels,
-                ),
-                RocCurve::from_threshold_sets(
-                    points.iter().map(|(k, d)| (*k as f64, d.as_slice())),
-                    &labels,
-                ),
-            )
+            Family::Sets(result.operating_points())
         }
         m @ ("spoken" | "fbox" | "hits" | "kcore" | "degree") => {
             let scores = score_users(m, &g, args)?;
             args.finish()?;
-            (
-                PrCurve::from_scores(&scores, &labels),
-                RocCurve::from_scores(&scores, &labels),
-            )
+            Family::Scores(scores)
         }
         other => return Err(format!("unknown method `{other}`\n\n{HELP}")),
     };
+    let (pr, roc) = family.curves(&labels);
 
     if let Some(p) = &json_path {
         ensemfdet_eval::write_json(&pr, p).map_err(|e| format!("cannot write {p}: {e}"))?;

@@ -88,7 +88,6 @@ pub use pipeline::{
     IngestBuffer, ScanOutcome, ScanRunner, Snapshot, SnapshotStore, DELTA_HISTORY,
 };
 pub use scoring::{
-    best_f1, calibrate_weights, hybrid_scan_scores, kcore_scores, normalize_scores,
-    spectral_scores, Calibration, HybridScanScores, HybridScorer, ScoreNormalization,
-    ScoringConfig,
+    hybrid_scan_scores, kcore_scores, normalize_scores, spectral_scores, HybridScanScores,
+    HybridScorer, ScoreNormalization, ScoringConfig,
 };

@@ -480,105 +480,6 @@ pub(crate) fn timed<T>(pass: impl FnOnce() -> T) -> (T, Duration) {
     (out, t.elapsed().max(Duration::from_nanos(1)))
 }
 
-/// What a calibration sweep settled on.
-#[derive(Clone, Copy, Debug)]
-pub struct Calibration {
-    /// The base config with the fitted weights substituted in.
-    pub config: ScoringConfig,
-    /// Best F1 the fitted weights reach on the labeled data (over a
-    /// threshold sweep of the fused score).
-    pub best_f1: f64,
-    /// Weight vectors evaluated.
-    pub grid_evaluated: usize,
-}
-
-/// Fits the fusion weights against labeled data: sweeps the weight
-/// simplex in steps of `1/10` (66 combinations, including the three
-/// degenerate single-method corners) and keeps the vector whose fused
-/// score reaches the highest [`best_f1`]. Ties keep the first —
-/// vote-heaviest — vector, so calibration never drifts off the ensemble
-/// without a measured win. By construction the result is at least as
-/// good (in fitted-set F1) as any single component alone.
-pub fn calibrate_weights(
-    vote: &[f64],
-    spectral: &[f64],
-    kcore: &[f64],
-    labels: &[bool],
-    base: &ScoringConfig,
-) -> Calibration {
-    const STEPS: u32 = 10;
-    let mut best: Option<(f64, ScoringConfig)> = None;
-    let mut evaluated = 0;
-    for v in (0..=STEPS).rev() {
-        for s in 0..=(STEPS - v) {
-            let k = STEPS - v - s;
-            let candidate = ScoringConfig {
-                enabled: true,
-                vote_weight: v as f64 / STEPS as f64,
-                spectral_weight: s as f64 / STEPS as f64,
-                kcore_weight: k as f64 / STEPS as f64,
-                ..*base
-            };
-            let fused = HybridScorer::new(candidate).fuse(vote, spectral, kcore);
-            let f1 = best_f1(&fused, labels);
-            evaluated += 1;
-            if best.as_ref().is_none_or(|(b, _)| f1 > *b) {
-                best = Some((f1, candidate));
-            }
-        }
-    }
-    let (best_f1, config) = best.expect("grid is never empty");
-    Calibration {
-        config,
-        best_f1,
-        grid_evaluated: evaluated,
-    }
-}
-
-/// Best F1 over a descending threshold sweep of `scores`, with the same
-/// conventions as the eval crate's PR curve: tied scores enter together
-/// and scores ≤ 0 never count as flagged. Returns 0 when no positive
-/// labels exist.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn best_f1(scores: &[f64], labels: &[bool]) -> f64 {
-    assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-    let total_pos = labels.iter().filter(|&&l| l).count();
-    if total_pos == 0 {
-        return 0.0;
-    }
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut best = 0.0f64;
-    let (mut tp, mut taken) = (0usize, 0usize);
-    let mut i = 0;
-    while i < idx.len() {
-        let s = scores[idx[i]];
-        if s <= 0.0 {
-            break;
-        }
-        while i < idx.len() && scores[idx[i]] == s {
-            taken += 1;
-            if labels[idx[i]] {
-                tp += 1;
-            }
-            i += 1;
-        }
-        let p = tp as f64 / taken as f64;
-        let r = tp as f64 / total_pos as f64;
-        if p + r > 0.0 {
-            best = best.max(2.0 * p * r / (p + r));
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,41 +692,5 @@ mod tests {
         // flagged; zero-vote background users with degree 1 are not.
         assert!(out.hybrid_flagged.iter().any(|u| u.0 < 8));
         assert!(out.hybrid_flagged.iter().all(|u| u.0 < 8));
-    }
-
-    #[test]
-    fn best_f1_matches_hand_computation() {
-        // Cuts: top-1 F1=0.5, top-2 F1=0.8, top-3 F1=2/3, all-4 gives
-        // P=3/4, R=1 → F1 = 6/7, the best.
-        let scores = [0.9, 0.8, 0.3, 0.1];
-        let labels = [true, true, false, true];
-        let f1 = best_f1(&scores, &labels);
-        assert!((f1 - 6.0 / 7.0).abs() < 1e-12, "{f1}");
-        assert_eq!(best_f1(&scores, &[false; 4]), 0.0);
-        // A zero score never counts as flagged.
-        assert_eq!(best_f1(&[0.0, 0.0], &[true, true]), 0.0);
-    }
-
-    #[test]
-    fn calibration_beats_or_matches_every_corner() {
-        let vote = vec![0.9, 0.8, 0.1, 0.0, 0.2, 0.0];
-        let spectral = vec![0.1, 0.7, 0.8, 0.1, 0.0, 0.05];
-        let kcore = vec![0.5, 0.9, 0.6, 0.1, 0.1, 0.2];
-        let labels = [true, true, true, false, false, false];
-        let base = ScoringConfig::enabled();
-        let cal = calibrate_weights(&vote, &spectral, &kcore, &labels, &base);
-        assert_eq!(cal.grid_evaluated, 66);
-        for weights in [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] {
-            let corner = ScoringConfig {
-                vote_weight: weights[0],
-                spectral_weight: weights[1],
-                kcore_weight: weights[2],
-                ..base
-            };
-            let fused = HybridScorer::new(corner).fuse(&vote, &spectral, &kcore);
-            assert!(cal.best_f1 >= best_f1(&fused, &labels) - 1e-12, "{weights:?}");
-        }
-        let sum: f64 = cal.config.weights().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
     }
 }

@@ -2,13 +2,18 @@
 //!
 //! Two constructors cover every experiment in the paper:
 //!
-//! - [`PrCurve::from_scores`] — sweep all distinct score thresholds of a
-//!   per-item fraud score (SVD baselines, vote fractions);
+//! - [`PrCurve::from_scores`] — sweep all distinct positive score
+//!   thresholds of a per-item fraud score (SVD baselines, vote fractions,
+//!   the fused hybrid score);
 //! - [`PrCurve::from_threshold_sets`] — evaluate an explicit family of
 //!   detected sets (EnsemFDet's `T` sweep, Fraudar's `k` sweep), keeping the
 //!   native threshold value on each point.
+//!
+//! This curve and [`crate::RocCurve`] read one score sweep: scores in
+//! descending order, tied scores entering together, a score ≤ 0 never
+//! flagged.
 
-use crate::metrics::{confusion, Confusion};
+use crate::metrics::{confusion, score_sweep, Confusion};
 use serde::{Deserialize, Serialize};
 
 /// One operating point of a detector.
@@ -49,8 +54,8 @@ pub struct PrCurve {
 }
 
 impl PrCurve {
-    /// Sweeps every distinct score value as a `score ≥ t` detection
-    /// threshold. `scores[i]` is item `i`'s fraud score; `labels[i]` its
+    /// Sweeps every distinct positive score value as a `score ≥ t`
+    /// detection threshold. `scores[i]` is item `i`'s fraud score; `labels[i]` its
     /// ground truth. Points are ordered from the strictest threshold (lowest
     /// recall) to the loosest.
     ///
@@ -58,55 +63,23 @@ impl PrCurve {
     ///
     /// Panics if the lengths differ.
     pub fn from_scores(scores: &[f64], labels: &[bool]) -> Self {
-        assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-        let total_pos = labels.iter().filter(|&&l| l).count();
-        // Sort items by score descending; walk down accumulating tp/fp.
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .expect("scores must not be NaN")
-                .then(a.cmp(&b))
-        });
-        let mut points = Vec::new();
-        let mut tp = 0usize;
-        let mut fp = 0usize;
-        let mut i = 0usize;
-        while i < order.len() {
-            let t = scores[order[i]];
-            if t <= 0.0 {
-                // Score 0 (or below) means "no evidence"; sweeping past it
-                // would declare the whole population detected.
-                break;
-            }
-            // Consume the whole tie group.
-            while i < order.len() && scores[order[i]] == t {
-                if labels[order[i]] {
-                    tp += 1;
-                } else {
-                    fp += 1;
-                }
-                i += 1;
-            }
-            let c = Confusion {
-                tp,
-                fp,
-                fn_: total_pos - tp,
-                tn: labels.len() - total_pos - fp,
-            };
-            points.push(PrPoint::from_confusion(t, &c));
-        }
+        let points = score_sweep(scores, labels)
+            .iter()
+            .map(|(t, c)| PrPoint::from_confusion(*t, c))
+            .collect();
         PrCurve { points }
     }
 
-    /// Evaluates an explicit `(threshold, detected set)` family.
-    pub fn from_threshold_sets<'a>(
-        sets: impl IntoIterator<Item = (f64, &'a [u32])>,
+    /// Evaluates an explicit `(threshold, detected set)` family — the
+    /// pairs `VoteTally::user_threshold_sets` and
+    /// `FraudarResult::operating_points` return.
+    pub fn from_threshold_sets<T: Copy + Into<f64>>(
+        sets: &[(T, Vec<u32>)],
         labels: &[bool],
     ) -> Self {
         let points = sets
-            .into_iter()
-            .map(|(t, detected)| PrPoint::from_confusion(t, &confusion(detected, labels)))
+            .iter()
+            .map(|(t, detected)| PrPoint::from_confusion((*t).into(), &confusion(detected, labels)))
             .collect();
         PrCurve { points }
     }
@@ -191,9 +164,7 @@ mod tests {
     #[test]
     fn threshold_sets_keep_native_thresholds() {
         let labels = vec![true, true, false, false];
-        let t3: Vec<u32> = vec![0];
-        let t1: Vec<u32> = vec![0, 1, 2];
-        let c = PrCurve::from_threshold_sets([(3.0, &t3[..]), (1.0, &t1[..])], &labels);
+        let c = PrCurve::from_threshold_sets(&[(3.0, vec![0]), (1.0, vec![0, 1, 2])], &labels);
         assert_eq!(c.points[0].threshold, 3.0);
         assert_eq!(c.points[0].precision, 1.0);
         assert!((c.points[1].precision - 2.0 / 3.0).abs() < 1e-12);
@@ -208,6 +179,22 @@ mod tests {
         let best = c.best_point().unwrap();
         assert!((c.best_f1() - best.f1).abs() < 1e-15);
         assert!(best.f1 > 0.5);
+    }
+
+    #[test]
+    fn best_f1_matches_hand_computation() {
+        // Cuts: top-1 F1=0.5, top-2 F1=0.8, top-3 F1=2/3, all-4 gives
+        // P=3/4, R=1 → F1 = 6/7, the best.
+        let scores = [0.9, 0.8, 0.3, 0.1];
+        let labels = [true, true, false, true];
+        let f1 = PrCurve::from_scores(&scores, &labels).best_f1();
+        assert!((f1 - 6.0 / 7.0).abs() < 1e-12, "{f1}");
+        assert_eq!(PrCurve::from_scores(&scores, &[false; 4]).best_f1(), 0.0);
+        // A zero score never counts as flagged.
+        assert_eq!(
+            PrCurve::from_scores(&[0.0, 0.0], &[true, true]).best_f1(),
+            0.0
+        );
     }
 
     #[test]

@@ -97,6 +97,53 @@ pub fn confusion(detected: &[u32], labels: &[bool]) -> Confusion {
     c
 }
 
+/// The one threshold sweep behind every score-based curve: each distinct
+/// positive value of `scores` as a `score ≥ t` cut, from the strictest to
+/// the loosest, with its confusion counts. Tied scores enter together, and
+/// a score ≤ 0 ("no evidence") is never flagged — sweeping past it would
+/// declare the whole population detected.
+///
+/// # Panics
+///
+/// Panics if the lengths differ or a score is NaN.
+pub(crate) fn score_sweep(scores: &[f64], labels: &[bool]) -> Vec<(f64, Confusion)> {
+    assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
+    let total_pos = labels.iter().filter(|&&l| l).count();
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .expect("scores must not be NaN")
+            .then(a.cmp(&b))
+    });
+    let mut sweep = Vec::new();
+    let (mut tp, mut fp) = (0usize, 0usize);
+    let mut i = 0usize;
+    while i < order.len() {
+        let t = scores[order[i]];
+        if t <= 0.0 {
+            break;
+        }
+        // Consume the whole tie group.
+        while i < order.len() && scores[order[i]] == t {
+            if labels[order[i]] {
+                tp += 1;
+            } else {
+                fp += 1;
+            }
+            i += 1;
+        }
+        let c = Confusion {
+            tp,
+            fp,
+            fn_: total_pos - tp,
+            tn: labels.len() - total_pos - fp,
+        };
+        sweep.push((t, c));
+    }
+    sweep
+}
+
 /// Group-level recall: the fraction of fraud *groups* considered caught,
 /// where a group counts as caught when at least `member_fraction` of its
 /// members appear in `detected`. Risk-control teams act on groups (block

@@ -5,8 +5,11 @@
 //! jump in coarse steps, so no operating point can be dialed to a target
 //! false-positive rate. This module quantifies that — including a
 //! smoothness diagnostic ([`RocCurve::max_tpr_jump`]).
+//!
+//! Its constructors take what [`crate::PrCurve`]'s take, and a score sweep
+//! is the same sweep: each ROC point's `tpr` is the PR point's `recall`.
 
-use crate::metrics::{confusion, Confusion};
+use crate::metrics::{confusion, score_sweep, Confusion};
 use serde::{Deserialize, Serialize};
 
 /// One ROC operating point.
@@ -26,7 +29,11 @@ impl RocPoint {
         let neg = c.fp + c.tn;
         RocPoint {
             threshold,
-            fpr: if neg == 0 { 0.0 } else { c.fp as f64 / neg as f64 },
+            fpr: if neg == 0 {
+                0.0
+            } else {
+                c.fp as f64 / neg as f64
+            },
             tpr: c.recall(),
         }
     }
@@ -41,64 +48,31 @@ pub struct RocCurve {
 
 impl RocCurve {
     /// Sweeps every distinct positive score value as a `score ≥ t`
-    /// threshold, exactly mirroring [`crate::PrCurve::from_scores`].
+    /// threshold — the same sweep as [`crate::PrCurve::from_scores`], so
+    /// each point's `tpr` is the PR point's `recall`.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
     pub fn from_scores(scores: &[f64], labels: &[bool]) -> Self {
-        assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-        let total_pos = labels.iter().filter(|&&l| l).count();
-        let total_neg = labels.len() - total_pos;
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .expect("scores must not be NaN")
-                .then(a.cmp(&b))
-        });
-        let mut points = Vec::new();
-        let mut tp = 0usize;
-        let mut fp = 0usize;
-        let mut i = 0usize;
-        while i < order.len() {
-            let t = scores[order[i]];
-            if t <= 0.0 {
-                break;
-            }
-            while i < order.len() && scores[order[i]] == t {
-                if labels[order[i]] {
-                    tp += 1;
-                } else {
-                    fp += 1;
-                }
-                i += 1;
-            }
-            points.push(RocPoint {
-                threshold: t,
-                fpr: if total_neg == 0 {
-                    0.0
-                } else {
-                    fp as f64 / total_neg as f64
-                },
-                tpr: if total_pos == 0 {
-                    0.0
-                } else {
-                    tp as f64 / total_pos as f64
-                },
-            });
-        }
+        let points = score_sweep(scores, labels)
+            .iter()
+            .map(|(t, c)| RocPoint::from_confusion(*t, c))
+            .collect();
         RocCurve { points }
     }
 
-    /// Evaluates an explicit `(threshold, detected set)` family.
-    pub fn from_threshold_sets<'a>(
-        sets: impl IntoIterator<Item = (f64, &'a [u32])>,
+    /// Evaluates an explicit `(threshold, detected set)` family, as
+    /// [`crate::PrCurve::from_threshold_sets`] does.
+    pub fn from_threshold_sets<T: Copy + Into<f64>>(
+        sets: &[(T, Vec<u32>)],
         labels: &[bool],
     ) -> Self {
         let points = sets
-            .into_iter()
-            .map(|(t, detected)| RocPoint::from_confusion(t, &confusion(detected, labels)))
+            .iter()
+            .map(|(t, detected)| {
+                RocPoint::from_confusion((*t).into(), &confusion(detected, labels))
+            })
             .collect();
         RocCurve { points }
     }
@@ -174,9 +148,8 @@ mod tests {
     #[test]
     fn threshold_sets_and_point_from_confusion() {
         let labels = vec![true, true, false, false];
-        let all: Vec<u32> = vec![0, 1, 2, 3];
-        let one: Vec<u32> = vec![0];
-        let roc = RocCurve::from_threshold_sets([(2.0, &one[..]), (1.0, &all[..])], &labels);
+        let roc =
+            RocCurve::from_threshold_sets(&[(2.0, vec![0]), (1.0, vec![0, 1, 2, 3])], &labels);
         assert_eq!(roc.points[0].tpr, 0.5);
         assert_eq!(roc.points[0].fpr, 0.0);
         assert_eq!(roc.points[1].tpr, 1.0);
@@ -191,8 +164,7 @@ mod tests {
         let smooth_roc = RocCurve::from_scores(&smooth, &labels);
         assert!(smooth_roc.max_tpr_jump() <= 0.021);
         // Block detector: one threshold set grabbing 40 positives at once.
-        let block: Vec<u32> = (0..40).collect();
-        let block_roc = RocCurve::from_threshold_sets([(1.0, &block[..])], &labels);
+        let block_roc = RocCurve::from_threshold_sets(&[(1.0, (0..40).collect())], &labels);
         assert!(block_roc.max_tpr_jump() >= 0.79);
     }
 

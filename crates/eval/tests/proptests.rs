@@ -1,6 +1,6 @@
 //! Property-based tests for the evaluation crate.
 
-use ensemfdet_eval::{confusion, PrCurve};
+use ensemfdet_eval::{confusion, PrCurve, RocCurve};
 use proptest::prelude::*;
 
 proptest! {
@@ -46,6 +46,34 @@ proptest! {
         let auc = c.auc_pr();
         prop_assert!((0.0..=1.0 + 1e-9).contains(&auc));
         prop_assert!(c.best_f1() <= 1.0);
+    }
+
+    #[test]
+    fn one_sweep_drives_every_curve(
+        scored in prop::collection::vec((0u8..6, any::<bool>()), 1..150)
+    ) {
+        // Coarse scores force tie groups, and a score of 0 is never flagged.
+        let scores: Vec<f64> = scored.iter().map(|&(s, _)| s as f64 / 5.0).collect();
+        let labels: Vec<bool> = scored.iter().map(|&(_, l)| l).collect();
+        let pr = PrCurve::from_scores(&scores, &labels);
+        let roc = RocCurve::from_scores(&scores, &labels);
+        prop_assert_eq!(pr.points.len(), roc.points.len());
+        for (p, r) in pr.points.iter().zip(&roc.points) {
+            prop_assert_eq!(p.threshold.to_bits(), r.threshold.to_bits());
+            prop_assert_eq!(p.recall.to_bits(), r.tpr.to_bits());
+        }
+        // The same cuts as explicit nested sets `{i : score_i ≥ t}` give
+        // the same points on both curves.
+        let sets: Vec<(f64, Vec<u32>)> = pr
+            .points
+            .iter()
+            .map(|p| {
+                let t = p.threshold;
+                (t, (0..scores.len() as u32).filter(|&i| scores[i as usize] >= t).collect())
+            })
+            .collect();
+        prop_assert_eq!(PrCurve::from_threshold_sets(&sets, &labels), pr);
+        prop_assert_eq!(RocCurve::from_threshold_sets(&sets, &labels), roc);
     }
 
     #[test]

@@ -93,11 +93,12 @@ impl Default for ApiConfig {
     }
 }
 
-/// The label a request is counted under in
+/// The service's one route table: the route a path names, which
+/// [`Api::handle`] dispatches on and requests are counted under in
 /// `ensemfdet_http_requests_total{route=…}`. The label set is fixed —
-/// `/v1/scans/<anything>` collapses to `/v1/scans/{id}` — so hostile paths
-/// cannot inflate label cardinality.
-pub fn route_label(_method: &str, path: &str) -> &'static str {
+/// `/v1/scans/<anything>` collapses to `/v1/scans/{id}` and unknown paths
+/// to `other` — so hostile paths cannot inflate label cardinality.
+pub fn route_label(path: &str) -> &'static str {
     match path {
         "/v1/health" => "/v1/health",
         "/v1/stats" => "/v1/stats",
@@ -180,18 +181,16 @@ impl Api {
     /// get a 4xx with the standard `{"error":{"code","message"}}` body.
     pub fn handle(&self, request: &Request) -> Response {
         let path = request.path.as_str();
-        match (request.method.as_str(), path) {
+        match (request.method.as_str(), route_label(path)) {
             ("GET", "/v1/health") => self.health(),
             ("GET", "/v1/stats") => self.stats(),
-            ("GET", "/metrics" | "/v1/metrics") => self.metrics_page(),
+            ("GET", "/metrics") => self.metrics_page(),
             ("GET", "/v1/config") => self.config_page(),
             ("GET", "/v1/follow") => self.follow_status(),
             ("POST", "/v1/transactions") => self.transactions(request),
             ("POST", "/v1/scans") => self.submit_scan(&request.body),
             ("GET", "/v1/scans/latest") => self.latest_scan(),
-            ("GET", p) if p.starts_with("/v1/scans/") => {
-                self.scan_status(&p["/v1/scans/".len()..])
-            }
+            ("GET", "/v1/scans/{id}") => self.scan_status(&path["/v1/scans/".len()..]),
             ("GET", _) | ("POST", _) => Response::error(404, "not_found", "no such route"),
             _ => Response::error(405, "method_not_allowed", "method not allowed"),
         }
@@ -1916,13 +1915,44 @@ mod tests {
 
     #[test]
     fn route_labels_have_fixed_cardinality() {
-        assert_eq!(route_label("GET", "/metrics"), "/metrics");
-        assert_eq!(route_label("GET", "/../../etc/passwd"), "other");
-        assert_eq!(route_label("POST", "/scan"), "other");
-        assert_eq!(route_label("POST", "/v1/scans"), "/v1/scans");
-        assert_eq!(route_label("GET", "/v1/scans/17"), "/v1/scans/{id}");
-        assert_eq!(route_label("GET", "/v1/scans/latest"), "/v1/scans/latest");
-        assert_eq!(route_label("GET", "/v1/follow"), "/v1/follow");
-        assert_eq!(route_label("GET", "/health"), "other");
+        assert_eq!(route_label("/metrics"), "/metrics");
+        assert_eq!(route_label("/../../etc/passwd"), "other");
+        assert_eq!(route_label("/scan"), "other");
+        assert_eq!(route_label("/v1/scans"), "/v1/scans");
+        assert_eq!(route_label("/v1/scans/17"), "/v1/scans/{id}");
+        assert_eq!(route_label("/v1/scans/latest"), "/v1/scans/latest");
+        assert_eq!(route_label("/v1/follow"), "/v1/follow");
+        assert_eq!(route_label("/health"), "other");
+    }
+
+    /// The route table and the dispatcher agree: every path `handle`
+    /// answers (with anything but its routing 404/405) is labelled, and
+    /// every label but `other` is answered.
+    #[test]
+    fn every_answered_route_has_its_own_label() {
+        let api = Api::new(ApiConfig::default());
+        let paths = [
+            "/v1/health", "/v1/stats", "/metrics", "/v1/metrics", "/v1/config", "/v1/follow",
+            "/v1/transactions", "/v1/scans", "/v1/scans/latest", "/v1/scans/7", "/health", "/v1",
+            "/v1/scans2", "/",
+        ];
+        let mut labels = std::collections::BTreeSet::new();
+        for path in paths {
+            let label = route_label(path);
+            let answered = ["GET", "POST"].into_iter().any(|method| {
+                let resp = api.handle(&Request {
+                    method: method.into(),
+                    path: path.into(),
+                    content_type: String::new(),
+                    body: vec![],
+                });
+                let body: Value = serde_json::from_slice(&resp.body).unwrap_or(Value::Null);
+                resp.status != 405 && body["error"]["code"] != "not_found"
+            });
+            assert_eq!(answered, label != "other", "{path} is labelled {label}");
+            labels.insert(label);
+        }
+        // Nine routes (`/metrics` and `/v1/metrics` are one) plus `other`.
+        assert_eq!(labels.len(), 10, "{labels:?}");
     }
 }

@@ -344,7 +344,7 @@ fn handle_connection(
         // Unwind safety: every lock the API takes recovers from
         // poisoning, so state a panic unwound through stays usable.
         Ok(request) => (
-            route_label(&request.method, &request.path),
+            route_label(&request.path),
             catch_unwind(AssertUnwindSafe(|| handler(&request))).unwrap_or_else(|_| {
                 Response::error(500, "internal", "the request handler panicked")
             }),

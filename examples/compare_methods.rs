@@ -36,19 +36,14 @@ fn main() {
             ..Default::default()
         })
         .detect(g);
-        let sets = outcome.votes.user_threshold_sets();
-        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels)
+        PrCurve::from_threshold_sets(&outcome.votes.user_threshold_sets(), &labels)
     });
     push_row(&mut table, "EnsemFDet", &ens_curve, ens_time);
 
     // Fraudar: cumulative-block sweep (its coarse polyline).
     let (fra_curve, fra_time) = time_it(|| {
         let result = Fraudar::default().run(g);
-        let points = result.operating_points();
-        PrCurve::from_threshold_sets(
-            points.iter().map(|(k, d)| (*k as f64, d.as_slice())),
-            &labels,
-        )
+        PrCurve::from_threshold_sets(&result.operating_points(), &labels)
     });
     push_row(&mut table, "Fraudar", &fra_curve, fra_time);
 

@@ -25,9 +25,7 @@ fn evidence_aggregation_matches_vote_quality() {
     let (ds, out) = setup();
     let labels = ds.labels();
 
-    let vote_sets = out.votes.user_threshold_sets();
-    let vote_curve =
-        PrCurve::from_threshold_sets(vote_sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels);
+    let vote_curve = PrCurve::from_threshold_sets(&out.votes.user_threshold_sets(), &labels);
 
     let evidence_curve = PrCurve::from_scores(out.evidence.user_scores(), &labels);
 
@@ -57,16 +55,10 @@ fn ensemfdet_roc_is_smoother_than_fraudar() {
     let (ds, out) = setup();
     let labels = ds.labels();
 
-    let vote_sets = out.votes.user_threshold_sets();
-    let ens_roc =
-        RocCurve::from_threshold_sets(vote_sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels);
+    let ens_roc = RocCurve::from_threshold_sets(&out.votes.user_threshold_sets(), &labels);
 
     let fraudar_result = Fraudar::default().run(&ds.graph);
-    let points = fraudar_result.operating_points();
-    let fra_roc = RocCurve::from_threshold_sets(
-        points.iter().map(|(k, d)| (*k as f64, d.as_slice())),
-        &labels,
-    );
+    let fra_roc = RocCurve::from_threshold_sets(&fraudar_result.operating_points(), &labels);
 
     // The introduction's complaint: block detectors jump in TPR. The
     // ensemble's largest jump should be markedly smaller.

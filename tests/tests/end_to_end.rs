@@ -21,9 +21,7 @@ fn detect(cfg_seed: u64) -> (ensemfdet_datagen::Dataset, ensemfdet::EnsembleOutc
 fn ensemble_beats_chance_decisively() {
     let (ds, out) = detect(1);
     let labels = ds.labels();
-    let sets = out.votes.user_threshold_sets();
-    let curve =
-        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels);
+    let curve = PrCurve::from_threshold_sets(&out.votes.user_threshold_sets(), &labels);
     let prevalence = ds.blacklist.len() as f64 / ds.graph.num_users() as f64;
     assert!(
         curve.best_f1() > 5.0 * prevalence,

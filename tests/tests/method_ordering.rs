@@ -19,17 +19,10 @@ fn curves() -> (f64, f64, f64, f64) {
         ..Default::default()
     })
     .detect(&ds.graph);
-    let sets = out.votes.user_threshold_sets();
-    let ens = PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels)
-        .best_f1();
+    let ens = PrCurve::from_threshold_sets(&out.votes.user_threshold_sets(), &labels).best_f1();
 
     let fraudar_result = Fraudar::default().run(&ds.graph);
-    let points = fraudar_result.operating_points();
-    let fra = PrCurve::from_threshold_sets(
-        points.iter().map(|(k, d)| (*k as f64, d.as_slice())),
-        &labels,
-    )
-    .best_f1();
+    let fra = PrCurve::from_threshold_sets(&fraudar_result.operating_points(), &labels).best_f1();
 
     let spk = PrCurve::from_scores(&Spoken::default().score_users(&ds.graph), &labels).best_f1();
     let fbx = PrCurve::from_scores(&FBox::default().score_users(&ds.graph), &labels).best_f1();

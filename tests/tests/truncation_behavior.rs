@@ -18,9 +18,7 @@ fn best_f1_and_blocks(truncation: Truncation) -> (f64, f64) {
         ..Default::default()
     })
     .detect(&ds.graph);
-    let sets = out.votes.user_threshold_sets();
-    let curve =
-        PrCurve::from_threshold_sets(sets.iter().map(|(t, d)| (*t as f64, d.as_slice())), &labels);
+    let curve = PrCurve::from_threshold_sets(&out.votes.user_threshold_sets(), &labels);
     let avg_k_hat = out.samples.iter().map(|s| s.k_hat as f64).sum::<f64>()
         / out.samples.len() as f64;
     (curve.best_f1(), avg_k_hat)
