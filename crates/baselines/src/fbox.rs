@@ -17,7 +17,7 @@
 
 use ensemfdet::adjacency_matrix;
 use ensemfdet_graph::{BipartiteGraph, UserId};
-use ensemfdet_linalg::{randomized_svd, CsrMatrix, SvdOptions};
+use ensemfdet_linalg::{randomized_svd, SvdOptions};
 use serde::{Deserialize, Serialize};
 
 /// FBox configuration.
@@ -60,15 +60,6 @@ impl FBox {
 
     /// Scores every user by degree-weighted spectral residual.
     pub fn score_users(&self, g: &BipartiteGraph) -> Vec<f64> {
-        self.score_users_with(g, &adjacency_matrix(g))
-    }
-
-    /// [`score_users`](Self::score_users) against a pre-assembled
-    /// adjacency matrix (which must describe `g`) — lets a hybrid scan
-    /// share one matrix across every spectral component instead of each
-    /// rebuilding it.
-    pub fn score_users_with(&self, g: &BipartiteGraph, a: &CsrMatrix) -> Vec<f64> {
-        debug_assert_eq!((a.rows(), a.cols()), (g.num_users(), g.num_merchants()));
         let nu = g.num_users();
         if g.num_edges() == 0 {
             return vec![0.0; nu];
@@ -78,7 +69,7 @@ impl FBox {
             return vec![0.0; nu];
         }
         let svd = randomized_svd(
-            a,
+            &adjacency_matrix(g),
             k,
             SvdOptions {
                 power_iters: self.config.power_iters,

@@ -20,11 +20,14 @@
 //!
 //! Beyond the paper's three comparison methods, [`hits`] implements the
 //! HITS-style suspiciousness the related-work section surveys (Kleinberg's
-//! hubs/authorities with CatchSync-style degree normalization) and
-//! [`degree`] a trivial degree-threshold sanity floor.
+//! hubs/authorities with CatchSync-style degree normalization), [`kcore`]
+//! scores users by core number, and [`degree`] is a trivial
+//! degree-threshold sanity floor.
+//!
+//! Each method has one native entry point: [`Fraudar::run`] and the five
+//! `score_users`, which return raw scores on each method's own scale.
 
 pub mod degree;
-pub mod detectors;
 pub mod fbox;
 pub mod fraudar;
 pub mod hits;
@@ -32,7 +35,6 @@ pub mod kcore;
 pub mod spoken;
 
 pub use degree::DegreeBaseline;
-pub use detectors::standard_detectors;
 pub use fbox::{FBox, FBoxConfig};
 pub use fraudar::{Fraudar, FraudarConfig, FraudarResult};
 pub use hits::{Hits, HitsConfig, HitsScores};

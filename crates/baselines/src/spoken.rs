@@ -12,7 +12,7 @@
 
 use ensemfdet::adjacency_matrix;
 use ensemfdet_graph::BipartiteGraph;
-use ensemfdet_linalg::{randomized_svd, CsrMatrix, SvdOptions};
+use ensemfdet_linalg::{randomized_svd, SvdOptions};
 use serde::{Deserialize, Serialize};
 
 /// SpokEn configuration.
@@ -52,21 +52,12 @@ impl Spoken {
     /// Scores every user: `max_i |U[u, i]|` over the top-k left singular
     /// vectors. Higher ⇒ more spoke-like ⇒ more suspicious.
     pub fn score_users(&self, g: &BipartiteGraph) -> Vec<f64> {
-        self.score_users_with(g, &adjacency_matrix(g))
-    }
-
-    /// [`score_users`](Self::score_users) against a pre-assembled
-    /// adjacency matrix (which must describe `g`) — lets a hybrid scan
-    /// share one matrix across every spectral component instead of each
-    /// rebuilding it.
-    pub fn score_users_with(&self, g: &BipartiteGraph, a: &CsrMatrix) -> Vec<f64> {
-        debug_assert_eq!((a.rows(), a.cols()), (g.num_users(), g.num_merchants()));
         let k = self.config.components.min(g.num_users()).min(g.num_merchants());
         if k == 0 || g.num_edges() == 0 {
             return vec![0.0; g.num_users()];
         }
         randomized_svd(
-            a,
+            &adjacency_matrix(g),
             k,
             SvdOptions {
                 power_iters: self.config.power_iters,

@@ -1,9 +1,9 @@
-//! Property tests for the unified `Detector` registry: every adapter is
-//! total (no panics) and emits finite per-user scores in `[0, 1]` on
-//! arbitrary bipartite graphs, including degenerate ones.
+//! Property tests for the baselines' native entry points: every method is
+//! total (no panics) on arbitrary bipartite graphs, including degenerate
+//! ones; the five score methods return one finite score per user, and
+//! Fraudar's blocks reference only nodes that exist.
 
-use ensemfdet::DetectContext;
-use ensemfdet_baselines::standard_detectors;
+use ensemfdet_baselines::{DegreeBaseline, FBox, Fraudar, Hits, KCoreBaseline, Spoken};
 use ensemfdet_graph::BipartiteGraph;
 use proptest::prelude::*;
 
@@ -17,34 +17,38 @@ fn arb_graph(max_side: u32, max_edges: usize) -> impl Strategy<Value = Bipartite
     })
 }
 
+/// The five score methods' `score_users`, default-configured.
+fn score_methods(g: &BipartiteGraph) -> [(&'static str, Vec<f64>); 5] {
+    [
+        ("spoken", Spoken::default().score_users(g)),
+        ("fbox", FBox::default().score_users(g)),
+        ("hits", Hits::default().score_users(g)),
+        ("kcore", KCoreBaseline.score_users(g)),
+        ("degree", DegreeBaseline.score_users(g)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every registry detector returns one finite score in `[0, 1]` per
-    /// user, and any blocks it reports only reference nodes that exist.
+    /// Every score method returns one finite score per user, and
+    /// Fraudar's blocks only reference nodes that exist.
     #[test]
-    fn detectors_are_finite_unit_interval(g in arb_graph(12, 60)) {
-        let ctx = DetectContext::new(&g);
-        for d in standard_detectors() {
-            let out = d.score(&ctx);
-            prop_assert_eq!(out.scores.len(), g.num_users(), "{}", d.name());
-            for &s in &out.scores {
-                prop_assert!(
-                    s.is_finite() && (0.0..=1.0).contains(&s),
-                    "{} score {s}", d.name()
-                );
+    fn detectors_are_finite_with_valid_blocks(g in arb_graph(12, 60)) {
+        for (name, scores) in score_methods(&g) {
+            prop_assert_eq!(scores.len(), g.num_users(), "{}", name);
+            for &s in &scores {
+                prop_assert!(s.is_finite(), "{} score {s}", name);
             }
-            if let Some(blocks) = &out.blocks {
-                for b in blocks {
-                    prop_assert!(b.users.iter().all(|u| u.index() < g.num_users()));
-                    prop_assert!(b.merchants.iter().all(|v| v.index() < g.num_merchants()));
-                }
-            }
+        }
+        for b in Fraudar::default().run(&g).blocks {
+            prop_assert!(b.users.iter().all(|u| u.index() < g.num_users()));
+            prop_assert!(b.merchants.iter().all(|v| v.index() < g.num_merchants()));
         }
     }
 }
 
-/// Empty, edgeless, and single-edge graphs go through every detector
+/// Empty, edgeless, and single-edge graphs go through every method
 /// without panicking.
 #[test]
 fn detectors_survive_degenerate_graphs() {
@@ -53,17 +57,13 @@ fn detectors_survive_degenerate_graphs() {
         BipartiteGraph::from_edges(4, 3, vec![]).unwrap(),
         BipartiteGraph::from_edges(1, 1, vec![(0, 0)]).unwrap(),
     ] {
-        let ctx = DetectContext::new(&g);
-        for d in standard_detectors() {
-            let out = d.score(&ctx);
-            assert_eq!(out.scores.len(), g.num_users(), "{}", d.name());
-            assert!(
-                out.scores
-                    .iter()
-                    .all(|s| s.is_finite() && (0.0..=1.0).contains(s)),
-                "{}",
-                d.name()
-            );
+        for (name, scores) in score_methods(&g) {
+            assert_eq!(scores.len(), g.num_users(), "{name}");
+            assert!(scores.iter().all(|s| s.is_finite()), "{name}");
+        }
+        for b in Fraudar::default().run(&g).blocks {
+            assert!(b.users.iter().all(|u| u.index() < g.num_users()));
+            assert!(b.merchants.iter().all(|v| v.index() < g.num_merchants()));
         }
     }
 }

@@ -15,7 +15,6 @@ use serde::Serialize;
 #[derive(Serialize)]
 struct Variant {
     name: String,
-    wall_s: f64,
     avg_blocks_peeled: f64,
     avg_k_hat: f64,
     best_f1: f64,
@@ -80,7 +79,6 @@ fn main() {
         ]);
         out.push(Variant {
             name: name.to_string(),
-            wall_s: wall.as_secs_f64(),
             avg_blocks_peeled: avg_blocks,
             avg_k_hat,
             best_f1: curve.best_f1(),

@@ -158,7 +158,11 @@ fn main() {
     println!("{}", table.render());
     println!(
         "(paper: 10x wall speedup at S = 0.1 on a multicore box, up to 100x\n\
-         at S = 0.01; theory Time(EnsemFDet) < S · Time(Fraudar) per core)"
+         at S = 0.01; theory Time(EnsemFDet) < S · Time(Fraudar) per core)\n\
+         (the per-core column compares two single timings, the slowest\n\
+         sample against one Fraudar run: it means something only when both\n\
+         are well above timer resolution, as at --scale 1, the scale of\n\
+         EXPERIMENTS.md's Table III; at small scales it flips run to run)"
     );
     output::save(
         "table3_timing",

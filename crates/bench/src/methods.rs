@@ -4,9 +4,7 @@ use ensemfdet::{
     kcore_scores, spectral_scores, DetectContext, EnsemFdet, EnsemFdetConfig, EnsembleOutcome,
     HybridScorer, ScoreNormalization, ScoringConfig,
 };
-use ensemfdet_baselines::{
-    standard_detectors, FBox, FBoxConfig, Fraudar, FraudarConfig, Spoken, SpokenConfig,
-};
+use ensemfdet_baselines::{FBox, FBoxConfig, Fraudar, FraudarConfig, Spoken, SpokenConfig};
 use ensemfdet_eval::PrCurve;
 use ensemfdet_graph::BipartiteGraph;
 
@@ -39,20 +37,6 @@ pub fn spoken_curve(g: &BipartiteGraph, labels: &[bool]) -> PrCurve {
 /// FBox's score-sweep curve.
 pub fn fbox_curve(g: &BipartiteGraph, labels: &[bool]) -> PrCurve {
     PrCurve::from_scores(&FBox::new(FBoxConfig::default()).score_users(g), labels)
-}
-
-/// One score-sweep curve per baseline in the [`Detector`] registry
-/// (default-configured), labeled by method name. One shared
-/// [`DetectContext`], so the adjacency matrix is assembled at most once
-/// across all six methods.
-///
-/// [`Detector`]: ensemfdet::Detector
-pub fn detector_curves(g: &BipartiteGraph, labels: &[bool]) -> Vec<(&'static str, PrCurve)> {
-    let ctx = DetectContext::new(g);
-    standard_detectors()
-        .iter()
-        .map(|d| (d.name(), PrCurve::from_scores(&d.score(&ctx).scores, labels)))
-        .collect()
 }
 
 /// What a calibration sweep settled on.
@@ -143,7 +127,23 @@ pub fn hybrid_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ensemfdet_baselines::{DegreeBaseline, Hits, KCoreBaseline};
     use ensemfdet_graph::{GraphBuilder, MerchantId, UserId};
+
+    /// The six baselines' curves from their native entry points,
+    /// default-configured (Fraudar swept over its default `k = 30`
+    /// blocks), labeled by method name.
+    fn baseline_curves(g: &BipartiteGraph, labels: &[bool]) -> Vec<(&'static str, PrCurve)> {
+        let sweep = |scores: Vec<f64>| PrCurve::from_scores(&scores, labels);
+        vec![
+            ("fraudar", fraudar_curve(g, labels, 30)),
+            ("spoken", spoken_curve(g, labels)),
+            ("fbox", fbox_curve(g, labels)),
+            ("kcore", sweep(KCoreBaseline.score_users(g))),
+            ("hits", sweep(Hits::default().score_users(g))),
+            ("degree", sweep(DegreeBaseline.score_users(g))),
+        ]
+    }
 
     fn planted() -> (BipartiteGraph, Vec<bool>) {
         let mut b = GraphBuilder::new();
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn registry_and_hybrid_curves_are_well_formed() {
         let (g, labels) = planted();
-        let curves = detector_curves(&g, &labels);
+        let curves = baseline_curves(&g, &labels);
         assert_eq!(curves.len(), 6);
         for (name, curve) in &curves {
             for p in &curve.points {
@@ -213,7 +213,7 @@ mod tests {
     /// The camouflage ablation's dominance claim: on dataset #1 at every
     /// camouflage level (0/2/6/12 purchases per fraud user), the
     /// calibrated hybrid's best F1 is at or above every single method's —
-    /// the ensemble's vote sweep and all six registry baselines.
+    /// the ensemble's vote sweep and all six baselines.
     #[test]
     fn calibrated_hybrid_dominates_every_single_method_under_camouflage() {
         use ensemfdet_datagen::generate;
@@ -238,7 +238,7 @@ mod tests {
             let (_, hybrid) = hybrid_curve(&ds.graph, &outcome, &labels, &ScoringConfig::enabled());
             let hybrid_f1 = hybrid.best_f1();
             let singles = std::iter::once(("ensemfdet", ensemfdet_curve(&outcome, &labels)))
-                .chain(detector_curves(&ds.graph, &labels));
+                .chain(baseline_curves(&ds.graph, &labels));
             for (name, curve) in singles {
                 let f1 = curve.best_f1();
                 assert!(

@@ -1,10 +1,9 @@
 //! `ensemfdet compare` — all methods head-to-head on one dataset.
 
 use crate::args::Args;
-use crate::cmd_detect::{ensemfdet_config, score_users};
-use crate::cmd_sweep::{load_label_mask, Family};
+use crate::cmd_detect::ensemfdet_config;
+use crate::cmd_sweep::{baseline, load_label_mask, Family, BASELINES};
 use ensemfdet::EnsemFdet;
-use ensemfdet_baselines::{Fraudar, FraudarConfig};
 use ensemfdet_eval::{time_it, PrCurve, RocCurve, Table};
 use ensemfdet_graph::io;
 
@@ -44,20 +43,12 @@ pub fn run(args: &Args) -> Result<String, String> {
         c.num_samples = args.get_or("samples", 40)?;
         c
     };
-    let k: usize = args.get_or("k", 30)?;
-    for m in ["ensemfdet", "fraudar", "spoken", "fbox", "hits", "kcore", "degree"] {
+    for m in std::iter::once("ensemfdet").chain(BASELINES) {
         let (family, dt) = time_it(|| match m {
             "ensemfdet" => Ok(Family::Sets(
                 EnsemFdet::new(cfg).detect(&g).votes.user_threshold_sets(),
             )),
-            "fraudar" => {
-                let config = FraudarConfig {
-                    k,
-                    ..Default::default()
-                };
-                Ok(Family::Sets(Fraudar::new(config).run(&g).operating_points()))
-            }
-            _ => score_users(m, &g, args).map(Family::Scores),
+            _ => baseline(m, &g, args),
         });
         let (pr, roc) = family?.curves(&labels);
         push(&mut table, &mut rows, m, &pr, &roc, dt);

@@ -1,11 +1,11 @@
 //! `ensemfdet detect` — run a detector and write flagged users.
 
 use crate::args::Args;
+use crate::cmd_sweep::{baseline, Family, BASELINES};
 use ensemfdet::{
     hybrid_scan_scores, DetectContext, EnsemFdet, EnsemFdetConfig, EnsembleOutcome,
     HybridScanScores, SamplingMethodConfig,
 };
-use ensemfdet_baselines::{DegreeBaseline, FBox, FBoxConfig, Fraudar, FraudarConfig, Hits, KCoreBaseline, Spoken, SpokenConfig};
 use ensemfdet_graph::{io, BipartiteGraph};
 use std::io::Write;
 
@@ -41,31 +41,6 @@ OPTIONS:
   score methods (spoken, fbox, hits, kcore, degree):
     --top N               flag the N highest-scoring users [default: 100]
 ";
-
-/// Per-user fraud scores for the score-based methods. `method` must be one
-/// of `spoken`, `fbox`, `hits`, `degree`.
-pub(crate) fn score_users(
-    method: &str,
-    g: &BipartiteGraph,
-    args: &Args,
-) -> Result<Vec<f64>, String> {
-    match method {
-        "spoken" => Ok(Spoken::new(SpokenConfig {
-            components: args.get_or("components", 25)?,
-            ..Default::default()
-        })
-        .score_users(g)),
-        "fbox" => Ok(FBox::new(FBoxConfig {
-            components: args.get_or("components", 25)?,
-            ..Default::default()
-        })
-        .score_users(g)),
-        "hits" => Ok(Hits::default().score_users(g)),
-        "kcore" => Ok(KCoreBaseline.score_users(g)),
-        "degree" => Ok(DegreeBaseline.score_users(g)),
-        other => Err(format!("`{other}` is not a score-based method")),
-    }
-}
 
 /// Parses `--sampling`, falling back to `default` when it is absent.
 pub(crate) fn sampling_method(args: &Args, default: &str) -> Result<SamplingMethodConfig, String> {
@@ -201,34 +176,30 @@ pub fn run(args: &Args) -> Result<String, String> {
                 (detected, Some(outcome.votes.user_scores()))
             }
         }
-        "fraudar" => {
-            let k: usize = args.get_or("k", 30)?;
-            args.finish()?;
-            let result = Fraudar::new(FraudarConfig {
-                k,
-                ..Default::default()
-            })
-            .run(&g);
-            (result.detected_users_after(k), None)
-        }
-        m @ ("spoken" | "fbox" | "hits" | "kcore" | "degree") => {
-            let top: usize = args.get_or("top", 100)?;
-            let scores = score_users(m, &g, args)?;
-            args.finish()?;
-            let mut order: Vec<u32> = (0..g.num_users() as u32).collect();
-            order.sort_by(|&a, &b| {
-                scores[b as usize]
-                    .partial_cmp(&scores[a as usize])
-                    .expect("finite scores")
-                    .then(a.cmp(&b))
-            });
-            let detected = order
-                .into_iter()
-                .take(top)
-                .filter(|&u| scores[u as usize] > 0.0)
-                .collect();
-            (detected, Some(scores))
-        }
+        m if BASELINES.contains(&m) => match baseline(m, &g, args)? {
+            // Fraudar's last operating point: every block it peeled.
+            Family::Sets(mut sets) => {
+                args.finish()?;
+                (sets.pop().map(|(_, users)| users).unwrap_or_default(), None)
+            }
+            Family::Scores(scores) => {
+                let top: usize = args.get_or("top", 100)?;
+                args.finish()?;
+                let mut order: Vec<u32> = (0..g.num_users() as u32).collect();
+                order.sort_by(|&a, &b| {
+                    scores[b as usize]
+                        .partial_cmp(&scores[a as usize])
+                        .expect("finite scores")
+                        .then(a.cmp(&b))
+                });
+                let detected = order
+                    .into_iter()
+                    .take(top)
+                    .filter(|&u| scores[u as usize] > 0.0)
+                    .collect();
+                (detected, Some(scores))
+            }
+        },
         other => return Err(format!("unknown method `{other}`\n\n{HELP}")),
     };
 
@@ -384,6 +355,35 @@ mod tests {
         for m in ["spoken", "fbox", "hits", "kcore", "degree"] {
             let out = run(&args(&["--graph", &gf, "--method", m, "--top", "8"])).unwrap();
             assert!(out.contains("detected"), "{m}: {out}");
+        }
+    }
+
+    /// `--method fraudar` flags its last operating point, which is
+    /// `detected_users_after(k)`: every peeled block's users, and nobody
+    /// on an edgeless graph.
+    #[test]
+    fn fraudar_flags_every_peeled_block() {
+        let planted = graph_file("detect_fraudar_flags_every_peeled_block");
+        let dir = crate::test_dir("detect_fraudar_flags_every_peeled_block");
+        let edgeless = dir.join("edgeless.edges");
+        let empty = BipartiteGraph::from_edges(4, 3, vec![]).unwrap();
+        io::save_edge_list(&empty, &edgeless).unwrap();
+        let flagged = dir.join("flagged.txt");
+        for gf in [planted.as_str(), edgeless.to_str().unwrap()] {
+            run(&args(&[
+                "--graph",
+                gf,
+                "--method",
+                "fraudar",
+                "--out",
+                flagged.to_str().unwrap(),
+            ]))
+            .unwrap();
+            let g = io::load_edge_list(gf).unwrap();
+            let expected = ensemfdet_baselines::Fraudar::default()
+                .run(&g)
+                .detected_users_after(30);
+            assert_eq!(io::load_labels(&flagged).unwrap(), expected, "{gf}");
         }
     }
 

@@ -1,11 +1,14 @@
 //! `ensemfdet sweep` — a detector's full operating curve against labels.
 
 use crate::args::Args;
-use crate::cmd_detect::{ensemfdet_config, hybrid_pass, hybrid_summary, score_users, timing_summary};
+use crate::cmd_detect::{ensemfdet_config, hybrid_pass, hybrid_summary, timing_summary};
 use ensemfdet::EnsemFdet;
-use ensemfdet_baselines::{Fraudar, FraudarConfig};
+use ensemfdet_baselines::{
+    DegreeBaseline, FBox, FBoxConfig, Fraudar, FraudarConfig, Hits, KCoreBaseline, Spoken,
+    SpokenConfig,
+};
 use ensemfdet_eval::{PrCurve, RocCurve, Table};
-use ensemfdet_graph::io;
+use ensemfdet_graph::{io, BipartiteGraph};
 
 const HELP: &str = "\
 ensemfdet sweep — evaluate a detector across its whole threshold range
@@ -64,6 +67,45 @@ impl Family {
     }
 }
 
+/// Every method [`baseline`] runs, in the order `compare` lists them.
+pub(crate) const BASELINES: [&str; 6] = ["fraudar", "spoken", "fbox", "hits", "kcore", "degree"];
+
+/// The baselines' one table: runs the named baseline on `g`. Fraudar
+/// gives its cumulative per-`k` sets under `--k` [default: 30]; the five
+/// score methods give their raw scores, SpokEn and FBox under
+/// `--components` [default: 25].
+pub(crate) fn baseline(method: &str, g: &BipartiteGraph, args: &Args) -> Result<Family, String> {
+    let components = || args.get_or("components", 25);
+    Ok(match method {
+        "fraudar" => Family::Sets(
+            Fraudar::new(FraudarConfig {
+                k: args.get_or("k", 30)?,
+                ..Default::default()
+            })
+            .run(g)
+            .operating_points(),
+        ),
+        "spoken" => Family::Scores(
+            Spoken::new(SpokenConfig {
+                components: components()?,
+                ..Default::default()
+            })
+            .score_users(g),
+        ),
+        "fbox" => Family::Scores(
+            FBox::new(FBoxConfig {
+                components: components()?,
+                ..Default::default()
+            })
+            .score_users(g),
+        ),
+        "hits" => Family::Scores(Hits::default().score_users(g)),
+        "kcore" => Family::Scores(KCoreBaseline.score_users(g)),
+        "degree" => Family::Scores(DegreeBaseline.score_users(g)),
+        other => return Err(format!("unknown method `{other}`")),
+    })
+}
+
 /// Runs the command.
 pub fn run(args: &Args) -> Result<String, String> {
     if args.flag("help") {
@@ -99,20 +141,10 @@ pub fn run(args: &Args) -> Result<String, String> {
                 Family::Sets(outcome.votes.user_threshold_sets())
             }
         }
-        "fraudar" => {
-            let k: usize = args.get_or("k", 30)?;
+        m if BASELINES.contains(&m) => {
+            let family = baseline(m, &g, args)?;
             args.finish()?;
-            let result = Fraudar::new(FraudarConfig {
-                k,
-                ..Default::default()
-            })
-            .run(&g);
-            Family::Sets(result.operating_points())
-        }
-        m @ ("spoken" | "fbox" | "hits" | "kcore" | "degree") => {
-            let scores = score_users(m, &g, args)?;
-            args.finish()?;
-            Family::Scores(scores)
+            family
         }
         other => return Err(format!("unknown method `{other}`\n\n{HELP}")),
     };
@@ -254,6 +286,77 @@ mod tests {
         assert!(out.contains("curve written"));
         let content = std::fs::read_to_string(&json).unwrap();
         assert!(content.contains("precision"));
+    }
+
+    /// `compare` and `sweep` read one method table: for every method,
+    /// compare's summary row equals the curve `sweep --method M --json`
+    /// writes, bit for bit.
+    #[test]
+    fn compare_rows_equal_sweep_curves() {
+        use ensemfdet_eval::{Confusion, RocPoint};
+
+        let (g, l) = dataset_files("sweep_compare_rows_equal_sweep_curves");
+        let dir = crate::test_dir("sweep_compare_rows_equal_sweep_curves");
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let common = ["--graph", g.as_str(), "--labels", l.as_str()];
+        let ensemble = ["--samples", "8", "--ratio", "0.5"];
+        let fraudar = ["--k", "4"];
+        let svd = ["--components", "3"];
+        let summary = path("summary.json");
+        crate::cmd_compare::run(&args(
+            &[&common[..], &ensemble, &fraudar, &svd, &["--json", &summary]].concat(),
+        ))
+        .unwrap();
+        let rows: Vec<serde_json::Value> =
+            serde_json::from_str(&std::fs::read_to_string(&summary).unwrap()).unwrap();
+        let methods: Vec<&str> = rows.iter().map(|r| r["method"].as_str().unwrap()).collect();
+        assert_eq!(methods, [&["ensemfdet"][..], &BASELINES].concat());
+
+        let users = 80;
+        let positives = 8;
+        for row in &rows {
+            let m = row["method"].as_str().unwrap();
+            let own: &[&str] = match m {
+                "ensemfdet" => &ensemble,
+                "fraudar" => &fraudar,
+                "spoken" | "fbox" => &svd,
+                _ => &[],
+            };
+            let curve = path(&format!("{m}.json"));
+            run(&args(&[&common[..], &["--method", m, "--json", &curve], own].concat())).unwrap();
+            let pr: PrCurve =
+                serde_json::from_str(&std::fs::read_to_string(&curve).unwrap()).unwrap();
+            // The ROC point of each PR point, from the same confusion
+            // counts the sweep evaluated.
+            let roc = RocCurve {
+                points: pr
+                    .points
+                    .iter()
+                    .map(|p| {
+                        let tp = (p.recall * positives as f64).round() as usize;
+                        let fp = p.detected - tp;
+                        let c = Confusion {
+                            tp,
+                            fp,
+                            fn_: positives - tp,
+                            tn: users - positives - fp,
+                        };
+                        RocPoint::from_confusion(p.threshold, &c)
+                    })
+                    .collect(),
+            };
+            for (key, value) in [
+                ("best_f1", pr.best_f1()),
+                ("auc_pr", pr.auc_pr()),
+                ("auc_roc", roc.auc()),
+            ] {
+                assert_eq!(
+                    row[key].as_f64().unwrap().to_bits(),
+                    value.to_bits(),
+                    "{m} {key}"
+                );
+            }
+        }
     }
 
     #[test]

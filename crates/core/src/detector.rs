@@ -1,37 +1,22 @@
-//! The pluggable detector abstraction.
+//! The shared input of a scan's graph-level scoring passes.
 //!
-//! Every detection method in the workspace — the six baselines in
-//! `ensemfdet-baselines` and the ensemble itself — answers the same
-//! question: *given the purchase graph, how suspicious is each user?*
-//! Before this module each method exposed its own bespoke entry point
-//! (block lists, raw singular-vector magnitudes, core numbers, hub
-//! scores, degrees), which made them impossible to compose. [`Detector`]
-//! is the uniform contract: per-user scores in `[0, 1]`, plus the dense
-//! block structure when the method produces one.
-//!
-//! [`DetectContext`] is the shared input. It wraps one parent snapshot
-//! and lazily builds the user×merchant [`CsrMatrix`] **once**, so a
-//! hybrid scan that consults several spectral components never
-//! re-assembles the adjacency — previously Fraudar, SpokEn, and FBox each
-//! rebuilt it from the `Graph` on every call.
-//!
-//! This trait is also the seam for the remaining heterogeneous-link
-//! roadmap item: a multi-relation transformation layer only has to
-//! produce a `DetectContext` over the collapsed graph and every detector
-//! (and the hybrid fusion on top) works unchanged.
+//! [`DetectContext`] wraps one parent snapshot; the hybrid scan hands the
+//! same context to each of its components (`scoring::spectral_scores`,
+//! `scoring::kcore_scores`), and the user×merchant [`CsrMatrix`] is
+//! assembled lazily, at most once per context. [`adjacency_matrix`] is the
+//! one assembly rule; the spectral baselines (SpokEn and FBox in
+//! `ensemfdet-baselines`) call it directly.
 
-use crate::block::Block;
-use crate::ensemble::EnsemFdet;
 use ensemfdet_graph::BipartiteGraph;
 use ensemfdet_linalg::CsrMatrix;
 use std::sync::OnceLock;
 
 /// Shared per-scan input: the parent graph plus lazily-built derived
-/// structures every detector can reuse.
+/// structures every scoring pass can reuse.
 ///
 /// The adjacency matrix is built on first use and cached for the life of
-/// the context, so running `k` matrix-consuming detectors over one
-/// context assembles it once, not `k` times.
+/// the context, so `k` matrix-consuming passes over one context assemble
+/// it once, not `k` times.
 #[derive(Debug)]
 pub struct DetectContext<'a> {
     graph: &'a BipartiteGraph,
@@ -68,68 +53,9 @@ pub fn adjacency_matrix(g: &BipartiteGraph) -> CsrMatrix {
     CsrMatrix::from_triplets(g.num_users(), g.num_merchants(), &triplets)
 }
 
-/// What a detector reports for one graph.
-#[derive(Clone, Debug)]
-pub struct DetectorOutput {
-    /// Per-user suspiciousness in `[0, 1]`, indexed by user id. Score
-    /// ordering is the method's ranking; the absolute values are only
-    /// comparable within one detector.
-    pub scores: Vec<f64>,
-    /// Dense blocks, for methods that produce explicit block structure
-    /// (FDET-style peeling); `None` for pure scoring methods.
-    pub blocks: Option<Vec<Block>>,
-}
-
-impl DetectorOutput {
-    /// An output with scores only.
-    pub fn scores_only(scores: Vec<f64>) -> Self {
-        DetectorOutput {
-            scores,
-            blocks: None,
-        }
-    }
-
-    /// An output with scores and block structure.
-    pub fn with_blocks(scores: Vec<f64>, blocks: Vec<Block>) -> Self {
-        DetectorOutput {
-            scores,
-            blocks: Some(blocks),
-        }
-    }
-}
-
-/// A fraud-detection method with the uniform scoring contract.
-///
-/// Implementations must return one finite score in `[0, 1]` per user of
-/// `ctx.graph()` (empty and single-edge graphs included), and must be
-/// deterministic: the same context and configuration always produce the
-/// same output.
-pub trait Detector {
-    /// Stable lowercase method name (`ensemfdet`, `fraudar`, `spoken`,
-    /// …) — used for labels in benches, telemetry, and results.
-    fn name(&self) -> &'static str;
-
-    /// Scores every user of the context's graph.
-    fn score(&self, ctx: &DetectContext<'_>) -> DetectorOutput;
-}
-
-impl Detector for EnsemFdet {
-    fn name(&self) -> &'static str {
-        "ensemfdet"
-    }
-
-    /// The ensemble's vote fraction (`votes / N`): already in `[0, 1]`,
-    /// and sweeping a threshold over it is exactly the paper's `T` sweep.
-    fn score(&self, ctx: &DetectContext<'_>) -> DetectorOutput {
-        let outcome = self.detect(ctx.graph());
-        DetectorOutput::scores_only(outcome.votes.user_scores())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ensemble::EnsemFdetConfig;
     use ensemfdet_graph::{GraphBuilder, MerchantId, UserId};
 
     fn planted() -> BipartiteGraph {
@@ -175,24 +101,5 @@ mod tests {
         let g = BipartiteGraph::from_weighted_edges(1, 1, vec![(0, 0)], vec![2.5]).unwrap();
         let a = adjacency_matrix(&g);
         assert_eq!(a.to_dense()[(0, 0)], 2.5);
-    }
-
-    #[test]
-    fn ensemfdet_scores_are_vote_fractions() {
-        let g = planted();
-        let det = EnsemFdet::new(EnsemFdetConfig {
-            num_samples: 8,
-            sample_ratio: 0.5,
-            seed: 11,
-            ..Default::default()
-        });
-        let ctx = DetectContext::new(&g);
-        let out = det.score(&ctx);
-        assert_eq!(out.scores, det.detect(&g).votes.user_scores());
-        assert!(out
-            .scores
-            .iter()
-            .all(|s| s.is_finite() && (0.0..=1.0).contains(s)));
-        assert!(out.blocks.is_none());
     }
 }

@@ -73,7 +73,7 @@ pub mod truncate;
 pub use aggregate::VoteTally;
 pub use block::Block;
 pub use bucket::BucketQueue;
-pub use detector::{adjacency_matrix, DetectContext, Detector, DetectorOutput};
+pub use detector::{adjacency_matrix, DetectContext};
 pub use engine::{Engine, FdetEngine};
 pub use ensemble::{
     EnsembleOutcome, EnsemFdet, EnsemFdetConfig, SamplePath, SampleSummary,
