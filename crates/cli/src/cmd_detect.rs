@@ -99,11 +99,7 @@ pub(crate) fn ensemfdet_config(args: &Args) -> Result<EnsemFdetConfig, String> {
         sample_ratio: args.get_or("ratio", 0.1)?,
         method: sampling_method(args, "res")?,
         seed: args.get_or("seed", 42)?,
-        scoring: args
-            .get("scoring")
-            .map(|s| s.parse())
-            .transpose()?
-            .unwrap_or_default(),
+        scoring: args.get("scoring").map_or(Ok(Default::default()), |s| s.parse())?,
         ..Default::default()
     })
 }

@@ -66,11 +66,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         sample_ratio: args.get_or("ratio", 0.2)?,
         method: sampling,
         seed: args.get_or("seed", 42)?,
-        scoring: args
-            .get("scoring")
-            .map(|s| s.parse())
-            .transpose()?
-            .unwrap_or_default(),
+        scoring: args.get("scoring").map_or(Ok(Default::default()), |s| s.parse())?,
         ..Default::default()
     };
     let threshold: u32 = args.get_or("threshold", (cfg.num_samples as u32).div_ceil(2))?;

@@ -196,21 +196,28 @@ mod tests {
         Args::parse(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
+    /// 80 users: five planted blocks of falling density, the 26 labelled
+    /// fraudsters, then one-purchase shoppers. Fraudar peels one block
+    /// per `k`, so its curves at `--k` 1, 4 and 30 differ.
     fn dataset_files(test: &str) -> (String, String) {
         let dir = crate::test_dir(test);
         let gpath = dir.join("g.edges");
         let lpath = dir.join("g.labels");
         let mut b = GraphBuilder::new();
-        for u in 0..8u32 {
-            for v in 0..4u32 {
-                b.add_edge(UserId(u), MerchantId(v));
+        let (mut u0, mut v0) = (0u32, 0u32);
+        for (users, merchants) in [(8, 6), (6, 5), (5, 4), (4, 3), (3, 2)] {
+            for u in u0..u0 + users {
+                for v in v0..v0 + merchants {
+                    b.add_edge(UserId(u), MerchantId(v));
+                }
             }
+            (u0, v0) = (u0 + users, v0 + merchants);
         }
-        for u in 8..80u32 {
-            b.add_edge(UserId(u), MerchantId(4 + u % 30));
+        for u in u0..80 {
+            b.add_edge(UserId(u), MerchantId(v0 + u % 30));
         }
         io::save_edge_list(&b.build(), &gpath).unwrap();
-        io::save_labels(&(0..8).collect::<Vec<u32>>(), &lpath).unwrap();
+        io::save_labels(&(0..u0).collect::<Vec<u32>>(), &lpath).unwrap();
         (
             gpath.to_str().unwrap().to_string(),
             lpath.to_str().unwrap().to_string(),
@@ -262,9 +269,16 @@ mod tests {
     #[test]
     fn fraudar_sweep_shows_jumpiness() {
         let (g, l) = dataset_files("sweep_fraudar_sweep_shows_jumpiness");
-        let out = run(&args(&["--graph", &g, "--labels", &l, "--method", "fraudar", "--k", "4"]))
-            .unwrap();
-        assert!(out.contains("max TPR jump"));
+        let summary = |k: &str| {
+            let out =
+                run(&args(&["--graph", &g, "--labels", &l, "--method", "fraudar", "--k", k]))
+                    .unwrap();
+            assert!(out.contains("max TPR jump"));
+            out.lines().find(|l| l.starts_with("best F1:")).unwrap().to_string()
+        };
+        // `--k` is honoured: each k detects a different number of blocks.
+        let (k1, k4, k30) = (summary("1"), summary("4"), summary("30"));
+        assert!(k1 != k4 && k4 != k30 && k1 != k30, "{k1}\n{k4}\n{k30}");
     }
 
     #[test]
@@ -313,7 +327,7 @@ mod tests {
         assert_eq!(methods, [&["ensemfdet"][..], &BASELINES].concat());
 
         let users = 80;
-        let positives = 8;
+        let positives = 26;
         for row in &rows {
             let m = row["method"].as_str().unwrap();
             let own: &[&str] = match m {

@@ -89,5 +89,5 @@ pub use pipeline::{
 };
 pub use scoring::{
     hybrid_scan_scores, kcore_scores, normalize_scores, spectral_scores, HybridScanScores,
-    HybridScorer, ScoreNormalization, ScoringConfig,
+    HybridScorer, KnobValue, ScoreNormalization, ScoringConfig, SCORING_KNOBS,
 };

@@ -48,8 +48,8 @@ pub enum ScoreNormalization {
 }
 
 impl ScoreNormalization {
-    /// Stable lowercase name (`minmax` / `rank`), as accepted by
-    /// [`FromStr`](std::str::FromStr) and the CLI `--scoring` flag.
+    /// Stable lowercase name (`minmax` / `rank`), as
+    /// [`ScoringConfig::set`] accepts it.
     pub fn name(self) -> &'static str {
         match self {
             ScoreNormalization::MinMax => "minmax",
@@ -61,18 +61,6 @@ impl ScoreNormalization {
 impl std::fmt::Display for ScoreNormalization {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ScoreNormalization {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "minmax" => Ok(ScoreNormalization::MinMax),
-            "rank" => Ok(ScoreNormalization::Rank),
-            other => Err(format!("unknown normalization `{other}` (minmax|rank)")),
-        }
     }
 }
 
@@ -183,6 +171,76 @@ impl ScoringConfig {
     }
 }
 
+/// Every scoring knob: the [`ScoringConfig`] field it names (as it
+/// serializes, and as [`ScoringConfig::set`] takes it), its key in the
+/// CLI's `--scoring` spec, and its key in the service's `scoring` object,
+/// where `weights.*` and `floors.*` are members of nested objects.
+pub const SCORING_KNOBS: [(&str, Option<&str>, &str); 11] = [
+    ("enabled", None, "enabled"),
+    ("vote_weight", Some("vote"), "weights.vote"),
+    ("spectral_weight", Some("spectral"), "weights.spectral"),
+    ("kcore_weight", Some("kcore"), "weights.kcore"),
+    ("normalization", Some("norm"), "normalization"),
+    ("hybrid_threshold", Some("threshold"), "hybrid_threshold"),
+    ("vote_floor", Some("vote-floor"), "floors.vote"),
+    ("spectral_floor", Some("spectral-floor"), "floors.spectral"),
+    ("kcore_floor", Some("kcore-floor"), "floors.kcore"),
+    ("spectral_components", Some("components"), "components"),
+    ("spectral_seed", Some("seed"), "seed"),
+];
+
+/// The readings of one knob value: each type it can be read as. A JSON
+/// value gives `serde_json`'s `as_f64`, `as_u64`, `as_str` and `as_bool`;
+/// `--scoring` spec text, every type it parses as.
+#[derive(Clone, Copy, Debug)]
+pub struct KnobValue<'a> {
+    /// The value as a number.
+    pub number: Option<f64>,
+    /// The value as a non-negative integer.
+    pub count: Option<u64>,
+    /// The value as a name.
+    pub text: Option<&'a str>,
+    /// The value as a boolean.
+    pub flag: Option<bool>,
+}
+
+impl ScoringConfig {
+    /// Sets `field`, a [`SCORING_KNOBS`] field, from the value's reading of
+    /// that field's type: each knob's one type check, shared by the CLI's
+    /// `--scoring` spec and the service's `scoring` object. Ranges are left
+    /// to [`validate`](Self::validate), which judges the whole config.
+    ///
+    /// # Errors
+    ///
+    /// What the field takes (`must be a number`, …), or that no field has
+    /// the name.
+    pub fn set(&mut self, field: &str, value: KnobValue<'_>) -> Result<(), String> {
+        let number = value.number.ok_or("must be a number");
+        let count = value.count.ok_or("must be a non-negative integer");
+        match field {
+            "enabled" => self.enabled = value.flag.ok_or("must be a boolean")?,
+            "vote_weight" => self.vote_weight = number?,
+            "spectral_weight" => self.spectral_weight = number?,
+            "kcore_weight" => self.kcore_weight = number?,
+            "normalization" => {
+                let all = [ScoreNormalization::MinMax, ScoreNormalization::Rank];
+                let named = all.into_iter().find(|n| value.text == Some(n.name()));
+                self.normalization = named.ok_or("must be \"minmax\" or \"rank\"")?;
+            }
+            "hybrid_threshold" => self.hybrid_threshold = number?,
+            "vote_floor" => self.vote_floor = number?,
+            "spectral_floor" => self.spectral_floor = number?,
+            "kcore_floor" => self.kcore_floor = number?,
+            "spectral_components" => {
+                self.spectral_components = count?.try_into().map_err(|_| "is too large")?;
+            }
+            "spectral_seed" => self.spectral_seed = count?,
+            other => return Err(format!("no scoring field `{other}`")),
+        }
+        Ok(())
+    }
+}
+
 impl std::str::FromStr for ScoringConfig {
     type Err = String;
 
@@ -190,10 +248,7 @@ impl std::str::FromStr for ScoringConfig {
     /// comma-separated `key=value` pairs, e.g.
     /// `vote=0.5,spectral=0.3,kcore=0.2,norm=rank,threshold=0.4`.
     ///
-    /// Keys: `vote` / `spectral` / `kcore` (weights), `norm`
-    /// (`minmax|rank`), `threshold` (hybrid flag threshold),
-    /// `vote-floor` / `spectral-floor` / `kcore-floor`, `components`,
-    /// `seed`. Any spec enables scoring.
+    /// The keys are [`SCORING_KNOBS`]' spec keys. Any spec enables scoring.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut cfg = ScoringConfig::enabled();
         if s == "hybrid" || s.is_empty() {
@@ -203,37 +258,18 @@ impl std::str::FromStr for ScoringConfig {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("scoring spec item `{part}` is not key=value"))?;
-            let num = || -> Result<f64, String> {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("scoring `{key}` value `{value}` is not a number"))
+            let Some(&(field, ..)) = SCORING_KNOBS.iter().find(|k| k.1 == Some(key)) else {
+                let keys: Vec<&str> = SCORING_KNOBS.iter().filter_map(|k| k.1).collect();
+                return Err(format!("unknown scoring key `{key}` ({})", keys.join("|")));
             };
-            match key {
-                "vote" => cfg.vote_weight = num()?,
-                "spectral" => cfg.spectral_weight = num()?,
-                "kcore" => cfg.kcore_weight = num()?,
-                "norm" => cfg.normalization = value.parse()?,
-                "threshold" => cfg.hybrid_threshold = num()?,
-                "vote-floor" => cfg.vote_floor = num()?,
-                "spectral-floor" => cfg.spectral_floor = num()?,
-                "kcore-floor" => cfg.kcore_floor = num()?,
-                "components" => {
-                    cfg.spectral_components = value
-                        .parse()
-                        .map_err(|_| format!("scoring `components` value `{value}` is not a count"))?
-                }
-                "seed" => {
-                    cfg.spectral_seed = value
-                        .parse()
-                        .map_err(|_| format!("scoring `seed` value `{value}` is not a u64"))?
-                }
-                other => {
-                    return Err(format!(
-                        "unknown scoring key `{other}` (vote|spectral|kcore|norm|threshold|\
-                         vote-floor|spectral-floor|kcore-floor|components|seed)"
-                    ))
-                }
-            }
+            let readings = KnobValue {
+                number: value.parse().ok(),
+                count: value.parse().ok(),
+                text: Some(value),
+                flag: value.parse().ok(),
+            };
+            cfg.set(field, readings)
+                .map_err(|e| format!("scoring `{key}` value `{value}` {e}"))?;
         }
         cfg.validate()?;
         Ok(cfg)

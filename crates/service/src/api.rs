@@ -16,14 +16,21 @@
 //!   epoch-tagged results.
 
 use crate::http::{Request, Response};
-use crate::jobs::{EnqueueError, JobLookup, JobState, JobStore, JobView, ScanResultView, ScanSpec};
+use crate::jobs::{
+    EnqueueError, JobLookup, JobState, JobStore, JobView, ScanRequest, ScanResultView, ScanSpec,
+};
 use ensemfdet::ensemble::effective_workers;
 use ensemfdet::pipeline::{IngestBuffer, ScanRunner, SnapshotStore};
-use ensemfdet::{EnsemFdet, EnsemFdetConfig, IncrementalPolicy, MonitorConfig, ScoringConfig};
+use ensemfdet::{
+    EnsemFdet, EnsemFdetConfig, IncrementalPolicy, KnobValue, MonitorConfig, ScoringConfig,
+    SCORING_KNOBS,
+};
 use ensemfdet_graph::loader::scan_records;
 use ensemfdet_graph::{ConcurrentTransactionInterner, GraphError, GraphStats, Key};
 use ensemfdet_telemetry::{IngestFormat, ServiceMetrics, Side, PROMETHEUS_CONTENT_TYPE};
-use serde_json::{json, Value};
+use serde_json::{json, Map, Value};
+use std::ops::Bound::{Excluded, Included};
+use std::ops::RangeBounds;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -91,6 +98,65 @@ impl Default for ApiConfig {
             ingest_workers: 0,
         }
     }
+}
+
+impl ApiConfig {
+    /// The settings of a scan no request overrides: every automatic scan,
+    /// and the base a request's overrides overlay.
+    fn scan_request(&self) -> ScanRequest {
+        ScanRequest {
+            config: self.monitor.detector,
+            threshold: self.monitor.alert_threshold,
+            incremental: self.follow,
+            workers: self.workers,
+        }
+    }
+}
+
+/// Applies one body value to a scan request, or says why it is refused.
+type Override = fn(&mut ScanRequest, &Value) -> Result<(), String>;
+
+/// The per-scan overrides `POST /v1/scans` accepts, each with its setter.
+/// `GET /v1/config` lists the names, as does an unknown key's refusal.
+const SCAN_OVERRIDES: [(&str, Override); 6] = [
+    ("num_samples", |r, v| {
+        let n = bounded(v.as_u64(), 1..=10_000, "num_samples must be an integer in [1, 10000]")?;
+        r.config.num_samples = n as usize;
+        Ok(())
+    }),
+    ("sample_ratio", |r, v| {
+        let range = (Excluded(0.0), Included(1.0));
+        r.config.sample_ratio = bounded(v.as_f64(), range, "sample_ratio must be a number in (0, 1]")?;
+        Ok(())
+    }),
+    ("threshold", |r, v| {
+        let t = bounded(v.as_u64(), 1..=u64::from(u32::MAX), "threshold must be a positive integer")?;
+        r.threshold = t as u32;
+        Ok(())
+    }),
+    ("mode", |r, v| {
+        let mode = v.as_str().filter(|m| ["full", "incremental"].contains(m));
+        r.incremental = mode.ok_or("mode must be \"full\" or \"incremental\"")? == "incremental";
+        Ok(())
+    }),
+    ("workers", |r, v| {
+        let w = bounded(v.as_u64(), 0..=256, "workers must be an integer in [0, 256] (0 = auto)")?;
+        r.workers = w as usize;
+        Ok(())
+    }),
+    ("scoring", |r, v| {
+        r.config.scoring = scoring_override(r.config.scoring, v)?;
+        Ok(())
+    }),
+];
+
+/// `value` when it is present and in `range`; otherwise the refusal `msg`.
+fn bounded<T: PartialOrd>(
+    value: Option<T>,
+    range: impl RangeBounds<T>,
+    msg: &str,
+) -> Result<T, String> {
+    value.filter(|x| range.contains(x)).ok_or_else(|| msg.into())
 }
 
 /// The service's one route table: the route a path names, which
@@ -229,9 +295,7 @@ impl Api {
                 "max_touched_fraction": c.incremental_policy.max_touched_fraction,
                 "workers": c.workers,
                 "ingest_workers": c.ingest_workers,
-                "scan_overrides": [
-                    "num_samples", "sample_ratio", "threshold", "mode", "workers", "scoring",
-                ],
+                "scan_overrides": SCAN_OVERRIDES.map(|(name, _)| name).to_vec(),
             }),
         )
     }
@@ -245,19 +309,7 @@ impl Api {
         let e = &self.engine;
         let cached_epoch = lock_recover(&e.runner).cached_epoch();
         let latest = e.snapshots.latest();
-        let last_scan = e.jobs.latest().map(|r| {
-            json!({
-                "job_id": r.job_id,
-                "epoch": r.epoch,
-                "mode": r.reuse.mode(),
-                "fallback": r.reuse.fallback.map(|f| f.name()),
-                "samples_reused": r.reuse.samples_reused,
-                "samples_repeeled": r.reuse.samples_repeeled,
-                "dirty_fraction": r.reuse.dirty_fraction(),
-                "delta_touched_nodes": r.reuse.delta_touched_nodes,
-                "scan_millis": r.scan_millis,
-            })
-        });
+        let last_scan = e.jobs.latest().map(|r| Value::Object(reuse_json(&r)));
         Response::json(
             200,
             &json!({
@@ -386,131 +438,42 @@ impl Api {
         {
             return None;
         }
-        self.enqueue_scan(
-            e.config.monitor.detector,
-            e.config.monitor.alert_threshold,
-            e.config.follow,
-            e.config.workers,
-        )
-        .ok()
-        .map(|(id, _epoch)| id)
+        self.enqueue_scan(e.config.scan_request())
+            .ok()
+            .map(|(id, _epoch)| id)
     }
 
-    /// Effective detector config + threshold + scan mode + worker count
-    /// for one scan request: service defaults overlaid with any
-    /// per-request overrides from the body (`{}`/`null`/empty body mean
-    /// "defaults"). The default mode follows the service: incremental
-    /// when follow mode is on, full otherwise; an explicit `"mode"`
-    /// override wins either way.
-    fn scan_overrides(
-        &self,
-        body: &[u8],
-    ) -> Result<(EnsemFdetConfig, u32, bool, usize), Response> {
-        let m = &self.engine.config.monitor;
-        let mut config = m.detector;
-        let mut threshold = m.alert_threshold;
-        let mut incremental = self.engine.config.follow;
-        let mut workers = self.engine.config.workers;
+    /// The effective settings of one scan request: service defaults
+    /// overlaid with any per-request overrides from the body
+    /// (`{}`/`null`/empty body mean "defaults"). The default mode follows
+    /// the service: incremental when follow mode is on, full otherwise;
+    /// an explicit `"mode"` override wins either way.
+    fn scan_overrides(&self, body: &[u8]) -> Result<ScanRequest, Response> {
+        let invalid = |msg: String| Response::error(400, "invalid_config", msg);
+        let mut request = self.engine.config.scan_request();
         if body.iter().all(u8::is_ascii_whitespace) {
-            return Ok((config, threshold, incremental, workers));
+            return Ok(request);
         }
         let parsed: Value = serde_json::from_slice(body)
             .map_err(|e| Response::error(400, "bad_request", format!("invalid JSON: {e}")))?;
         if parsed.is_null() {
-            return Ok((config, threshold, incremental, workers));
+            return Ok(request);
         }
-        let obj = parsed.as_object().ok_or_else(|| {
-            Response::error(400, "invalid_config", "expected a JSON object of overrides")
-        })?;
+        let obj = parsed
+            .as_object()
+            .ok_or_else(|| invalid("expected a JSON object of overrides".into()))?;
         for (key, value) in obj.iter() {
-            match key.as_str() {
-                "num_samples" => {
-                    let n = value.as_u64().filter(|&n| (1..=10_000).contains(&n)).ok_or_else(
-                        || {
-                            Response::error(
-                                400,
-                                "invalid_config",
-                                "num_samples must be an integer in [1, 10000]",
-                            )
-                        },
-                    )?;
-                    config.num_samples = n as usize;
-                }
-                "sample_ratio" => {
-                    let r = value
-                        .as_f64()
-                        .filter(|r| *r > 0.0 && *r <= 1.0)
-                        .ok_or_else(|| {
-                            Response::error(
-                                400,
-                                "invalid_config",
-                                "sample_ratio must be a number in (0, 1]",
-                            )
-                        })?;
-                    config.sample_ratio = r;
-                }
-                "threshold" => {
-                    let t = value
-                        .as_u64()
-                        .filter(|&t| t >= 1 && t <= u64::from(u32::MAX))
-                        .ok_or_else(|| {
-                            Response::error(
-                                400,
-                                "invalid_config",
-                                "threshold must be a positive integer",
-                            )
-                        })?;
-                    threshold = t as u32;
-                }
-                "mode" => {
-                    incremental = match value.as_str() {
-                        Some("full") => false,
-                        Some("incremental") => true,
-                        _ => {
-                            return Err(Response::error(
-                                400,
-                                "invalid_config",
-                                "mode must be \"full\" or \"incremental\"",
-                            ))
-                        }
-                    };
-                }
-                "scoring" => {
-                    config.scoring = scoring_override(config.scoring, value)?;
-                }
-                "workers" => {
-                    let w = value
-                        .as_u64()
-                        .filter(|&w| w <= 256)
-                        .ok_or_else(|| {
-                            Response::error(
-                                400,
-                                "invalid_config",
-                                "workers must be an integer in [0, 256] (0 = auto)",
-                            )
-                        })?;
-                    workers = w as usize;
-                }
-                other => {
-                    return Err(Response::error(
-                        400,
-                        "invalid_config",
-                        format!("unknown override {other:?} (expected num_samples, sample_ratio, threshold, mode, workers, scoring)"),
-                    ));
-                }
-            }
+            let Some((_, set)) = SCAN_OVERRIDES.iter().find(|(name, _)| name == key) else {
+                let expected = SCAN_OVERRIDES.map(|(name, _)| name).join(", ");
+                return Err(invalid(format!("unknown override {key:?} (expected {expected})")));
+            };
+            set(&mut request, value).map_err(invalid)?;
         }
-        Ok((config, threshold, incremental, workers))
+        Ok(request)
     }
 
     /// Pins the freshest snapshot and enqueues a scan job on it.
-    fn enqueue_scan(
-        &self,
-        config: EnsemFdetConfig,
-        threshold: u32,
-        incremental: bool,
-        workers: usize,
-    ) -> Result<(u64, u64), Response> {
+    fn enqueue_scan(&self, request: ScanRequest) -> Result<(u64, u64), Response> {
         let e = &self.engine;
         let snapshot = e.snapshots.refresh(&e.buffer, true);
         let epoch = snapshot.epoch;
@@ -519,13 +482,7 @@ impl Api {
             .snapshot_lag
             .set(e.snapshots.lag(&e.buffer) as i64);
         e.since_scan.store(0, Ordering::Relaxed);
-        match e.jobs.enqueue(ScanSpec {
-            snapshot,
-            config,
-            threshold,
-            incremental,
-            workers,
-        }) {
+        match e.jobs.enqueue(ScanSpec { snapshot, request }) {
             Ok(id) => {
                 e.metrics.scan_queue_depth.set(e.jobs.queue_depth() as i64);
                 Ok((id, epoch))
@@ -545,11 +502,11 @@ impl Api {
     }
 
     fn submit_scan(&self, body: &[u8]) -> Response {
-        let (config, threshold, incremental, workers) = match self.scan_overrides(body) {
-            Ok(x) => x,
+        let request = match self.scan_overrides(body) {
+            Ok(request) => request,
             Err(resp) => return resp,
         };
-        match self.enqueue_scan(config, threshold, incremental, workers) {
+        match self.enqueue_scan(request) {
             Ok((job_id, epoch)) => Response::json(
                 202,
                 &json!({
@@ -606,110 +563,58 @@ impl std::fmt::Debug for Api {
 }
 
 /// Overlays a `"scoring"` override object onto the service's default
-/// scoring configuration. Sending a scoring object implies
-/// `enabled: true` unless the object itself carries
-/// `"enabled": false`; the merged configuration is validated as a whole
-/// (weights finite and not all zero, floors and threshold in `[0, 1]`,
-/// at least one spectral component), so a request can never enqueue a
-/// scan the scorer would reject.
-fn scoring_override(base: ScoringConfig, value: &Value) -> Result<ScoringConfig, Response> {
-    let bad = |msg: String| Response::error(400, "invalid_config", msg);
-    let obj = value
-        .as_object()
-        .ok_or_else(|| bad("scoring must be a JSON object of scoring settings".into()))?;
+/// scoring configuration, one [`SCORING_KNOBS`] key at a time. Sending a
+/// scoring object implies `enabled: true` unless the object itself
+/// carries `"enabled": false`; the merged configuration is validated as a
+/// whole (weights finite and not all zero, floors and threshold in
+/// `[0, 1]`, at least one spectral component), so a request can never
+/// enqueue a scan the scorer would reject.
+fn scoring_override(base: ScoringConfig, value: &Value) -> Result<ScoringConfig, String> {
+    fn object<'v>(v: &'v Value, name: &str) -> Result<&'v Map, String> {
+        v.as_object()
+            .ok_or_else(|| format!("{name} must be a JSON object"))
+    }
     let mut scoring = base;
     scoring.enabled = true;
-    for (key, v) in obj.iter() {
-        match key.as_str() {
-            "enabled" => {
-                scoring.enabled = v
-                    .as_bool()
-                    .ok_or_else(|| bad("scoring.enabled must be a boolean".into()))?;
+    for (key, v) in object(value, "scoring")?.iter() {
+        let (nested, members): (bool, Vec<(String, &Value)>) = match key.as_str() {
+            "weights" | "floors" => {
+                let members = object(v, &format!("scoring.{key}"))?.iter();
+                (true, members.map(|(m, v)| (format!("{key}.{m}"), v)).collect())
             }
-            "weights" => {
-                let weights = v
-                    .as_object()
-                    .ok_or_else(|| bad("scoring.weights must be an object".into()))?;
-                for (wk, wv) in weights.iter() {
-                    let w = wv.as_f64().ok_or_else(|| {
-                        bad(format!("scoring.weights.{wk} must be a number"))
-                    })?;
-                    match wk.as_str() {
-                        "vote" => scoring.vote_weight = w,
-                        "spectral" => scoring.spectral_weight = w,
-                        "kcore" => scoring.kcore_weight = w,
-                        other => {
-                            return Err(bad(format!(
-                                "unknown scoring weight {other:?} (expected vote, spectral, kcore)"
-                            )))
-                        }
-                    }
-                }
+            _ => (false, vec![(key.clone(), v)]),
+        };
+        for (key, v) in members {
+            // Dotted keys name nested members: a top-level "weights.vote"
+            // is unknown.
+            let entry = SCORING_KNOBS.iter().find(|(.., k)| *k == key);
+            let Some(&(field, ..)) = entry.filter(|(.., k)| k.contains('.') == nested) else {
+                let expected = SCORING_KNOBS.map(|(.., k)| k).join(", ");
+                return Err(format!("unknown scoring key {key:?} (expected {expected})"));
+            };
+            if field == "spectral_components" {
+                bounded(v.as_u64(), 1..=10_000, "scoring.components must be an integer in [1, 10000]")?;
             }
-            "floors" => {
-                let floors = v
-                    .as_object()
-                    .ok_or_else(|| bad("scoring.floors must be an object".into()))?;
-                for (fk, fv) in floors.iter() {
-                    let f = fv
-                        .as_f64()
-                        .ok_or_else(|| bad(format!("scoring.floors.{fk} must be a number")))?;
-                    match fk.as_str() {
-                        "vote" => scoring.vote_floor = f,
-                        "spectral" => scoring.spectral_floor = f,
-                        "kcore" => scoring.kcore_floor = f,
-                        other => {
-                            return Err(bad(format!(
-                                "unknown scoring floor {other:?} (expected vote, spectral, kcore)"
-                            )))
-                        }
-                    }
-                }
-            }
-            "normalization" => {
-                scoring.normalization = v
-                    .as_str()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| {
-                        bad("scoring.normalization must be \"minmax\" or \"rank\"".into())
-                    })?;
-            }
-            "hybrid_threshold" => {
-                scoring.hybrid_threshold = v
-                    .as_f64()
-                    .ok_or_else(|| bad("scoring.hybrid_threshold must be a number".into()))?;
-            }
-            "components" => {
-                let n = v
-                    .as_u64()
-                    .filter(|&n| (1..=10_000).contains(&n))
-                    .ok_or_else(|| {
-                        bad("scoring.components must be an integer in [1, 10000]".into())
-                    })?;
-                scoring.spectral_components = n as usize;
-            }
-            "seed" => {
-                scoring.spectral_seed = v
-                    .as_u64()
-                    .ok_or_else(|| bad("scoring.seed must be a non-negative integer".into()))?;
-            }
-            other => {
-                return Err(bad(format!(
-                    "unknown scoring key {other:?} (expected enabled, weights, floors, \
-                     normalization, hybrid_threshold, components, seed)"
-                )));
-            }
+            let value = KnobValue {
+                number: v.as_f64(),
+                count: v.as_u64(),
+                text: v.as_str(),
+                flag: v.as_bool(),
+            };
+            scoring
+                .set(field, value)
+                .map_err(|e| format!("scoring.{key} {e}"))?;
         }
     }
     scoring
         .validate()
-        .map_err(|e| bad(format!("invalid scoring: {e}")))?;
+        .map_err(|e| format!("invalid scoring: {e}"))?;
     Ok(scoring)
 }
 
 /// The wire shape of one job record.
 fn job_json(view: &JobView) -> Value {
-    let mut body = serde_json::Map::new();
+    let mut body = Map::new();
     body.insert("job_id".into(), json!(view.id));
     body.insert("status".into(), json!(view.state.name()));
     body.insert("epoch".into(), json!(view.epoch));
@@ -734,36 +639,24 @@ fn job_json(view: &JobView) -> Value {
 
 /// The wire shape of one published scan result.
 fn result_json(r: &ScanResultView) -> Value {
-    let body = json!({
-        "job_id": r.job_id,
-        "epoch": r.epoch,
-        "transactions": r.transactions,
-        "flagged": r.flagged.clone(),
-        "new_alerts": r.new_alerts.clone(),
-        "scan_millis": r.scan_millis,
-        "num_samples": r.config.num_samples,
-        "sample_ratio": r.config.sample_ratio,
-        "workers": r.workers,
-        "threshold": r.threshold,
-        "mode": r.reuse.mode(),
-        "fallback": r.reuse.fallback.map(|f| f.name()),
-        "samples_reused": r.reuse.samples_reused,
-        "samples_repeeled": r.reuse.samples_repeeled,
-        "dirty_fraction": r.reuse.dirty_fraction(),
-        "delta_touched_nodes": r.reuse.delta_touched_nodes,
-    });
-    let Value::Object(mut body) = body else {
-        unreachable!("json! object literal");
-    };
+    let mut body = reuse_json(r);
+    body.insert("transactions".into(), json!(r.transactions));
+    body.insert("flagged".into(), json!(r.flagged.clone()));
+    body.insert("new_alerts".into(), json!(r.new_alerts.clone()));
+    body.insert("num_samples".into(), json!(r.request.config.num_samples));
+    body.insert("sample_ratio".into(), json!(r.request.config.sample_ratio));
+    body.insert("workers".into(), json!(r.workers));
+    body.insert("threshold".into(), json!(r.request.threshold));
     if let Some(s) = &r.scoring {
+        let config = &r.request.config.scoring;
         let scoring = json!({
             "weights": {
-                "vote": s.config.vote_weight,
-                "spectral": s.config.spectral_weight,
-                "kcore": s.config.kcore_weight,
+                "vote": config.vote_weight,
+                "spectral": config.spectral_weight,
+                "kcore": config.kcore_weight,
             },
-            "normalization": s.config.normalization.name(),
-            "hybrid_threshold": s.config.hybrid_threshold,
+            "normalization": config.normalization.name(),
+            "hybrid_threshold": config.hybrid_threshold,
             "hybrid_flagged": s.hybrid_flagged.clone(),
             "component_millis": s.component_millis.to_vec(),
             "components_reused": s.components_reused,
@@ -780,6 +673,26 @@ fn result_json(r: &ScanResultView) -> Value {
         body.insert("scoring".into(), scoring);
     }
     Value::Object(body)
+}
+
+/// The fields a published result and `GET /v1/follow`'s `last_scan`
+/// share: which scan it was, how long it took, and how it reused the
+/// incremental cache.
+fn reuse_json(r: &ScanResultView) -> Map {
+    let Value::Object(body) = json!({
+        "job_id": r.job_id,
+        "epoch": r.epoch,
+        "scan_millis": r.scan_millis,
+        "mode": r.reuse.mode(),
+        "fallback": r.reuse.fallback.map(|f| f.name()),
+        "samples_reused": r.reuse.samples_reused,
+        "samples_repeeled": r.reuse.samples_repeeled,
+        "dirty_fraction": r.reuse.dirty_fraction(),
+        "delta_touched_nodes": r.reuse.delta_touched_nodes,
+    }) else {
+        unreachable!("json! object literal");
+    };
+    body
 }
 
 /// A parsed record key as the interner takes it: CSV keys arrive hashed
@@ -1651,6 +1564,60 @@ mod tests {
             let (status, body) = post(&api, "/v1/scans", bad.clone());
             assert_eq!(status, 400, "scoring override {bad} accepted: {body}");
             assert_eq!(body["error"]["code"], "invalid_config", "{body}");
+        }
+    }
+
+    /// The CLI's `--scoring` spec and the service's `scoring` object are
+    /// two grammars over one knob setter: every knob gives bit-identical
+    /// configs through both, and both refuse the same bad values.
+    #[test]
+    fn cli_spec_and_scoring_object_agree() {
+        let object = |body: &Value| scoring_override(ScoringConfig::default(), body);
+        let cases = [
+            ("hybrid", json!({})),
+            ("vote=0.1", json!({ "weights": { "vote": 0.1 } })),
+            ("spectral=0.3", json!({ "weights": { "spectral": 0.3 } })),
+            ("kcore=0", json!({ "weights": { "kcore": 0 } })),
+            ("norm=rank", json!({ "normalization": "rank" })),
+            ("threshold=0.7", json!({ "hybrid_threshold": 0.7 })),
+            ("vote-floor=0.2", json!({ "floors": { "vote": 0.2 } })),
+            ("spectral-floor=1", json!({ "floors": { "spectral": 1 } })),
+            ("kcore-floor=0.05", json!({ "floors": { "kcore": 0.05 } })),
+            ("components=3", json!({ "components": 3 })),
+            ("seed=18446744073709551615", json!({ "seed": u64::MAX })),
+            (
+                "vote=0.25,spectral=0.5,kcore=0.25,norm=minmax,threshold=0.6",
+                json!({ "weights": { "vote": 0.25, "spectral": 0.5, "kcore": 0.25 },
+                        "normalization": "minmax", "hybrid_threshold": 0.6 }),
+            ),
+        ];
+        let mut covered = std::collections::BTreeSet::<&str>::new();
+        for (spec, body) in &cases {
+            let cli: ScoringConfig = spec.parse().unwrap();
+            let service = object(body).unwrap();
+            assert_eq!(format!("{cli:?}"), format!("{service:?}"), "{spec} vs {body}");
+            assert_eq!(cli, service);
+            covered.extend(spec.split(',').filter_map(|item| Some(item.split_once('=')?.0)));
+        }
+        // Every spec key is exercised: each knob but `enabled`, which only
+        // the object sets.
+        let spec_keys = SCORING_KNOBS.iter().filter_map(|k| k.1).collect();
+        assert_eq!(covered, spec_keys);
+        assert_eq!(spec_keys.len(), SCORING_KNOBS.len() - 1);
+
+        for (spec, body) in [
+            ("vote=-1", json!({ "weights": { "vote": -1.0 } })),
+            (
+                "vote=0,spectral=0,kcore=0",
+                json!({ "weights": { "vote": 0, "spectral": 0, "kcore": 0 } }),
+            ),
+            ("kcore-floor=1.5", json!({ "floors": { "kcore": 1.5 } })),
+            ("threshold=1.01", json!({ "hybrid_threshold": 1.01 })),
+            ("components=0", json!({ "components": 0 })),
+            ("velocity=1", json!({ "velocity": 1 })),
+        ] {
+            assert!(spec.parse::<ScoringConfig>().is_err(), "{spec} accepted");
+            assert!(object(&body).is_err(), "{body} accepted");
         }
     }
 

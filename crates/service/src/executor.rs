@@ -38,17 +38,18 @@ fn executor_loop(engine: &Engine) {
         // both are complete.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut runner = lock_recover(&engine.runner);
-            runner.set_workers(spec.workers);
-            if spec.incremental {
+            let request = &spec.request;
+            runner.set_workers(request.workers);
+            if request.incremental {
                 runner.run_incremental(
                     &spec.snapshot,
                     &engine.snapshots,
-                    &spec.config,
-                    spec.threshold,
+                    &request.config,
+                    request.threshold,
                     &engine.config.incremental_policy,
                 )
             } else {
-                runner.run(&spec.snapshot, &spec.config, spec.threshold)
+                runner.run(&spec.snapshot, &request.config, request.threshold)
             }
         }));
         match outcome {
@@ -85,7 +86,6 @@ fn executor_loop(engine: &Engine) {
                             .collect();
                         account_scores.sort_by(|a, b| a.0.cmp(&b.0));
                         ScoringResultView {
-                            config: s.config,
                             hybrid_flagged: to_keys(&s.hybrid_flagged),
                             account_scores,
                             component_millis: s.component_times.map(|t| t.as_secs_f64() * 1e3),
@@ -155,8 +155,7 @@ fn executor_loop(engine: &Engine) {
                         transactions: outcome.transactions,
                         flagged,
                         new_alerts,
-                        config: spec.config,
-                        threshold: spec.threshold,
+                        request: spec.request,
                         scan_millis: outcome.ensemble.elapsed.as_secs_f64() * 1e3,
                         reuse: outcome.reuse,
                         workers: outcome.ensemble.workers,

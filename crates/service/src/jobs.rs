@@ -11,19 +11,16 @@
 
 use crate::api::lock_recover;
 use ensemfdet::pipeline::Snapshot;
-use ensemfdet::{EnsemFdetConfig, ReuseStats, ScoringConfig};
+use ensemfdet::{EnsemFdetConfig, ReuseStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// What a queued scan job should run: the pinned snapshot (so the epoch
-/// reported at enqueue time is exactly the epoch scanned), the effective
-/// detector configuration (defaults + per-request overrides), and the
-/// vote threshold.
-#[derive(Clone, Debug)]
-pub struct ScanSpec {
-    /// The snapshot the scan runs on.
-    pub snapshot: Arc<Snapshot>,
+/// One scan's effective settings: the service defaults overlaid with a
+/// request's overrides (`POST /v1/scans`), or the defaults alone (an
+/// automatic scan).
+#[derive(Clone, Copy, Debug)]
+pub struct ScanRequest {
     /// Effective detector configuration.
     pub config: EnsemFdetConfig,
     /// Vote threshold for flagging.
@@ -38,6 +35,17 @@ pub struct ScanSpec {
     /// lives outside [`EnsemFdetConfig`] and never perturbs the
     /// incremental cache's config-equality contract.
     pub workers: usize,
+}
+
+/// What a queued scan job should run: the pinned snapshot (so the epoch
+/// reported at enqueue time is exactly the epoch scanned) and the
+/// request's settings.
+#[derive(Clone, Debug)]
+pub struct ScanSpec {
+    /// The snapshot the scan runs on.
+    pub snapshot: Arc<Snapshot>,
+    /// The scan's settings.
+    pub request: ScanRequest,
 }
 
 /// Lifecycle of a scan job.
@@ -69,14 +77,12 @@ impl JobState {
     }
 }
 
-/// The hybrid-scoring slice of a published scan result: the effective
-/// scoring configuration, the accounts the fused score flagged, and the
-/// per-account component breakdown clients use to explain *why* an
-/// account was flagged.
+/// The hybrid-scoring slice of a published scan result: the accounts
+/// the fused score flagged, and the per-account component breakdown
+/// clients use to explain *why* an account was flagged. The scoring
+/// configuration is the result's `request.config.scoring`.
 #[derive(Clone, Debug)]
 pub struct ScoringResultView {
-    /// The scoring configuration the fusion ran with.
-    pub config: ScoringConfig,
     /// Account keys whose fused hybrid score crossed
     /// `hybrid_threshold`.
     pub hybrid_flagged: Vec<String>,
@@ -106,10 +112,8 @@ pub struct ScanResultView {
     pub flagged: Vec<String>,
     /// Accounts crossing the threshold for the first time ever.
     pub new_alerts: Vec<String>,
-    /// Effective detector configuration the scan ran with.
-    pub config: EnsemFdetConfig,
-    /// Vote threshold used.
-    pub threshold: u32,
+    /// The settings the scan ran with.
+    pub request: ScanRequest,
     /// Ensemble wall-clock in milliseconds.
     pub scan_millis: f64,
     /// How the scan was produced: full vs incremental, fallback reason,
@@ -391,10 +395,12 @@ mod tests {
                 transactions: 0,
                 graph: Arc::new(BipartiteGraph::from_edges(0, 0, vec![]).unwrap()),
             }),
-            config: EnsemFdetConfig::default(),
-            threshold: 1,
-            incremental: false,
-            workers: 1,
+            request: ScanRequest {
+                config: EnsemFdetConfig::default(),
+                threshold: 1,
+                incremental: false,
+                workers: 1,
+            },
         }
     }
 
@@ -405,8 +411,7 @@ mod tests {
             transactions: 0,
             flagged: vec![],
             new_alerts: vec![],
-            config: EnsemFdetConfig::default(),
-            threshold: 1,
+            request: spec(epoch).request,
             scan_millis: 1.0,
             reuse: ReuseStats::full(0),
             workers: 1,
