@@ -362,7 +362,7 @@ pub struct FdetEngine {
     edge_alive: Vec<bool>,
     /// Block-membership bitmap (users then merchants) for edge retirement.
     in_block: Vec<bool>,
-    /// Epoch-stamped intern scratch for [`FdetEngine::run_spec`].
+    /// Reusable intern scratch for [`FdetEngine::run_spec`].
     resolver: SpecResolver,
 }
 

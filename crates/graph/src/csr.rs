@@ -140,11 +140,13 @@ impl CsrView {
     /// follow the same carry rules, and `maps` receives the same
     /// local→parent id maps a `SampledGraph` would hold. Unlike the
     /// materializing path, nothing here allocates per sample once the
-    /// view, resolver, and maps have grown to steady state.
+    /// view, resolver, and maps have grown to steady state, and the only
+    /// parent-sized state is the resolver's 4 bytes per parent node.
     ///
     /// # Panics
     ///
     /// Panics if the spec references an edge or node outside the parent.
+    /// The resolver stays usable: its next build clears it first.
     pub fn rebuild_from_spec(
         &mut self,
         parent: &BipartiteGraph,
@@ -248,6 +250,7 @@ impl CsrView {
                 }
             }
         }
+        resolver.finish(maps);
 
         // Edge ids are local (0..k), exactly as `from_graph` numbers the
         // compacted graph's edges.
@@ -642,6 +645,44 @@ mod tests {
         assert_views_identical(&view, &CsrView::from_graph(&sampled.graph));
         assert_eq!(maps.orig_users, sampled.orig_users);
         assert_eq!(maps.orig_merchants, sampled.orig_merchants);
+    }
+
+    #[test]
+    fn a_build_that_panicked_leaves_the_resolver_usable() {
+        let parent = BipartiteGraph::from_edges(
+            4,
+            4,
+            vec![(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3)],
+        )
+        .unwrap();
+        let mut resolver = SpecResolver::new();
+        let mut maps = SampleMaps::default();
+        let mut view = CsrView::new();
+
+        // Interns users 2 and 0, then panics on the out-of-range user 9,
+        // leaving two slots set.
+        let mut bad = SampleSpec::new();
+        bad.reset(SpecKind::NodeSubsets);
+        bad.users.extend([UserId(2), UserId(0), UserId(9)]);
+        bad.merchants.push(MerchantId(1));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            view.rebuild_from_spec(&parent, &bad, &mut resolver, &mut maps)
+        }));
+        assert!(caught.is_err(), "an out-of-range user must panic");
+
+        let mut spec = SampleSpec::new();
+        for kind in [SpecKind::NodeSubsets, SpecKind::UserSubset] {
+            spec.reset(kind);
+            spec.users.extend([UserId(0), UserId(3), UserId(2)]);
+            spec.merchants.extend([MerchantId(2), MerchantId(1)]);
+            view.rebuild_from_spec(&parent, &spec, &mut resolver, &mut maps);
+
+            let (mut fresh, mut fresh_maps) = (CsrView::new(), SampleMaps::default());
+            fresh.rebuild_from_spec(&parent, &spec, &mut SpecResolver::new(), &mut fresh_maps);
+            assert_views_identical(&view, &fresh);
+            assert_eq!(maps.orig_users, fresh_maps.orig_users);
+            assert_eq!(maps.orig_merchants, fresh_maps.orig_merchants);
+        }
     }
 
     /// A pseudo-random graph with multi-edges and skewed degrees — enough

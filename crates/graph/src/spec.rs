@@ -152,38 +152,29 @@ impl SampleMaps {
     }
 }
 
-/// Number of low bits of a resolver slot holding the local id; the
-/// remaining high bits hold the epoch stamp. The full `u32` id space
-/// fits, so every node id the graph layer can represent is resolvable —
-/// full-JD-scale parents (~4.3 M users) use a fraction of the range.
-const SLOT_LOCAL_BITS: u32 = 32;
-/// Mask extracting the local id from a slot.
-const SLOT_LOCAL_MASK: u64 = (1 << SLOT_LOCAL_BITS) - 1;
+/// A resolver slot holding no local id. `begin` refuses sides that
+/// could need it as a local id.
+const UNSET: u32 = u32::MAX;
 
-/// Reusable epoch-stamped intern scratch for resolving specs.
+/// Reusable intern scratch for resolving specs.
 ///
 /// The materializing constructors pay two `O(parent)` `u32::MAX` memsets
 /// per sample for their intern maps. This scratch keeps the maps alive
-/// across samples and invalidates them by bumping a 32-bit epoch stamp
-/// instead, so a steady-state resolve touches only the sampled rows.
-/// Buffers grow monotonically to the largest parent seen and the epoch
-/// wrap (once per 2³² − 1 resolves) triggers the only full clear — an
-/// amortized cost of effectively zero. Slots were originally packed
-/// `u32`s with an 8-bit epoch / 24-bit local split; the 2²⁴ side cap
-/// that split imposed sat ~4× under the full JD parent graph, so the
-/// slots were widened to `u64` — same single-probe layout, headroom for
-/// the whole id space.
+/// across samples instead: each slot holds a parent node's local id, or
+/// `UNSET`. A build resets exactly the slots it set by walking the
+/// [`SampleMaps`] it filled, so a steady-state resolve touches only the
+/// sampled rows, and the whole scratch is 4 bytes per parent node.
+/// A build that never finished (it panicked) leaves the resolver dirty,
+/// and the next `begin` clears every slot.
 #[derive(Clone, Debug, Default)]
 pub struct SpecResolver {
-    /// Packed `(stamp << 32) | local` per parent user: one cache line
-    /// covers eight probe targets, and a single array access both
-    /// checks and reads the mapping.
-    u_slot: Vec<u64>,
+    /// Local id per parent user, `UNSET` when not interned.
+    u_slot: Vec<u32>,
     /// Merchant-side twin of `u_slot`.
-    v_slot: Vec<u64>,
-    /// Current 32-bit stamp, 1..=`u32::MAX`; `0` marks never-touched
-    /// slots.
-    epoch: u32,
+    v_slot: Vec<u32>,
+    /// Set by `begin`, cleared by `finish`: whether some slot may hold a
+    /// local id the maps no longer list.
+    dirty: bool,
 }
 
 impl SpecResolver {
@@ -193,85 +184,72 @@ impl SpecResolver {
     }
 
     /// Starts a new resolve against a parent with the given side sizes.
-    /// Any side the `u32` id space can address is accepted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a side has `u32::MAX` or more nodes, whose last local
+    /// id would collide with `UNSET`.
     pub(crate) fn begin(&mut self, num_users: usize, num_merchants: usize) {
+        assert!(
+            num_users < UNSET as usize && num_merchants < UNSET as usize,
+            "SpecResolver: sides of {num_users} × {num_merchants} exceed the u32 local-id space",
+        );
+        if self.dirty {
+            self.u_slot.fill(UNSET);
+            self.v_slot.fill(UNSET);
+        }
         if self.u_slot.len() < num_users {
-            self.u_slot.resize(num_users, 0);
+            self.u_slot.resize(num_users, UNSET);
         }
         if self.v_slot.len() < num_merchants {
-            self.v_slot.resize(num_merchants, 0);
+            self.v_slot.resize(num_merchants, UNSET);
         }
-        if self.epoch == u32::MAX {
-            // Epoch wrap: a restarted counter could collide with stale
-            // stamps, so this is the one full clear.
-            self.u_slot.fill(0);
-            self.v_slot.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+        self.dirty = true;
     }
 
-    /// Checks that the next local id still fits the slot's low bits.
-    ///
-    /// Graph sides are addressed by `u32`, which bounds how many distinct
-    /// ids can be interned, so this can only fire if a caller feeds a
-    /// pre-populated `originals` vector past `u32::MAX` entries — but a
-    /// violation would not crash, it would silently corrupt the epoch
-    /// bits (`(epoch << 32) | local` with `local ≥ 2³²` carries into the
-    /// stamp) and alias unrelated parent ids across samples. Worth one
-    /// branch per first-seen node to keep impossible.
-    #[inline]
-    fn check_local_cap(next_local: usize) {
-        assert!(
-            next_local <= SLOT_LOCAL_MASK as usize,
-            "SpecResolver slot overflow: {next_local} locals exceed the \
-             {SLOT_LOCAL_BITS}-bit local-id cap ({SLOT_LOCAL_MASK})",
-        );
+    /// Ends a resolve whose interns all went into `maps`, empty at
+    /// `begin`: resets exactly the slots of the nodes `maps` lists.
+    pub(crate) fn finish(&mut self, maps: &SampleMaps) {
+        for &u in &maps.orig_users {
+            self.u_slot[u as usize] = UNSET;
+        }
+        for &v in &maps.orig_merchants {
+            self.v_slot[v as usize] = UNSET;
+        }
+        self.dirty = false;
     }
 
-    /// Assigns `raw` the next dense local user index if unseen this
-    /// epoch; returns its local id. Mirrors `sampled.rs`'s `intern`.
+    /// Assigns `raw` the next dense local user index if unseen in this
+    /// resolve; returns its local id. Mirrors `sampled.rs`'s `intern`.
     #[inline]
     pub(crate) fn intern_user(&mut self, raw: u32, originals: &mut Vec<u32>) -> u32 {
-        let i = raw as usize;
-        let slot = self.u_slot[i];
-        if (slot >> SLOT_LOCAL_BITS) as u32 == self.epoch {
-            (slot & SLOT_LOCAL_MASK) as u32
-        } else {
-            Self::check_local_cap(originals.len());
-            let local = originals.len() as u32;
-            self.u_slot[i] = ((self.epoch as u64) << SLOT_LOCAL_BITS) | local as u64;
-            originals.push(raw);
-            local
-        }
+        intern(&mut self.u_slot[raw as usize], raw, originals)
     }
 
     /// Merchant-side twin of [`SpecResolver::intern_user`].
     #[inline]
     pub(crate) fn intern_merchant(&mut self, raw: u32, originals: &mut Vec<u32>) -> u32 {
-        let i = raw as usize;
-        let slot = self.v_slot[i];
-        if (slot >> SLOT_LOCAL_BITS) as u32 == self.epoch {
-            (slot & SLOT_LOCAL_MASK) as u32
-        } else {
-            Self::check_local_cap(originals.len());
-            let local = originals.len() as u32;
-            self.v_slot[i] = ((self.epoch as u64) << SLOT_LOCAL_BITS) | local as u64;
-            originals.push(raw);
-            local
-        }
+        intern(&mut self.v_slot[raw as usize], raw, originals)
     }
 
-    /// The local id of a merchant already interned this epoch, if any.
+    /// The local id of a merchant already interned in this resolve, if
+    /// any.
     #[inline]
     pub(crate) fn merchant_local(&self, raw: u32) -> Option<u32> {
-        let slot = self.v_slot[raw as usize];
-        if (slot >> SLOT_LOCAL_BITS) as u32 == self.epoch {
-            Some((slot & SLOT_LOCAL_MASK) as u32)
-        } else {
-            None
-        }
+        let local = self.v_slot[raw as usize];
+        (local != UNSET).then_some(local)
     }
+}
+
+/// Gives an unset `slot` the next local id (pushing `raw` onto
+/// `originals`) and returns the slot's local id.
+#[inline]
+fn intern(slot: &mut u32, raw: u32, originals: &mut Vec<u32>) -> u32 {
+    if *slot == UNSET {
+        *slot = originals.len() as u32;
+        originals.push(raw);
+    }
+    *slot
 }
 
 #[cfg(test)]
@@ -340,39 +318,44 @@ mod tests {
     #[test]
     fn resolver_interning_matches_first_seen_order() {
         let mut r = SpecResolver::new();
-        let mut orig = Vec::new();
+        let mut maps = SampleMaps::default();
         r.begin(8, 8);
-        assert_eq!(r.intern_user(5, &mut orig), 0);
-        assert_eq!(r.intern_user(2, &mut orig), 1);
-        assert_eq!(r.intern_user(5, &mut orig), 0);
-        assert_eq!(orig, vec![5, 2]);
+        assert_eq!(r.intern_user(5, &mut maps.orig_users), 0);
+        assert_eq!(r.intern_user(2, &mut maps.orig_users), 1);
+        assert_eq!(r.intern_user(5, &mut maps.orig_users), 0);
+        assert_eq!(maps.orig_users, vec![5, 2]);
         assert_eq!(r.merchant_local(3), None);
-        let mut vorig = Vec::new();
-        assert_eq!(r.intern_merchant(3, &mut vorig), 0);
+        assert_eq!(r.intern_merchant(3, &mut maps.orig_merchants), 0);
         assert_eq!(r.merchant_local(3), Some(0));
 
-        // A new epoch forgets everything without clearing the buffers.
-        let mut orig2 = Vec::new();
-        r.begin(8, 8);
-        assert_eq!(r.intern_user(2, &mut orig2), 0);
-        assert_eq!(orig2, vec![2]);
-        assert_eq!(r.merchant_local(3), None);
+        // A new resolve forgets the last, whether the last one finished
+        // (its slots reset through the maps) or not (a full clear).
+        for finished in [true, false] {
+            if finished {
+                r.finish(&maps);
+            }
+            maps.clear();
+            r.begin(8, 8);
+            assert_eq!(r.intern_user(2, &mut maps.orig_users), 0);
+            assert_eq!(maps.orig_users, vec![2]);
+            assert_eq!(r.merchant_local(3), None);
+            assert_eq!(r.intern_merchant(3, &mut maps.orig_merchants), 0);
+        }
     }
 
-    /// The packed-u32 layout this replaced capped each side (and every
-    /// local id) at 2²⁴ − 1.
+    /// The packed-u32 layout an earlier resolver used capped each side
+    /// (and every local id) at 2²⁴ − 1.
     const OLD_U32_CAP: usize = (1 << 24) - 1;
 
     #[test]
     fn begin_accepts_sides_beyond_the_old_packed_u32_cap() {
-        // The retired 8-bit-epoch/24-bit-local u32 layout panicked here;
-        // u64 slots make a full-JD-sized side (and well beyond) legal.
+        // The retired 8-bit-epoch/24-bit-local layout panicked here;
+        // plain u32 slots make a full-JD-sized side (and well beyond)
+        // legal.
         let side = OLD_U32_CAP + 2;
         let mut r = SpecResolver::new();
         let mut orig = Vec::new();
         r.begin(side, 8);
-        // Raw ids past the old cap intern and re-probe without touching
-        // the epoch bits.
         assert_eq!(r.intern_user(OLD_U32_CAP as u32 + 1, &mut orig), 0);
         assert_eq!(r.intern_user(7, &mut orig), 1);
         assert_eq!(r.intern_user(OLD_U32_CAP as u32 + 1, &mut orig), 0);
@@ -382,20 +365,20 @@ mod tests {
     #[test]
     fn locals_past_the_old_packed_cap_do_not_alias() {
         // Regression for the 2²⁴ boundary: under the packed-u32 layout a
-        // local id of exactly 2²⁴ carried into the epoch stamp, aliasing
+        // local id of exactly 2²⁴ carried into the stamp bits, aliasing
         // unrelated parent ids across samples. Cross the boundary for
         // real — intern 2²⁴ + 64 distinct users — and verify every
-        // mapping round-trips, then that a new epoch forgets them all.
+        // mapping round-trips, then that a new resolve forgets them all.
         let side = OLD_U32_CAP + 65;
         let mut r = SpecResolver::new();
-        let mut orig = Vec::new();
+        let mut maps = SampleMaps::default();
         r.begin(side, 8);
         for raw in 0..side as u32 {
-            assert_eq!(r.intern_user(raw, &mut orig), raw);
+            assert_eq!(r.intern_user(raw, &mut maps.orig_users), raw);
         }
-        assert_eq!(orig.len(), side);
+        assert_eq!(maps.orig_users.len(), side);
         // Re-probe a spread of ids either side of the old boundary: each
-        // must return its original local, not an epoch-corrupted alias.
+        // must return its original local, not an alias.
         for raw in [
             0u32,
             OLD_U32_CAP as u32 - 1,
@@ -403,29 +386,24 @@ mod tests {
             OLD_U32_CAP as u32 + 1,
             side as u32 - 1,
         ] {
-            assert_eq!(r.intern_user(raw, &mut orig), raw, "alias at {raw}");
+            assert_eq!(r.intern_user(raw, &mut maps.orig_users), raw, "alias at {raw}");
         }
-        assert_eq!(orig.len(), side, "re-probes must not re-intern");
+        assert_eq!(maps.orig_users.len(), side, "re-probes must not re-intern");
 
-        // A new epoch invalidates every slot, including those whose local
-        // ids exceeded the old cap.
-        let mut orig2 = Vec::new();
+        // A new resolve invalidates every slot, including those whose
+        // local ids exceeded the old cap.
+        r.finish(&maps);
+        maps.clear();
         r.begin(side, 8);
-        assert_eq!(r.intern_user(side as u32 - 1, &mut orig2), 0);
-        assert_eq!(orig2, vec![side as u32 - 1]);
+        assert_eq!(r.intern_user(side as u32 - 1, &mut maps.orig_users), 0);
+        assert_eq!(maps.orig_users, vec![side as u32 - 1]);
     }
 
     #[test]
-    #[should_panic(expected = "SpecResolver slot overflow")]
-    fn check_local_cap_still_guards_the_u64_packing() {
-        // The guard survives the widening: a local id of 2³² would carry
-        // into the (now 32-bit) epoch stamp. Unreachable through graph
-        // sides (u32-addressed) — exercised directly.
-        SpecResolver::check_local_cap(SLOT_LOCAL_MASK as usize + 1);
-    }
-
-    #[test]
-    fn check_local_cap_accepts_the_last_representable_local_id() {
-        SpecResolver::check_local_cap(SLOT_LOCAL_MASK as usize);
+    #[should_panic(expected = "exceed the u32 local-id space")]
+    fn begin_refuses_a_side_whose_last_local_would_read_as_unset() {
+        // A side of 2³² − 1 nodes would give its last node the local id
+        // `UNSET`. The check runs before any slot is allocated.
+        SpecResolver::new().begin(UNSET as usize, 0);
     }
 }

@@ -1,69 +1,17 @@
-//! Allocation-count regression test for the arena interner.
+//! Allocation-count regression tests for the graph layer.
 //!
 //! Pins the arena interner's amortized-doubling profile — no per-key
-//! allocation — using a counting `#[global_allocator]`. Counting is
-//! switched on per thread inside [`counted`], so the figures cover the
-//! measured closure's own thread alone, whatever the test runner runs
-//! beside it. The test lives in its own integration-test binary so the
-//! allocator swap cannot perturb any other test.
+//! allocation — and the spec resolver's parent-sized scratch, using the
+//! per-thread counting allocator in `common`. The tests live in their
+//! own integration-test binary so the allocator swap cannot perturb any
+//! other test.
 
-use ensemfdet_graph::ArenaInterner;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
-struct CountingAlloc;
-
-thread_local! {
-    /// Whether this thread is inside [`counted`].
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    /// Allocation calls and bytes requested while counting.
-    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
-    static ALLOC_BYTES: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Records one allocation of `bytes` if this thread is counting.
-fn record(bytes: usize) {
-    // `try_with`: the allocator also runs during thread teardown, after
-    // the thread-locals are gone.
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOC_CALLS.with(|c| c.set(c.get() + 1));
-        ALLOC_BYTES.with(|c| c.set(c.get() + bytes));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns (allocation calls, bytes requested) by this
-/// thread during it.
-fn counted<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
-    ALLOC_CALLS.with(|c| c.set(0));
-    ALLOC_BYTES.with(|c| c.set(0));
-    COUNTING.with(|c| c.set(true));
-    let out = f();
-    COUNTING.with(|c| c.set(false));
-    (
-        ALLOC_CALLS.with(Cell::get),
-        ALLOC_BYTES.with(Cell::get),
-        out,
-    )
-}
+use common::counted;
+use ensemfdet_graph::{
+    ArenaInterner, BipartiteGraph, CsrView, SampleMaps, SampleSpec, SpecKind, SpecResolver,
+};
 
 #[test]
 fn arena_interner_allocates_amortized_not_per_key() {
@@ -98,4 +46,34 @@ fn arena_interner_allocates_amortized_not_per_key() {
     let (find_calls, _, found) = counted(|| arena.find(&keys[N / 2]));
     assert_eq!(found, Some((N / 2) as u32));
     assert_eq!(find_calls, 0, "borrow-keyed find allocated");
+}
+
+#[test]
+fn spec_build_scratch_is_four_bytes_per_parent_node() {
+    const USERS: usize = 1_000_000;
+    const MERCHANTS: usize = 16;
+    let edges: Vec<(u32, u32)> = (0..64u32)
+        .map(|i| ((i * 15_485) % USERS as u32, i % MERCHANTS as u32))
+        .collect();
+    let parent = BipartiteGraph::from_edges(USERS, MERCHANTS, edges).unwrap();
+    let mut spec = SampleSpec::new();
+    spec.reset(SpecKind::EdgeSubset);
+    spec.edges.extend((0..10).map(|i| i * 6));
+
+    let (mut view, mut resolver, mut maps) =
+        (CsrView::new(), SpecResolver::new(), SampleMaps::default());
+    let (_, bytes, ()) =
+        counted(|| view.rebuild_from_spec(&parent, &spec, &mut resolver, &mut maps));
+    // The resolver's u32 slot per parent node, plus the 10-edge view and
+    // maps.
+    let bound = 4 * (USERS + MERCHANTS) + 4096;
+    assert!(
+        bytes <= bound,
+        "first spec build requested {bytes} bytes, over the {bound}-byte budget"
+    );
+    assert_eq!(view.num_edges(), 10);
+
+    let (calls, _, ()) =
+        counted(|| view.rebuild_from_spec(&parent, &spec, &mut resolver, &mut maps));
+    assert_eq!(calls, 0, "a steady-state spec build allocated");
 }

@@ -2,45 +2,32 @@
 //!
 //! The original `floyd_sample` kept its "already chosen" set in a
 //! `HashSet`, costing one hash-map allocation plus per-pick hashing on
-//! every draw. [`SamplerScratch`] replaces it with an epoch-stamped mark
-//! buffer: membership is one array read, invalidation is an epoch bump,
-//! and the buffer is reused across every draw a thread performs — so a
-//! steady-state `S = 0.01` RES draw allocates nothing at all.
+//! every draw. [`SamplerScratch`] replaces it with a pick bitmap: one bit
+//! per population member, so membership is one word read and the whole
+//! set costs `n / 8` bytes. The bitmap is reused across every draw a
+//! thread performs, so a steady-state draw allocates nothing at all.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
 
 /// Reusable scratch for without-replacement draws.
 ///
-/// The mark buffer grows monotonically to the largest population seen;
-/// `mark[i] == epoch` means `i` was already picked in the current draw.
-/// The epoch wrap (once per 2³² draws) triggers the only full clear.
+/// `marks` holds one bit per population member, ⌈n/64⌉ words, cleared
+/// at the start of every draw. Its capacity grows to the largest
+/// population seen and is then reused.
 #[derive(Clone, Debug, Default)]
 pub struct SamplerScratch {
-    mark: Vec<u32>,
-    epoch: u32,
+    marks: Vec<u64>,
 }
 
 impl SamplerScratch {
-    /// A fresh scratch; the mark buffer grows on first use.
+    /// A fresh scratch; the bitmap grows on first use.
     pub fn new() -> Self {
         SamplerScratch::default()
     }
 
-    /// Starts a new draw over a population of `n`.
-    fn begin(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.mark.fill(0);
-            self.epoch = 1;
-        }
-    }
-
     /// Floyd's algorithm: feeds `k` distinct values from `0..n` to `push`
-    /// in O(k) time with zero steady-state allocation.
+    /// in O(k + n/64) time with zero steady-state allocation.
     ///
     /// The pick sequence is bit-for-bit the one the original
     /// `HashSet`-based implementation produced for the same RNG stream,
@@ -54,11 +41,12 @@ impl SamplerScratch {
         mut push: impl FnMut(usize),
     ) {
         debug_assert!(k <= n);
-        self.begin(n);
+        self.marks.clear();
+        self.marks.resize(n.div_ceil(64), 0);
         for j in (n - k)..n {
             let t = rng.random_range(0..=j);
-            let pick = if self.mark[t] == self.epoch { j } else { t };
-            self.mark[pick] = self.epoch;
+            let pick = if (self.marks[t / 64] >> (t % 64)) & 1 != 0 { j } else { t };
+            self.marks[pick / 64] |= 1 << (pick % 64);
             push(pick);
         }
     }
@@ -96,19 +84,44 @@ mod tests {
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
     }
 
-    #[test]
-    fn epoch_wrap_clears_marks() {
-        let mut scratch = SamplerScratch::new();
-        scratch.mark.resize(4, 0);
-        scratch.epoch = u32::MAX - 1;
-        let mut rng = StdRng::seed_from_u64(1);
-        // Two draws across the wrap; both must stay distinct.
-        for _ in 0..2 {
-            let mut out = Vec::new();
-            scratch.floyd_fill(4, 4, &mut rng, |i| out.push(i));
-            out.sort_unstable();
-            assert_eq!(out, vec![0, 1, 2, 3]);
+    /// The HashSet-based Floyd draw the bitmap replaced: the reference
+    /// pick sequence.
+    fn hashset_floyd(n: usize, k: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut chosen = std::collections::HashSet::new();
+        let mut out = Vec::with_capacity(k);
+        for j in (n - k)..n {
+            let t = rng.random_range(0..=j);
+            let pick = if chosen.contains(&t) { j } else { t };
+            chosen.insert(pick);
+            out.push(pick);
         }
-        assert_eq!(scratch.epoch, 1, "wrap resets to epoch 1");
+        out
+    }
+
+    #[test]
+    fn bitmap_picks_equal_the_hashset_reference_across_reuse() {
+        // Populations off the 64-bit word grid, growing then shrinking,
+        // so stale bits from a larger draw would show in a smaller one.
+        let mut scratch = SamplerScratch::new();
+        for (seed, &(n, k)) in [
+            (1, 1),
+            (63, 63),
+            (65, 40),
+            (1000, 999),
+            (4097, 300),
+            (130, 130),
+            (129, 64),
+            (7, 7),
+            (200, 150),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut got = Vec::new();
+            scratch.floyd_fill(n, k, &mut rng, |i| got.push(i));
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            assert_eq!(got, hashset_floyd(n, k, &mut rng), "n={n} k={k}");
+        }
     }
 }

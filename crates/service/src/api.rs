@@ -282,10 +282,15 @@ impl Api {
 
     fn config_page(&self) -> Response {
         let c = &self.engine.config;
+        let Value::Object(mut detector) = json!(c.monitor.detector) else {
+            unreachable!("the detector config serializes as an object");
+        };
+        let scoring = scoring_json(&c.monitor.detector.scoring);
+        detector.insert("scoring".into(), Value::Object(scoring));
         Response::json(
             200,
             &json!({
-                "detector": c.monitor.detector,
+                "detector": Value::Object(detector),
                 "alert_threshold": c.monitor.alert_threshold,
                 "scan_interval": c.monitor.scan_interval,
                 "min_transactions": c.monitor.min_transactions,
@@ -612,6 +617,28 @@ fn scoring_override(base: ScoringConfig, value: &Value) -> Result<ScoringConfig,
     Ok(scoring)
 }
 
+/// A scoring configuration in exactly the shape [`scoring_override`]
+/// parses: every [`SCORING_KNOBS`] key, with `weights.*` and `floors.*`
+/// as members of nested objects, so a client can send it back as is.
+fn scoring_json(config: &ScoringConfig) -> Map {
+    let fields = json!(config);
+    let mut out = Map::new();
+    for (field, _, key) in SCORING_KNOBS {
+        let value = match field {
+            "normalization" => json!(config.normalization.name()),
+            _ => fields[field].clone(),
+        };
+        let Some((group, member)) = key.split_once('.') else {
+            out.insert(key.into(), value);
+            continue;
+        };
+        let mut members = out.get(group).and_then(Value::as_object).cloned().unwrap_or_default();
+        members.insert(member.into(), value);
+        out.insert(group.into(), Value::Object(members));
+    }
+    out
+}
+
 /// The wire shape of one job record.
 fn job_json(view: &JobView) -> Value {
     let mut body = Map::new();
@@ -648,29 +675,21 @@ fn result_json(r: &ScanResultView) -> Value {
     body.insert("workers".into(), json!(r.workers));
     body.insert("threshold".into(), json!(r.request.threshold));
     if let Some(s) = &r.scoring {
-        let config = &r.request.config.scoring;
-        let scoring = json!({
-            "weights": {
-                "vote": config.vote_weight,
-                "spectral": config.spectral_weight,
-                "kcore": config.kcore_weight,
-            },
-            "normalization": config.normalization.name(),
-            "hybrid_threshold": config.hybrid_threshold,
-            "hybrid_flagged": s.hybrid_flagged.clone(),
-            "component_millis": s.component_millis.to_vec(),
-            "components_reused": s.components_reused,
-            "account_scores": s.account_scores.iter().map(|(key, [vote, spectral, kcore, hybrid])| {
-                json!({
-                    "account": key,
-                    "vote": vote,
-                    "spectral": spectral,
-                    "kcore": kcore,
-                    "hybrid": hybrid,
-                })
-            }).collect::<Vec<Value>>(),
+        let mut scoring = scoring_json(&r.request.config.scoring);
+        scoring.insert("hybrid_flagged".into(), json!(s.hybrid_flagged.clone()));
+        scoring.insert("component_millis".into(), json!(s.component_millis.to_vec()));
+        scoring.insert("components_reused".into(), json!(s.components_reused));
+        let accounts = s.account_scores.iter().map(|(key, [vote, spectral, kcore, hybrid])| {
+            json!({
+                "account": key,
+                "vote": vote,
+                "spectral": spectral,
+                "kcore": kcore,
+                "hybrid": hybrid,
+            })
         });
-        body.insert("scoring".into(), scoring);
+        scoring.insert("account_scores".into(), Value::Array(accounts.collect()));
+        body.insert("scoring".into(), Value::Object(scoring));
     }
     Value::Object(body)
 }
@@ -814,6 +833,7 @@ pub fn parse_csv_pairs(body: &[u8], workers: usize) -> Result<Vec<(Key<'_>, Key<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ensemfdet::ScoreNormalization;
     use std::time::{Duration, Instant};
 
     fn post(api: &Api, path: &str, body: Value) -> (u16, Value) {
@@ -879,7 +899,11 @@ mod tests {
     }
 
     fn quick_api() -> Api {
-        Api::new(ApiConfig {
+        Api::new(quick_config())
+    }
+
+    fn quick_config() -> ApiConfig {
+        ApiConfig {
             monitor: MonitorConfig {
                 detector: EnsemFdetConfig {
                     num_samples: 20,
@@ -892,7 +916,7 @@ mod tests {
                 min_transactions: 0,
             },
             ..Default::default()
-        })
+        }
     }
 
     fn ring_records() -> Vec<Value> {
@@ -1119,12 +1143,51 @@ mod tests {
         assert!(overrides.iter().any(|v| v == "mode"));
         assert!(overrides.iter().any(|v| v == "workers"));
         assert!(overrides.iter().any(|v| v == "scoring"));
-        // The detector config (scoring included) is serialized verbatim.
+        // The scoring block is in the shape a scan override takes.
         assert_eq!(body["detector"]["scoring"]["enabled"], false);
         assert_eq!(body["workers"], 0, "default workers is auto (0)");
         assert_eq!(body["ingest_workers"], 0, "default ingest workers is auto (0)");
         assert_eq!(body["follow"], false);
         assert!((body["max_touched_fraction"].as_f64().unwrap() - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn config_page_scoring_block_posts_back_as_a_scan_override() {
+        let non_default = ScoringConfig {
+            enabled: true,
+            vote_weight: 0.5,
+            kcore_floor: 0.25,
+            normalization: ScoreNormalization::Rank,
+            hybrid_threshold: 0.4,
+            spectral_components: 7,
+            spectral_seed: 99,
+            ..ScoringConfig::default()
+        };
+        for scoring in [ScoringConfig::default(), non_default] {
+            let mut config = quick_config();
+            config.monitor.detector.scoring = scoring;
+            let api = Api::new(config);
+            post(&api, "/v1/transactions", json!({ "records": [["u1", "m1"], ["u2", "m1"]] }));
+
+            let (_, page) = get(&api, "/v1/config");
+            let block = page["detector"]["scoring"].clone();
+            let (status, body) = post(&api, "/v1/scans", json!({ "scoring": &block }));
+            assert_eq!(status, 202, "{body}");
+            let id = body["job_id"].as_u64().unwrap();
+            let done = wait_done(&api, id);
+            // A scored result echoes the same block beside its scores.
+            if scoring.enabled {
+                for (key, value) in block.as_object().unwrap().iter() {
+                    assert_eq!(&done["result"]["scoring"][key.as_str()], value, "{key}");
+                }
+            }
+            let JobLookup::Found(job) = api.engine.jobs.lookup(id) else {
+                panic!("job {id} not found");
+            };
+            let request = job.result.expect("a done job has a result").request;
+            assert_eq!(Value::Object(scoring_json(&request.config.scoring)), block);
+            assert_eq!(format!("{:?}", request.config.scoring), format!("{scoring:?}"));
+        }
     }
 
     #[test]
