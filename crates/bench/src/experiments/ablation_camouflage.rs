@@ -9,13 +9,15 @@
 //! average-degree metric collapses much faster, especially under biased
 //! camouflage into the busiest merchants.
 
+use super::ensemble;
+use crate::methods;
 use ensemfdet::metric::{DensityMetric, MetricKind};
 use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{methods, output, resolve_scale};
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_datagen::{generate, CamouflageTargeting};
 use ensemfdet_eval::Table;
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct Cell {
@@ -26,9 +28,7 @@ struct Cell {
     auc_pr: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!("== Ablation: metric robustness under camouflage (Dataset #1 at 1/{scale}) ==\n");
 
     let mut cells = Vec::new();
@@ -48,16 +48,11 @@ fn main() {
 
             let mut f1s = Vec::new();
             for metric in [MetricKind::LogWeighted { c: 5.0 }, MetricKind::AverageDegree] {
-                let outcome = methods::run_ensemfdet(
-                    &ds.graph,
-                    EnsemFdetConfig {
-                        num_samples: 40,
-                        sample_ratio: 0.1,
-                        metric,
-                        seed: 0xCA31,
-                        ..Default::default()
-                    },
-                );
+                let config = EnsemFdetConfig {
+                    metric,
+                    ..ensemble(40, 0.1, 0xCA31)
+                };
+                let outcome = methods::run_ensemfdet(&ds.graph, config);
                 let curve = methods::ensemfdet_curve(&outcome, &labels);
                 f1s.push(curve.best_f1());
                 cells.push(Cell {
@@ -84,5 +79,5 @@ fn main() {
          out true blocks; biased camouflage can even *raise* its F1 by\n\
          accident, by fusing fraud users into the popular hubs it chases.)"
     );
-    output::save("ablation_camouflage", &cells);
+    json!(cells)
 }

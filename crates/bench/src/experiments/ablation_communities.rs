@@ -8,12 +8,13 @@
 //! recall at best F1** (fraction of rings with ≥50% of members caught —
 //! what a risk-control team actually acts on).
 
-use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{methods, output, resolve_scale};
+use super::ensemble;
+use crate::methods;
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_datagen::generate;
 use ensemfdet_eval::{group_recall, Table};
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct Row {
@@ -23,9 +24,7 @@ struct Row {
     group_recall_at_best_f1: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!(
         "== Ablation: honest community structure (Dataset #1 at 1/{scale}) ==\n"
     );
@@ -40,15 +39,7 @@ fn main() {
         let labels = ds.labels();
         let groups: Vec<Vec<u32>> = ds.groups.iter().map(|g| g.users.clone()).collect();
 
-        let outcome = methods::run_ensemfdet(
-            &ds.graph,
-            EnsemFdetConfig {
-                num_samples: 40,
-                sample_ratio: 0.1,
-                seed: 0xC0_34,
-                ..Default::default()
-            },
-        );
+        let outcome = methods::run_ensemfdet(&ds.graph, ensemble(40, 0.1, 0xC0_34));
         let ens = methods::ensemfdet_curve(&outcome, &labels);
         let fra = methods::fraudar_curve(&ds.graph, &labels, 30);
 
@@ -94,5 +85,5 @@ fn main() {
          of members caught — stays near 1.0: rings remain qualitatively\n\
          denser than organic communities)"
     );
-    output::save("ablation_communities", &rows);
+    json!(rows)
 }

@@ -12,13 +12,14 @@
 //!   period 0, frozen and applied to later periods (a stand-in for stale
 //!   feature rules).
 
-use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{methods, output, resolve_scale};
+use super::ensemble;
+use crate::methods;
 use ensemfdet_baselines::DegreeBaseline;
 use ensemfdet_datagen::presets::{jd_preset, JdDataset};
 use ensemfdet_datagen::{generate_timeline, BehaviorDrift, TimelineConfig};
 use ensemfdet_eval::{confusion, Table};
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct PeriodRow {
@@ -28,9 +29,7 @@ struct PeriodRow {
     stale_rule_f1: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     const PERIODS: usize = 5;
     println!(
         "== Ablation: {PERIODS} drifting campaign periods (Dataset #1 base at 1/{scale}) ==\n"
@@ -62,15 +61,7 @@ fn main() {
     for (p, ds) in periods.iter().enumerate() {
         let labels = ds.labels();
 
-        let outcome = methods::run_ensemfdet(
-            &ds.graph,
-            EnsemFdetConfig {
-                num_samples: 40,
-                sample_ratio: 0.1,
-                seed: 0x7E42,
-                ..Default::default()
-            },
-        );
+        let outcome = methods::run_ensemfdet(&ds.graph, ensemble(40, 0.1, 0x7E42));
         let ens_f1 = methods::ensemfdet_curve(&outcome, &labels).best_f1();
 
         let degrees = DegreeBaseline.score_users(&ds.graph);
@@ -106,7 +97,7 @@ fn main() {
          EnsemFDet, which learns nothing, degrades far more slowly — the\n\
          introduction's argument for unsupervised graph detection)"
     );
-    output::save("ablation_periods", &rows);
+    json!(rows)
 }
 
 /// Best F1 degree cutoff on a labelled period.

@@ -5,12 +5,13 @@
 //! 10 master seeds and reports best-F1 as mean ± std, turning the paper's
 //! qualitative claim into a measured coefficient of variation.
 
-use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{datasets, methods, output, resolve_scale};
+use super::ensemble;
+use crate::{datasets, methods};
 use ensemfdet_datagen::presets::JdDataset;
 use ensemfdet_eval::stability::{across_seeds, Spread};
 use ensemfdet_eval::Table;
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct Row {
@@ -23,9 +24,7 @@ struct Row {
     max_f1: f64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     const SEEDS: u64 = 10;
     println!(
         "== Ablation: best-F1 stability over {SEEDS} ensemble seeds (Dataset #1 at 1/{scale}) ==\n"
@@ -38,15 +37,7 @@ fn main() {
     let mut rows = Vec::new();
     for (s, n) in [(0.1f64, 10usize), (0.1, 40), (0.1, 80), (0.05, 20), (0.2, 10)] {
         let spread: Spread = across_seeds(0..SEEDS, |seed| {
-            let outcome = methods::run_ensemfdet(
-                &ds.graph,
-                EnsemFdetConfig {
-                    num_samples: n,
-                    sample_ratio: s,
-                    seed: 0xAB1E ^ seed,
-                    ..Default::default()
-                },
-            );
+            let outcome = methods::run_ensemfdet(&ds.graph, ensemble(n, s, 0xAB1E ^ seed));
             methods::ensemfdet_curve(&outcome, &labels).best_f1()
         });
         table.row(&[
@@ -73,5 +64,5 @@ fn main() {
          stays small — a few percent — in every configuration, and shrinks\n\
          as N grows)"
     );
-    output::save("ablation_stability", &rows);
+    json!(rows)
 }

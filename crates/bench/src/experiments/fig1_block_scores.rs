@@ -6,14 +6,15 @@
 //! to a common low plateau after the meaningful blocks, so the Δ² elbow is
 //! well defined.
 
+use crate::datasets;
 use ensemfdet::fdet::{fdet, Truncation};
 use ensemfdet::metric::MetricKind;
 use ensemfdet::truncate::truncation_point;
-use ensemfdet_bench::{datasets, output, resolve_scale};
 use ensemfdet_datagen::presets::JdDataset;
 use ensemfdet_eval::Table;
 use ensemfdet_sampling::{seed, Sampler, SamplingMethod};
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct SampleCurve {
@@ -22,9 +23,7 @@ struct SampleCurve {
     k_hat: usize,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     const N: usize = 8;
     const S: f64 = 0.1;
     const K_MAX: usize = 16;
@@ -75,5 +74,5 @@ fn main() {
         "(paper: all curves decrease monotonically and flatten after the\n\
          elbow — detected blocks past k̂ are meaningless)"
     );
-    output::save("fig1_block_scores", &curves);
+    json!(curves)
 }

@@ -5,28 +5,19 @@
 //! the SVD methods unstable across datasets (FBox nearly invalid on
 //! Dataset #1); EnsemFDet's curve smooth, Fraudar's a coarse polyline.
 
-use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{datasets, methods, output, resolve_scale};
+use super::{ensemble, MethodCurve};
+use crate::{datasets, methods};
 use ensemfdet_eval::{PrCurve, Table};
 use serde::Serialize;
-
-#[derive(Serialize)]
-struct MethodResult {
-    method: String,
-    best_f1: f64,
-    auc_pr: f64,
-    points: Vec<ensemfdet_eval::PrPoint>,
-}
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct DatasetResult {
     dataset: String,
-    methods: Vec<MethodResult>,
+    methods: Vec<MethodCurve>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!("== Figure 3: method comparison on all datasets (1/{scale}) ==");
 
     let mut all = Vec::new();
@@ -40,15 +31,7 @@ fn main() {
             ds.blacklist.len()
         );
 
-        let outcome = methods::run_ensemfdet(
-            &ds.graph,
-            EnsemFdetConfig {
-                num_samples: 80,
-                sample_ratio: 0.1,
-                seed: 0xF163,
-                ..Default::default()
-            },
-        );
+        let outcome = methods::run_ensemfdet(&ds.graph, ensemble(80, 0.1, 0xF163));
         let curves: Vec<(&str, PrCurve)> = vec![
             ("SPOKEN", methods::spoken_curve(&ds.graph, &labels)),
             ("FBox", methods::fbox_curve(&ds.graph, &labels)),
@@ -59,24 +42,16 @@ fn main() {
         let mut table = Table::new(&["method", "points", "best F1", "P@bestF1", "R@bestF1", "AUC-PR"]);
         let mut methods_out = Vec::new();
         for (name, curve) in curves {
-            let best = curve.best_point().cloned();
+            let best = curve.best_point();
             table.row(&[
                 name.to_string(),
                 curve.points.len().to_string(),
                 format!("{:.3}", curve.best_f1()),
                 best.map(|b| format!("{:.3}", b.precision)).unwrap_or_default(),
-                curve
-                    .best_point()
-                    .map(|b| format!("{:.3}", b.recall))
-                    .unwrap_or_default(),
+                best.map(|b| format!("{:.3}", b.recall)).unwrap_or_default(),
                 format!("{:.3}", curve.auc_pr()),
             ]);
-            methods_out.push(MethodResult {
-                method: name.to_string(),
-                best_f1: curve.best_f1(),
-                auc_pr: curve.auc_pr(),
-                points: curve.points,
-            });
+            methods_out.push(MethodCurve::new(name, curve));
         }
         println!("{}", table.render());
         all.push(DatasetResult {
@@ -90,5 +65,5 @@ fn main() {
          unstable — FBox nearly invalid on Dataset #1; EnsemFDet sweeps a\n\
          smooth curve where Fraudar gives a handful of diamond points)"
     );
-    output::save("fig3_method_comparison", &all);
+    json!(all)
 }

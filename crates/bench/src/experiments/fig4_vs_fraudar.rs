@@ -6,10 +6,11 @@
 //! Fraudar jumps in coarse, uncontrollable steps (thousands of nodes per
 //! block).
 
-use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{datasets, methods, output, resolve_scale};
+use super::ensemble;
+use crate::{datasets, methods};
 use ensemfdet_eval::Table;
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct SeriesPoint {
@@ -37,23 +38,13 @@ fn steps(points: &[SeriesPoint]) -> usize {
         .unwrap_or(0)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!("== Figure 4: EnsemFDet vs Fraudar by number of detected PINs (1/{scale}) ==");
 
     let mut all = Vec::new();
     for (which, ds) in datasets::load_all(scale) {
         let labels = ds.labels();
-        let outcome = methods::run_ensemfdet(
-            &ds.graph,
-            EnsemFdetConfig {
-                num_samples: 80,
-                sample_ratio: 0.1,
-                seed: 0xF164,
-                ..Default::default()
-            },
-        );
+        let outcome = methods::run_ensemfdet(&ds.graph, ensemble(80, 0.1, 0xF164));
         let ens = methods::ensemfdet_curve(&outcome, &labels);
         let fra = methods::fraudar_curve(&ds.graph, &labels, 30);
 
@@ -101,5 +92,5 @@ fn main() {
          business' — while EnsemFDet's T sweep covers sizes almost\n\
          continuously)"
     );
-    output::save("fig4_vs_fraudar", &all);
+    json!(all)
 }

@@ -7,23 +7,14 @@
 //! D_avg(PIN)`); merchant bagging, two-sides bagging and random-edge
 //! bagging close together.
 
+use super::{ensemble, max_recall, MethodCurve};
+use crate::{datasets, methods};
 use ensemfdet::{EnsemFdetConfig, SamplingMethodConfig};
-use ensemfdet_bench::{datasets, methods, output, resolve_scale};
 use ensemfdet_datagen::presets::JdDataset;
 use ensemfdet_eval::Table;
-use serde::Serialize;
+use serde_json::{json, Value};
 
-#[derive(Serialize)]
-struct MethodCurve {
-    method: String,
-    best_f1: f64,
-    auc_pr: f64,
-    points: Vec<ensemfdet_eval::PrPoint>,
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!("== Figure 5: sampling strategies on Dataset #3 (1/{scale}, S = 0.1, N = 80) ==\n");
 
     let ds = datasets::load(JdDataset::Jd3, scale);
@@ -44,39 +35,24 @@ fn main() {
     let mut table = Table::new(&["sampling", "best F1", "AUC-PR", "max recall"]);
     let mut out = Vec::new();
     for (method, name) in variants {
-        let outcome = methods::run_ensemfdet(
-            &ds.graph,
-            EnsemFdetConfig {
-                num_samples: 80,
-                sample_ratio: 0.1,
-                method,
-                seed: 0xF165,
-                ..Default::default()
-            },
-        );
+        let config = EnsemFdetConfig {
+            method,
+            ..ensemble(80, 0.1, 0xF165)
+        };
+        let outcome = methods::run_ensemfdet(&ds.graph, config);
         let curve = methods::ensemfdet_curve(&outcome, &labels);
-        let max_recall = curve
-            .points
-            .iter()
-            .map(|p| p.recall)
-            .fold(0.0f64, f64::max);
         table.row(&[
             name.to_string(),
             format!("{:.3}", curve.best_f1()),
             format!("{:.3}", curve.auc_pr()),
-            format!("{:.3}", max_recall),
+            format!("{:.3}", max_recall(&curve.points)),
         ]);
-        out.push(MethodCurve {
-            method: name.to_string(),
-            best_f1: curve.best_f1(),
-            auc_pr: curve.auc_pr(),
-            points: curve.points,
-        });
+        out.push(MethodCurve::new(name, curve));
     }
     println!("{}", table.render());
     println!(
         "(paper shape: Node_PIN_Bagging worst by a wide margin; the other\n\
          three similar — sampling the dense side retains topology)"
     );
-    output::save("fig5_sampling_methods", &out);
+    json!(out)
 }

@@ -5,12 +5,14 @@
 //! precision decays toward random selection), and peels far fewer blocks
 //! (all recorded `k̂ < 15`), cutting time.
 
+use super::ensemble;
+use crate::{datasets, methods};
 use ensemfdet::fdet::Truncation;
 use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{datasets, methods, output, resolve_scale};
 use ensemfdet_datagen::presets::JdDataset;
 use ensemfdet_eval::{time_it, Table};
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct Variant {
@@ -22,9 +24,7 @@ struct Variant {
     points: Vec<ensemfdet_eval::PrPoint>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!("== Figure 6: auto-truncation vs fixed k = 30 (Dataset #3 at 1/{scale}) ==\n");
 
     let ds = datasets::load(JdDataset::Jd3, scale);
@@ -44,18 +44,11 @@ fn main() {
     let mut table = Table::new(&["variant", "time", "avg blocks", "avg k̂", "best F1", "AUC-PR"]);
     let mut out = Vec::new();
     for (name, truncation) in variants {
-        let (outcome, wall) = time_it(|| {
-            methods::run_ensemfdet(
-                &ds.graph,
-                EnsemFdetConfig {
-                    num_samples: 80,
-                    sample_ratio: 0.1,
-                    truncation,
-                    seed: 0xF166,
-                    ..Default::default()
-                },
-            )
-        });
+        let config = EnsemFdetConfig {
+            truncation,
+            ..ensemble(80, 0.1, 0xF166)
+        };
+        let (outcome, wall) = time_it(|| methods::run_ensemfdet(&ds.graph, config));
         let curve = methods::ensemfdet_curve(&outcome, &labels);
         let avg_blocks = outcome
             .samples
@@ -92,5 +85,5 @@ fn main() {
          at precision near random selection, and auto-truncation detects\n\
          less than half as many blocks, cutting time)"
     );
-    output::save("fig6_truncation", &out);
+    json!(out)
 }

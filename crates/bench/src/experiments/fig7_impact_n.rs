@@ -6,11 +6,12 @@
 //! different `N`. Expected shape: mild, saturating improvement with `N` —
 //! negligible from 40 to 80 — and overall stability.
 
-use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{datasets, methods, output, resolve_scale};
+use super::ensemble;
+use crate::{datasets, methods};
 use ensemfdet_datagen::presets::JdDataset;
 use ensemfdet_eval::Table;
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct NSeries {
@@ -20,9 +21,7 @@ struct NSeries {
     points: Vec<ensemfdet_eval::PrPoint>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!("== Figure 7: impact of N at S = 0.1 (Dataset #3 at 1/{scale}) ==\n");
 
     let ds = datasets::load(JdDataset::Jd3, scale);
@@ -30,15 +29,7 @@ fn main() {
 
     let mut out = Vec::new();
     for n in [10usize, 20, 40, 80] {
-        let outcome = methods::run_ensemfdet(
-            &ds.graph,
-            EnsemFdetConfig {
-                num_samples: n,
-                sample_ratio: 0.1,
-                seed: 0xF167,
-                ..Default::default()
-            },
-        );
+        let outcome = methods::run_ensemfdet(&ds.graph, ensemble(n, 0.1, 0xF167));
         let curve = methods::ensemfdet_curve(&outcome, &labels);
         out.push(NSeries {
             n,
@@ -73,5 +64,5 @@ fn main() {
          negligible — stability across R = S·N ∈ [1, 8] means the method\n\
          tolerates scarce parallel cores)"
     );
-    output::save("fig7_impact_n", &out);
+    json!(out)
 }

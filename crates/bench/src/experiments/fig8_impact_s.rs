@@ -5,11 +5,12 @@
 //! close to `S = 0.1` — the stability that lets operators shrink samples
 //! to fit memory/core budgets.
 
-use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{datasets, methods, output, resolve_scale};
+use super::{ensemble, max_recall};
+use crate::{datasets, methods};
 use ensemfdet_datagen::presets::JdDataset;
 use ensemfdet_eval::Table;
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct SSeries {
@@ -20,13 +21,12 @@ struct SSeries {
     points: Vec<ensemfdet_eval::PrPoint>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
+pub(super) fn run(scale: u32) -> Value {
     // Small S compounds with the dataset's own 1/scale reduction (S = 0.01
     // of a 1/40 graph is 0.025% of the paper's data), so this experiment
     // runs on a 4x larger graph than the others to keep the S = 0.01
     // samples meaningfully sized.
-    let scale = (resolve_scale(&args) / 4).max(1);
+    let scale = (scale / 4).max(1);
     println!("== Figure 8: impact of S at fixed R = S·N = 1 (Dataset #3 at 1/{scale}) ==\n");
 
     let ds = datasets::load(JdDataset::Jd3, scale);
@@ -34,15 +34,7 @@ fn main() {
 
     let mut out = Vec::new();
     for (s, n) in [(0.1f64, 10usize), (0.05, 20), (0.01, 100)] {
-        let outcome = methods::run_ensemfdet(
-            &ds.graph,
-            EnsemFdetConfig {
-                num_samples: n,
-                sample_ratio: s,
-                seed: 0xF168,
-                ..Default::default()
-            },
-        );
+        let outcome = methods::run_ensemfdet(&ds.graph, ensemble(n, s, 0xF168));
         let curve = methods::ensemfdet_curve(&outcome, &labels);
         out.push(SSeries {
             s,
@@ -55,17 +47,12 @@ fn main() {
 
     let mut table = Table::new(&["S", "N", "best F1", "AUC-PR", "max recall"]);
     for series in &out {
-        let max_recall = series
-            .points
-            .iter()
-            .map(|p| p.recall)
-            .fold(0.0f64, f64::max);
         table.row(&[
             format!("{}", series.s),
             series.n.to_string(),
             format!("{:.3}", series.best_f1),
             format!("{:.3}", series.auc_pr),
-            format!("{max_recall:.3}"),
+            format!("{:.3}", max_recall(&series.points)),
         ]);
     }
     println!("{}", table.render());
@@ -74,5 +61,5 @@ fn main() {
          memory limits without losing much; trade S against N by available\n\
          cores)"
     );
-    output::save("fig8_impact_s", &out);
+    json!(out)
 }

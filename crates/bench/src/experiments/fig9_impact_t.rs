@@ -5,10 +5,11 @@
 //! (and smoothly) in `T`; the smooth curves are what let an operator dial
 //! in a target error rate.
 
-use ensemfdet::EnsemFdetConfig;
-use ensemfdet_bench::{datasets, methods, output, resolve_scale};
+use super::ensemble;
+use crate::{datasets, methods};
 use ensemfdet_eval::{confusion, Table};
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct TPoint {
@@ -25,23 +26,13 @@ struct DatasetT {
     points: Vec<TPoint>,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!("== Figure 9: impact of T (S = 0.1, N = 80), all datasets at 1/{scale} ==");
 
     let mut all = Vec::new();
     for (which, ds) in datasets::load_all(scale) {
         let labels = ds.labels();
-        let outcome = methods::run_ensemfdet(
-            &ds.graph,
-            EnsemFdetConfig {
-                num_samples: 80,
-                sample_ratio: 0.1,
-                seed: 0xF169,
-                ..Default::default()
-            },
-        );
+        let outcome = methods::run_ensemfdet(&ds.graph, ensemble(80, 0.1, 0xF169));
         let mut points = Vec::new();
         for t in 1..=40u32 {
             let detected: Vec<u32> = outcome
@@ -82,5 +73,5 @@ fn main() {
         "(paper: precision monotone ↑, recall monotone ↓ in T on every\n\
          dataset; smooth curves ⇒ the detection size is controllable)"
     );
-    output::save("fig9_impact_t", &all);
+    json!(all)
 }

@@ -4,10 +4,10 @@
 //! scaled by `1/scale`, verifying the synthetic models track the real
 //! datasets' shapes.
 
-use ensemfdet_bench::{datasets, output, resolve_scale};
-use ensemfdet_datagen::presets::JdDataset;
+use crate::datasets;
 use ensemfdet_eval::Table;
 use serde::Serialize;
+use serde_json::{json, Value};
 
 #[derive(Serialize)]
 struct Row {
@@ -22,9 +22,7 @@ struct Row {
     paper_edges_scaled: usize,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     println!("== Table I: dataset statistics (scale 1/{scale}) ==\n");
 
     let mut table = Table::new(&[
@@ -65,8 +63,7 @@ fn main() {
             paper_merchants_scaled: pm / s,
             paper_edges_scaled: pe / s,
         });
-        let _ = JdDataset::ALL; // keep the import obviously used
     }
     println!("{}", table.render());
-    output::save("table1_datasets", &rows);
+    json!(rows)
 }

@@ -12,12 +12,14 @@
 //! Datasets are generated one at a time; the process's peak resident set
 //! is recorded after each.
 
-use ensemfdet::{EnsemFdet, EnsemFdetConfig};
+use super::ensemble;
+use crate::datasets;
+use ensemfdet::EnsemFdet;
 use ensemfdet_baselines::{Fraudar, FraudarConfig};
-use ensemfdet_bench::{datasets, output, resolve_scale};
 use ensemfdet_datagen::presets::JdDataset;
 use ensemfdet_eval::{time_it, timing::seconds, Table};
 use serde::Serialize;
+use serde_json::{json, Value};
 
 const NUM_SAMPLES: usize = 80;
 const FRAUDAR_K: usize = 30;
@@ -55,6 +57,9 @@ struct TimingRow {
     speedup_wall: f64,
     speedup_ideal: f64,
     /// Peak resident set of the whole process so far (`VmHWM`), if known.
+    /// In a full `run_all` that includes the experiments run before this
+    /// one in the same process; `run_all table3_timing` measures Table III
+    /// alone.
     peak_rss_mib: Option<f64>,
 }
 
@@ -72,9 +77,7 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kib / 1024.0)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = resolve_scale(&args);
+pub(super) fn run(scale: u32) -> Value {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -112,12 +115,7 @@ fn main() {
         let fra_s = fra_time.as_secs_f64();
         for sample_ratio in RATIOS {
             for workers in WORKERS {
-                let config = EnsemFdetConfig {
-                    num_samples: NUM_SAMPLES,
-                    sample_ratio,
-                    seed: 0x7AB3,
-                    ..Default::default()
-                };
+                let config = ensemble(NUM_SAMPLES, sample_ratio, 0x7AB3);
                 let (outcome, ens_time) =
                     time_it(|| EnsemFdet::with_workers(config, workers).detect(g));
                 let (sum, max) = (outcome.total_sample_time(), outcome.max_sample_time());
@@ -164,15 +162,12 @@ fn main() {
          are well above timer resolution, as at --scale 1, the scale of\n\
          EXPERIMENTS.md's Table III; at small scales it flips run to run)"
     );
-    output::save(
-        "table3_timing",
-        &Table3 {
-            schema: "ensemfdet-table3/v1",
-            scale,
-            num_samples: NUM_SAMPLES,
-            fraudar_k: FRAUDAR_K,
-            available_parallelism: cores,
-            rows,
-        },
-    );
+    json!(Table3 {
+        schema: "ensemfdet-table3/v1",
+        scale,
+        num_samples: NUM_SAMPLES,
+        fraudar_k: FRAUDAR_K,
+        available_parallelism: cores,
+        rows,
+    })
 }

@@ -1,7 +1,7 @@
-//! Result persistence for the experiment binaries.
+//! Result persistence and the runner's banners.
 
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// `results/` at the workspace root (created on demand), overridable via
 /// `ENSEMFDET_RESULTS`.
@@ -11,13 +11,20 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
-/// Writes `<results>/<name>.json` and reports the path on stdout.
-pub fn save<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
+/// Writes `<dir>/<name>.json` and reports the path on stdout.
+pub fn save<T: Serialize>(dir: &Path, name: &str, value: &T) {
+    let path = dir.join(format!("{name}.json"));
     match ensemfdet_eval::write_json(value, &path) {
         Ok(()) => println!("\n[saved {}]", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
+}
+
+/// Prints the banner `run_all` puts above each experiment's output.
+pub fn banner(title: &str) {
+    println!("\n════════════════════════════════════════════════════════");
+    println!("  {title}");
+    println!("════════════════════════════════════════════════════════");
 }
 
 #[cfg(test)]
@@ -36,11 +43,9 @@ mod tests {
     #[test]
     fn save_writes_json() {
         let dir = test_dir("save_writes_json");
-        std::env::set_var("ENSEMFDET_RESULTS", &dir);
-        save("smoke", &serde_json::json!({"x": 1}));
+        save(&dir, "smoke", &serde_json::json!({"x": 1}));
         let content = std::fs::read_to_string(dir.join("smoke.json")).unwrap();
         assert!(content.contains("\"x\": 1"));
-        std::env::remove_var("ENSEMFDET_RESULTS");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

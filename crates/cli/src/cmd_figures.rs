@@ -20,8 +20,9 @@ pub fn run(args: &Args) -> Result<String, String> {
         .map_err(|e| format!("render failed: {e}"))?;
     if written.is_empty() {
         Ok(format!(
-            "no renderable artifacts in {dir}/ — run the bench experiments first\n\
-             (cargo run --release -p ensemfdet-bench --bin run_all)"
+            "no renderable artifacts in {dir}/ — run the bench experiments first:\n  \
+             ENSEMFDET_RESULTS={dir} cargo run --release -p ensemfdet-bench --bin run_all\n\
+             (append `-- fig3_method_comparison ...` to run only the named experiments)"
         ))
     } else {
         Ok(written.join("\n"))
